@@ -26,6 +26,7 @@ import numpy as np
 from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
+from repro.controllers.bounded import NOTIFICATION_CERTAINTY, TIE_EPSILON
 from repro.exceptions import BeliefError
 from repro.pomdp.belief import update_belief
 from repro.pomdp.simulator import POMDPSimulator
@@ -163,13 +164,13 @@ def bootstrap_bounds(
             decision = expand_tree(pomdp, belief, depth, bound_set)
             if model.terminate_action is not None and (
                 decision.action_values[model.terminate_action]
-                >= decision.value - 1e-9
+                >= decision.value - TIE_EPSILON
             ):
                 # Same terminate-on-tie rule as the bounded controller.
                 break
             if (
                 model.recovery_notification
-                and model.recovered_probability(belief) >= 1.0 - 1e-9
+                and model.recovered_probability(belief) >= NOTIFICATION_CERTAINTY
             ):
                 break
             step = simulator.step(decision.action)

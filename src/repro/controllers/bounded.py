@@ -11,9 +11,9 @@ knob is needed, which is the property Table 1's discussion highlights — or,
 for systems with recovery notification, when the belief certifies arrival in
 ``S_phi``.
 
-At the evaluated depth of 1 the expansion is fully batched
-(:mod:`repro.pomdp.tree`): the successor-belief matrix is built once and the
-bound set is evaluated against it in a single
+The expansion is batched at every depth (:mod:`repro.pomdp.tree`): the tree
+is built a level at a time, and at the evaluated depth of 1 the bound set
+is evaluated against every reachable successor belief in a single
 :meth:`~repro.bounds.vector_set.BoundVectorSet.value_batch` matmul — on the
 sparse backend the posteriors are skipped entirely and the whole decision is
 a handful of CSR × dense-block products.

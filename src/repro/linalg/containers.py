@@ -617,11 +617,14 @@ class StructuredRewards:
         return values
 
     def matvec(self, weights: np.ndarray) -> np.ndarray:
-        """``r @ weights`` over all actions (expected reward per action)."""
-        base = self.time_scale * float(self.rate @ weights) - self.fixed * float(
-            weights.sum()
-        )
-        return base + np.asarray(self._additive @ weights).ravel()
+        """``r @ weights`` over all actions (expected reward per action).
+
+        ``weights`` is one ``(|S|,)`` vector or a ``(|S|, m)`` block of
+        them, giving ``(|A|,)`` or ``(|A|, m)``.
+        """
+        base = np.multiply.outer(self.time_scale, self.rate @ weights)
+        base -= np.multiply.outer(self.fixed, weights.sum(axis=0))
+        return base + np.asarray(self._additive @ weights).reshape(base.shape)
 
     def mean_over_actions(self) -> np.ndarray:
         """``mean_a r[a, :]`` (the Eq. 5 uniform-random-chain rewards)."""

@@ -271,7 +271,11 @@ def reward_column(rewards, state: int) -> np.ndarray:
 
 
 def rewards_matvec(rewards, weights: np.ndarray) -> np.ndarray:
-    """``r @ weights`` over all actions (expected reward per action)."""
+    """``r @ weights`` over all actions (expected reward per action).
+
+    ``weights`` may also be a ``(|S|, m)`` block of beliefs, giving the
+    ``(|A|, m)`` expected rewards of each.
+    """
     if isinstance(rewards, StructuredRewards):
         _count_dispatch("rewards_matvec", sparse=True)
         return rewards.matvec(weights)

@@ -13,9 +13,9 @@ product from ``transitions`` and ``observations`` at every decision node.
 so the per-belief work collapses to a single GEMV:
 
 * ``joint(belief, a)`` — one ``(|S|,) @ (|S|, |S'|*|O|)`` product;
-* ``joint_all(belief)`` — one ``(|S|,) @ (|S|, |A|*|S'|*|O|)`` product that
-  yields every action's joint at once, removing the per-action Python loop
-  from the innermost tree recursion.
+* ``joint_all(beliefs)`` — one ``(m, |S|) @ (|S|, |A|*|S'|*|O|)`` product
+  that yields every action's joint for a whole stack of beliefs at once,
+  which is how the lookahead tree expands a level.
 
 POMDPs are frozen dataclasses whose arrays are never mutated after
 validation, so a cache entry is valid for the lifetime of its model object;
@@ -139,10 +139,12 @@ class JointFactorCache:
             self.n_states, self.n_observations
         )
 
-    def joint_all(self, belief: np.ndarray) -> np.ndarray:
-        """Every action's joint at once; shape ``(|A|, |S'|, |O|)``."""
-        return (belief @ self._stacked).reshape(
-            self.n_actions, self.n_states, self.n_observations
+    def joint_all(self, beliefs: np.ndarray) -> np.ndarray:
+        """Every action's joint at once: ``(|A|, |S'|, |O|)`` for one belief,
+        ``(m, |A|, |S'|, |O|)`` for a ``(m, |S|)`` stack."""
+        return (beliefs @ self._stacked).reshape(
+            beliefs.shape[:-1]
+            + (self.n_actions, self.n_states, self.n_observations)
         )
 
 
@@ -185,11 +187,18 @@ class SparseJointFactorCache:
         flat = np.asarray(self._factors[action].T @ belief).ravel()
         return flat.reshape(self.n_states, self.n_observations)
 
-    def joint_all(self, belief: np.ndarray) -> np.ndarray:
-        """Every action's joint at once; shape ``(|A|, |S'|, |O|)``."""
-        out = np.empty((self.n_actions, self.n_states, self.n_observations))
-        for action in range(self.n_actions):
-            out[action] = self.joint(belief, action)
+    def joint_all(self, beliefs: np.ndarray) -> np.ndarray:
+        """Every action's joint at once: ``(|A|, |S'|, |O|)`` for one belief,
+        ``(m, |A|, |S'|, |O|)`` for a ``(m, |S|)`` stack."""
+        lead = beliefs.shape[:-1]
+        out = np.empty(lead + (self.n_actions, self.n_states, self.n_observations))
+        for action, factor in enumerate(self._factors):
+            # A CSR x dense-block product runs the matvec kernel column by
+            # column, so each row equals ``joint(belief, action)`` exactly.
+            flat = np.asarray(factor.T @ beliefs.T).T
+            out[..., action, :, :] = flat.reshape(
+                lead + (self.n_states, self.n_observations)
+            )
         return out
 
 

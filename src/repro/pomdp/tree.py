@@ -8,22 +8,47 @@ observation probabilities ``gamma^{pi,a}(o)`` (Eq. 3), and the maximum over
 actions is taken at each decision node.
 
 Per-decision cost matters — Table 1's "algorithm time" column is this
-expansion — so the tree leans on two model-level optimisations:
+expansion, and the Table 1 bootstrap is a few dozen depth-2 trees — so the
+tree is built a level at a time rather than one belief at a time:
 
-* the joint factors ``p(s', o | s, a)`` come from the shared
-  :class:`~repro.pomdp.cache.JointFactorCache`, which turns each node's
-  per-action child computation into a single matrix product instead of a
-  per-action rebuild of the transition/observation product;
-* all of a node's leaf beliefs (across *every* action) are evaluated in one
-  :meth:`LeafValue.value_batch` call rather than one call per action, so the
-  leaf estimator sees one big stack per node; at depth 1 the root expansion
-  is a single fused pass (:func:`_expand_depth1_batched`) with exactly one
-  such call;
-* on the sparse backend with a linear-function leaf, the depth-1 expansion
-  skips posteriors entirely: a batched kernel builds the full
-  ``(k, |A|, |O|)`` score block from a few CSR × dense-block products, with
-  a per-action looped fallback when the block is declined by the cache
-  budget.
+* every belief of a level goes through the joint factors
+  ``p(s', o | s, a)`` as one stack, in chunks: one product with the shared
+  :class:`~repro.pomdp.cache.JointFactorCache` (or the CSR factors of
+  :class:`~repro.pomdp.cache.SparseJointFactorCache`) yields every action's
+  joint for the whole chunk, and :func:`~repro.linalg.ops.belief_update_batch`
+  does the same one action at a time where the cache is declined;
+* branches with ``gamma <= GAMMA_EPSILON`` are dropped, and the reachable
+  posteriors of a chunk form the next level's stack; at the bottom they go
+  to the leaf in one :meth:`LeafValue.value_batch` call per chunk;
+* values back up with array reductions: a gamma-weighted sum per (parent,
+  action), then a max over actions; the root's ``allowed_actions`` mask
+  applies at the root only.
+
+Python work per tree is thus one pass per chunk rather than one per node.
+Two choices keep that from costing time or memory elsewhere:
+
+* Bottom-level leaf work covers the *reachable* branches only, so it grows
+  with ``leaf_evaluations x |B|`` for a bound set ``B``.  Most ``(a, o)``
+  branches are unreachable at a typical recovery belief (about 13% of the
+  EMN model's 1,280 are reachable at a depth-1 decision), and scoring every
+  branch would make large bound sets pay for all of them.
+* Every transient block is sized from one small byte budget,
+  :data:`BLOCK_BYTES`.  A chunk's joint block, its posteriors and its leaf
+  values are all reduced inside the chunk, and a level whose next stack
+  would not fit is expanded chunk by chunk, each down to the bottom before
+  the next starts, so peak memory stays that of a single chunk per level.
+  Each level keeps the blocks that hold its posteriors and reuses them
+  for all its chunks: allocating them afresh per chunk made the C
+  allocator grow and trim the heap around most leaf calls, and the page
+  faults cost about a third of a Table 1 bootstrap.  Larger blocks buy
+  little speed: past a few beliefs per chunk the per-chunk Python work is
+  already small next to the arithmetic.
+
+On the sparse backend with a linear-function leaf and no factor cache, the
+depth-1 expansion skips posteriors entirely: a batched kernel builds the
+full ``(k, |A|, |O|)`` score block from a few CSR × dense-block products,
+with a per-action looped fallback when the block is declined by the cache
+budget.
 """
 
 from __future__ import annotations
@@ -35,8 +60,7 @@ import numpy as np
 
 from repro.linalg.ops import (
     BACKUP_TIE_EPSILON,
-    observation_matrix_dense,
-    predict,
+    belief_update_batch,
     rewards_matvec,
     tie_break_argmax,
 )
@@ -55,6 +79,12 @@ from repro.pomdp.model import POMDP
 #: the winning action identical across storage backends, whose bound vectors
 #: agree only to solver precision (~1e-13), not bit-for-bit.
 DECISION_TIE_EPSILON = 1e-9
+
+#: Byte budget of one transient block of the level expander: a chunk holds
+#: as many beliefs as fit their ``(|A|, |S'|, |O|)`` joint blocks into it
+#: (at least one).  The chunk's posteriors are a subset of its joint block,
+#: so they fit too.  Each level of an expansion keeps two such blocks.
+BLOCK_BYTES = 512 * 1024
 
 
 def _best_action(action_values: np.ndarray) -> int:
@@ -94,87 +124,19 @@ class TreeDecision:
     nodes: int
 
 
-def _children(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    action: int,
-    cache: JointFactorCache | SparseJointFactorCache | None = None,
-):
-    """Reachable ``(gamma, posteriors)`` for one action, pruned by gamma."""
-    if cache is not None:
-        joint = cache.joint(belief, action)
-    else:
-        predicted = predict(pomdp.transitions, belief, action)
-        joint = predicted[:, None] * observation_matrix_dense(
-            pomdp.observations, action
+def _action_mask(allowed_actions, n_actions: int) -> np.ndarray | None:
+    """``allowed_actions`` checked to be a usable root mask."""
+    if allowed_actions is None:
+        return None
+    mask = np.asarray(allowed_actions)
+    if mask.dtype != np.bool_ or mask.shape != (n_actions,):
+        raise ValueError(
+            f"allowed_actions must be a boolean vector of length {n_actions}, "
+            f"got dtype {mask.dtype} and shape {mask.shape}"
         )
-    gamma = joint.sum(axis=0)
-    reachable = gamma > GAMMA_EPSILON
-    posteriors = (joint[:, reachable] / gamma[reachable]).T
-    return gamma[reachable], posteriors
-
-
-def _children_all(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    cache: JointFactorCache | SparseJointFactorCache | None,
-    action_mask: np.ndarray | None = None,
-):
-    """Per-action ``(gamma, posteriors)`` for every (allowed) action.
-
-    Returns a list indexed by action; masked-out actions hold ``None``.
-    With a cache, all joints come from one matrix product.
-    """
-    joint_all = cache.joint_all(belief) if cache is not None else None
-    children: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for action in range(pomdp.n_actions):
-        if action_mask is not None and not action_mask[action]:
-            children.append(None)
-            continue
-        if joint_all is not None:
-            joint = joint_all[action]
-            gamma = joint.sum(axis=0)
-            reachable = gamma > GAMMA_EPSILON
-            posteriors = (joint[:, reachable] / gamma[reachable]).T
-            children.append((gamma[reachable], posteriors))
-        else:
-            children.append(_children(pomdp, belief, action))
-    return children
-
-
-def _batched_leaf_values(
-    children: list[tuple[np.ndarray, np.ndarray] | None],
-    leaf: LeafValue,
-) -> list[np.ndarray | None]:
-    """One ``value_batch`` call covering every action's leaf beliefs.
-
-    The per-row arithmetic is identical to per-action calls; only the
-    batching changes, so results are bit-for-bit the same for any leaf
-    estimator that is row-independent (all shipped ones are).
-    """
-    stacks = [child[1] for child in children if child is not None]
-    if not stacks:
-        return [None for _ in children]
-    beliefs = np.vstack(stacks)
-    telemetry = telemetry_active()
-    if telemetry is not None:
-        telemetry.count("tree.leaf_batches")
-        with telemetry.trace_span(
-            "tree.leaf_batch", category="tree", beliefs=int(beliefs.shape[0])
-        ):
-            values = leaf.value_batch(beliefs)
-    else:
-        values = leaf.value_batch(beliefs)
-    futures: list[np.ndarray | None] = []
-    offset = 0
-    for child in children:
-        if child is None:
-            futures.append(None)
-            continue
-        count = child[1].shape[0]
-        futures.append(values[offset : offset + count])
-        offset += count
-    return futures
+    if not mask.any():
+        raise ValueError("allowed_actions must allow at least one action")
+    return mask
 
 
 def expand_tree(
@@ -191,9 +153,10 @@ def expand_tree(
         belief: root belief state.
         depth: number of action layers to expand; must be at least 1.
         leaf: value estimate substituted at depth-0 beliefs.
-        allowed_actions: optional boolean mask restricting the *root*
-            decision (inner nodes always consider every action, matching the
-            recursion of Eq. 2).
+        allowed_actions: optional boolean mask of length ``|A|`` restricting
+            the *root* decision (inner nodes always consider every action,
+            matching the recursion of Eq. 2); it must allow at least one
+            action.
 
     Returns:
         A :class:`TreeDecision`; ties at the root break toward the
@@ -202,6 +165,7 @@ def expand_tree(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    allowed_actions = _action_mask(allowed_actions, pomdp.n_actions)
     cache = get_joint_cache(pomdp)
     fused = (
         depth == 1
@@ -231,106 +195,152 @@ def _expand(
     cache: JointFactorCache | SparseJointFactorCache | None,
     fused: bool,
 ) -> TreeDecision:
-    """Dispatch to the fused sparse depth-1 path or the generic recursion."""
+    """Dispatch to the fused sparse depth-1 path or the level expander."""
     if fused:
         return _expand_depth1_sparse(pomdp, belief, leaf, allowed_actions)
-    if depth == 1:
-        return _expand_depth1_batched(pomdp, belief, leaf, allowed_actions, cache)
-    counters = {"leaves": 0, "nodes": 0}
-
-    def node_value(node_belief: np.ndarray, remaining: int) -> float:
-        counters["nodes"] += 1
-        rewards = rewards_matvec(pomdp.rewards, node_belief)
-        children = _children_all(pomdp, node_belief, cache)
-        if remaining == 1:
-            futures = _batched_leaf_values(children, leaf)
-            counters["leaves"] += sum(
-                child[1].shape[0] for child in children if child is not None
-            )
-        else:
-            futures = [
-                np.array(
-                    [node_value(child, remaining - 1) for child in posteriors]
-                )
-                for _, posteriors in children
-            ]
-        best = -np.inf
-        for action, child in enumerate(children):
-            gamma, _ = child
-            total = rewards[action] + pomdp.discount * float(
-                gamma @ futures[action]
-            )
-            best = max(best, total)
-        return best
-
-    counters["nodes"] += 1
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    action_values = np.full(pomdp.n_actions, -np.inf)
-    children = _children_all(pomdp, belief, cache, action_mask=allowed_actions)
-    futures = [
-        None
-        if child is None
-        else np.array(
-            [node_value(posterior, depth - 1) for posterior in child[1]]
-        )
-        for child in children
-    ]
-    for action, child in enumerate(children):
-        if child is None:
-            continue
-        gamma, _ = child
-        action_values[action] = rewards[action] + pomdp.discount * float(
-            gamma @ futures[action]
-        )
-
+    expander = _LevelExpander(pomdp, leaf, cache)
+    action_values = expander.root_values(belief, depth, allowed_actions)
     best_action = _best_action(action_values)
     return TreeDecision(
         action=best_action,
         value=float(action_values[best_action]),
         action_values=action_values,
-        leaf_evaluations=counters["leaves"],
-        nodes=counters["nodes"],
+        leaf_evaluations=expander.leaves,
+        nodes=expander.nodes,
     )
 
 
-def _expand_depth1_batched(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-    cache: JointFactorCache | SparseJointFactorCache | None,
-) -> TreeDecision:
-    """Depth-1 expansion as one successor-matrix build + one leaf batch.
+class _LevelExpander:
+    """Max-Avg values of belief stacks, one chunk of a level at a time.
 
-    The full successor-belief matrix (every action's reachable posteriors,
-    stacked action-major) is built once by :func:`_children_all` /
-    :func:`_batched_leaf_values` and evaluated through a single
-    ``leaf.value_batch`` call; the per-action combine then weighs each
-    action's slice with its observation probabilities.  Arithmetic is
-    bit-identical to the generic recursion at depth 1 — this is the same
-    computation with the recursion peeled off, and the campaign
-    fingerprints hold it to that.
+    Branch arrays of a chunk of ``c`` beliefs are action-major,
+    ``(|A|, c, |O|)``, and a chunk's reachable posteriors are stacked in
+    the same order, so the gamma-weighted backup is a masked scatter and a
+    sum over observations.
     """
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    action_values = np.full(pomdp.n_actions, -np.inf)
-    children = _children_all(pomdp, belief, cache, action_mask=allowed_actions)
-    futures = _batched_leaf_values(children, leaf)
-    leaves = sum(child[1].shape[0] for child in children if child is not None)
-    for action, child in enumerate(children):
-        if child is None:
-            continue
-        gamma, _ = child
-        action_values[action] = rewards[action] + pomdp.discount * float(
-            gamma @ futures[action]
+
+    def __init__(
+        self,
+        pomdp: POMDP,
+        leaf: LeafValue,
+        cache: JointFactorCache | SparseJointFactorCache | None,
+    ):
+        self.pomdp = pomdp
+        self.leaf = leaf
+        self.cache = cache
+        self._joint_size = pomdp.n_actions * pomdp.n_states * pomdp.n_observations
+        self.chunk = max(1, BLOCK_BYTES // (8 * self._joint_size))
+        self._blocks: dict[int, np.ndarray] = {}
+        self.nodes = 0
+        self.leaves = 0
+
+    def root_values(
+        self, belief: np.ndarray, depth: int, allowed: np.ndarray | None
+    ) -> np.ndarray:
+        """Per-action root values; disallowed actions are ``-inf``."""
+        self.nodes += 1
+        root = np.asarray(belief, dtype=float)[None, :]
+        action_values = self._action_values(root, depth, allowed)[:, 0]
+        if allowed is not None:
+            action_values[~allowed] = -np.inf
+        return action_values
+
+    def _values(self, beliefs: np.ndarray, remaining: int) -> np.ndarray:
+        """Max-Avg value of every belief of a level, ``remaining`` above the
+        leaves; the stack is expanded in chunks, each to the bottom."""
+        self.nodes += beliefs.shape[0]
+        values = np.empty(beliefs.shape[0])
+        for start in range(0, beliefs.shape[0], self.chunk):
+            stop = start + self.chunk
+            values[start:stop] = self._action_values(
+                beliefs[start:stop], remaining, None
+            ).max(axis=0)
+        return values
+
+    def _action_values(
+        self, block: np.ndarray, remaining: int, allowed: np.ndarray | None
+    ) -> np.ndarray:
+        """``(|A|, c)`` Max-Avg action values of a chunk of beliefs."""
+        gamma, reachable, posteriors = self._branches(block, remaining, allowed)
+        if remaining == 1:
+            futures = self._leaf_values(posteriors)
+        else:
+            futures = self._values(posteriors, remaining - 1)
+        weighted = np.zeros(gamma.shape)
+        weighted[reachable] = gamma[reachable] * futures
+        rewards = rewards_matvec(self.pomdp.rewards, block.T)
+        return rewards + self.pomdp.discount * weighted.sum(axis=2)
+
+    def _branches(
+        self, block: np.ndarray, remaining: int, allowed: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(gamma, reachable, posteriors)`` of a chunk's branches.
+
+        ``gamma`` and ``reachable`` are ``(|A|, c, |O|)``; ``posteriors``
+        holds the reachable branches' posterior beliefs in that order.
+        """
+        pomdp = self.pomdp
+        n_actions, n_states = pomdp.n_actions, pomdp.n_states
+        n_observations, count = pomdp.n_observations, block.shape[0]
+        if self.cache is None:
+            gamma = np.zeros((n_actions, count, n_observations))
+            stacks = []
+            if allowed is None:
+                allowed = np.ones(n_actions, dtype=bool)
+            for action in np.flatnonzero(allowed):
+                gamma[action], action_posteriors = belief_update_batch(
+                    pomdp.transitions, pomdp.observations, block, int(action)
+                )
+                stacks.append(action_posteriors[gamma[action] > GAMMA_EPSILON])
+            return gamma, gamma > GAMMA_EPSILON, np.concatenate(stacks)
+        # One product yields every action's joint at every belief.  Its
+        # successor-major copy, (|S'|, |A|, c, |O|), makes gamma a sum of
+        # contiguous rows and the reachable posteriors one column selection.
+        successor_major, spare = self._level_blocks(remaining, count)
+        successor_major = successor_major.reshape(
+            n_states, n_actions, count, n_observations
         )
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=leaves,
-        nodes=1,
-    )
+        joints = self.cache.joint_all(block)  # (c, |A|, |S'|, |O|)
+        np.copyto(successor_major, joints.transpose(2, 1, 0, 3))
+        gamma = successor_major.sum(axis=0)
+        reachable = gamma > GAMMA_EPSILON
+        if allowed is not None:
+            reachable &= allowed[:, None, None]
+        # Laid out (|S'|, n), so the leaf's (|B|, |S|) x (|S|, n) product
+        # reads a contiguous operand.
+        n_reachable = int(np.count_nonzero(reachable))
+        posteriors = spare[: n_states * n_reachable].reshape(n_states, n_reachable)
+        np.compress(
+            reachable.ravel(),
+            successor_major.reshape(n_states, -1),
+            axis=1,
+            out=posteriors,
+        )
+        posteriors /= gamma[reachable]
+        return gamma, reachable, posteriors.T
+
+    def _level_blocks(
+        self, remaining: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat blocks of ``count`` joint blocks each, reused by every
+        chunk of the level ``remaining`` above the leaves."""
+        size = count * self._joint_size
+        blocks = self._blocks.get(remaining)
+        if blocks is None or blocks.size < 2 * size:
+            blocks = self._blocks[remaining] = np.empty(2 * size)
+        return blocks[:size], blocks[size : 2 * size]
+
+    def _leaf_values(self, posteriors: np.ndarray) -> np.ndarray:
+        """One leaf call over a chunk's bottom-level posteriors."""
+        self.leaves += posteriors.shape[0]
+        telemetry = telemetry_active()
+        if telemetry is None:
+            return self.leaf.value_batch(posteriors)
+        telemetry.count("tree.leaf_batches")
+        with telemetry.trace_span(
+            "tree.leaf_batch", category="tree", beliefs=int(posteriors.shape[0])
+        ):
+            return self.leaf.value_batch(posteriors)
 
 
 def _expand_depth1_sparse(

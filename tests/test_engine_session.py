@@ -27,9 +27,12 @@ from repro.controllers import (
     RandomController,
     RecoveryController,
 )
+from repro.experiments.table1 import make_controller
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
 from repro.sim.metrics import campaign_fingerprint, episode_fingerprint_bytes
+from repro.systems.emn import MONITOR_DURATION
+from repro.systems.faults import FaultKind
 from repro.systems.tiered import build_tiered_system
 
 SEED = 2006
@@ -39,6 +42,10 @@ TIERED_INJECTIONS = 24
 #: Campaign fingerprints captured on the pre-refactor controller stack
 #: (commit 40ae943) with identical models, seeds, and injection counts.
 #: ``algorithm_time`` is excluded from the fingerprint, so these are exact.
+#: The depth >= 2 campaigns (simple ``bounded_depth2``/``bounded_depth3``,
+#: the EMN heuristic at depth 2, and the EMN bounded controller, whose
+#: bootstrap runs depth-2 trees) were captured on the node-at-a-time tree
+#: expansion that the level-by-level expander replaced.
 PRE_REFACTOR_FINGERPRINTS = {
     "simple.bounded": "028766abd5e47d4fccdb8e046a412ae7a73fc7be4ef6fd8d88ce2492abb37016",
     "simple.heuristic": "3abc52204e1d252d998293ca6ad1ef58b718157516b18fc5ef41ae8ba3fb9a4b",
@@ -47,6 +54,10 @@ PRE_REFACTOR_FINGERPRINTS = {
     "simple.oracle": "f5592ddd496615ed29fc2b2c8b25fcb515f8b37a29139d20b3a2572dd36ca913",
     "simple.random": "cfef8fe3afb72a29043661841c5b6aea4594321adb95a2d0c0ba221c2f27b4b8",
     "simple.branch_and_bound": "028766abd5e47d4fccdb8e046a412ae7a73fc7be4ef6fd8d88ce2492abb37016",
+    "simple.bounded_depth2": "5a1971ab3718230779b0a403e24c0483127b33e28b493275a30429ce1e594d0b",
+    "simple.bounded_depth3": "c0d9a2ff5e127c8c9b5c24a424f70187c749ff702d6979e8707ad7986b3c3534",
+    "emn.bounded": "9848721d9931511a73d1c3d16cf833f453959c6397c5b3c46cd8dccf9e4d4ed4",
+    "emn.heuristic_depth2": "04a7d174bd9288cf8dce06f7f7d483f083bdc899830c18556cb9bedb983ca22f",
     "tiered_sparse.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
     "tiered_dense.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
 }
@@ -59,6 +70,8 @@ SIMPLE_FACTORIES = {
     "oracle": lambda model: OracleController(model),
     "random": lambda model: RandomController(model, seed=7),
     "branch_and_bound": lambda model: BranchAndBoundController(model),
+    "bounded_depth2": lambda model: BoundedController(model, depth=2),
+    "bounded_depth3": lambda model: BoundedController(model, depth=3),
 }
 
 
@@ -117,6 +130,37 @@ class TestPinnedFingerprints:
         )
         assert campaign_fingerprint(sharded.episodes) == campaign_fingerprint(
             serial.episodes
+        )
+
+
+class TestEmnPinnedFingerprints:
+    """EMN campaigns whose decisions expand trees of depth >= 2."""
+
+    @staticmethod
+    def _zombie_campaign(system, controller, injections):
+        return run_campaign(
+            controller,
+            fault_states=system.fault_states(FaultKind.ZOMBIE),
+            injections=injections,
+            seed=2026,
+            monitor_tail=MONITOR_DURATION,
+        )
+
+    def test_bootstrapped_bounded(self, emn_system):
+        """Table 1's bounded row: a depth-2 bootstrap, then depth-1 decisions."""
+        controller = make_controller("bounded (depth 1)", emn_system)
+        result = self._zombie_campaign(emn_system, controller, 30)
+        assert (
+            campaign_fingerprint(result.episodes)
+            == PRE_REFACTOR_FINGERPRINTS["emn.bounded"]
+        )
+
+    def test_heuristic_depth2(self, emn_system):
+        controller = HeuristicController(emn_system.model, depth=2)
+        result = self._zombie_campaign(emn_system, controller, 10)
+        assert (
+            campaign_fingerprint(result.episodes)
+            == PRE_REFACTOR_FINGERPRINTS["emn.heuristic_depth2"]
         )
 
 
