@@ -16,14 +16,16 @@ The CI guard for the serve-layer contract of :mod:`repro.serve`:
    fresh read-only session, and fail on any decision drift;
 6. check the live operational plane on the warm daemon: ``health`` and
    ``ready`` answer truthfully, ``metrics`` serves both the JSON
-   snapshot and Prometheus text exposition, and ``python -m repro.obs
-   watch --once`` renders a frame against the socket;
+   snapshot and Prometheus text exposition and carries samples for every
+   decision-path histogram (:data:`DECISION_PATH_HISTOGRAMS`), and
+   ``python -m repro.obs watch --once`` renders a frame against the
+   socket;
 7. **SLO gate** — fail if the warm daemon's session-decision p99, read
    from the ``serve.session_decide`` live histogram (which includes
    engine-lock queueing), exceeds the pinned ceiling
    (:data:`P99_CEILING_MS`, override with ``REPRO_SERVE_P99_CEILING_MS``);
 8. validate the warm daemon's periodic metrics-snapshot JSONL flusher
-   stream against the ``repro-obs/v3`` schema (kept under ``--keep`` as
+   stream against the ``repro-obs/v4`` schema (kept under ``--keep`` as
    the CI artifact);
 9. fail if the run leaked ``/dev/shm`` entries, socket files, or
    ``*.tmp`` archives anywhere in the work tree.
@@ -63,6 +65,17 @@ SIGTERM_AFTER = 1
 #: the ceiling absorbs shared-runner noise, not real regressions in kind.
 #: ``REPRO_SERVE_P99_CEILING_MS`` overrides it for other scales.
 P99_CEILING_MS = 250.0
+
+#: Latency histograms the warm daemon's replay session must feed: its
+#: decisions open ``controller.decision`` → ``tree.expand`` →
+#: ``cache.lookup`` spans and its observations ``belief.update``, so a
+#: refactor that drops one of these sites' spans fails the smoke.
+DECISION_PATH_HISTOGRAMS = (
+    "controller.decision",
+    "tree.expand",
+    "cache.lookup",
+    "belief.update",
+)
 
 
 def p99_ceiling_ms() -> float:
@@ -176,7 +189,16 @@ def _check_live_ops(
     if "repro_serve_decisions_total" not in text:
         failures.append("Prometheus exposition lacks repro_serve_decisions_total")
 
-    histogram = metrics.get("histograms", {}).get("serve.session_decide")
+    histograms = metrics.get("histograms", {})
+    silent = [
+        name
+        for name in DECISION_PATH_HISTOGRAMS
+        if not histograms.get(name, {}).get("count")
+    ]
+    if silent:
+        failures.append(f"no samples in decision-path histograms {silent}")
+
+    histogram = histograms.get("serve.session_decide")
     if not histogram or not histogram.get("count"):
         failures.append(
             "no serve.session_decide histogram samples on the warm daemon"

@@ -37,6 +37,7 @@ from repro.linalg.ops import (
     transition_matvec,
 )
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.pomdp.belief import GAMMA_EPSILON, belief_bellman_backup
 from repro.pomdp.cache import get_joint_cache
 from repro.pomdp.model import POMDP
@@ -126,13 +127,7 @@ def refine_at(
     """
     belief = np.asarray(belief, dtype=float)
     telemetry = telemetry_active()
-    if telemetry is not None:
-        with (
-            telemetry.trace_span("bounds.refine", category="bounds"),
-            telemetry.span("bounds.refine"),
-        ):
-            vector, action = incremental_update(pomdp, bound_set.vectors, belief)
-    else:
+    with span("bounds.refine", category="bounds"):
         vector, action = incremental_update(pomdp, bound_set.vectors, belief)
     improvement = bound_set.improvement_at(vector, belief)
     added = bound_set.add(vector, belief=belief, min_improvement=min_improvement)

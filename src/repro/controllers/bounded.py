@@ -25,14 +25,13 @@ campaign-facing adapter over one engine plus one live session.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.pomdp.tree import expand_tree
 from repro.recovery.model import RecoveryModel
 
@@ -110,20 +109,11 @@ class BoundedPolicyEngine(PolicyEngine):
                     **session.span_attributes(),
                 )
             return self.terminate_decision(value=0.0)
-        if telemetry is not None:
-            decision_span = telemetry.trace_span(
-                "controller.decision",
-                category="controller",
-                **session.span_attributes(),
-            )
-            # The same window feeds the controller.decision timer and
-            # latency histogram, so the distribution exists even when
-            # hierarchical tracing is off.
-            decision_timer = telemetry.span("controller.decision")
-        else:
-            decision_span = nullcontext()
-            decision_timer = nullcontext()
-        with decision_span, decision_timer:
+        with span(
+            "controller.decision",
+            category="controller",
+            **session.span_attributes(),
+        ):
             refine = (
                 self.refine_online if session.refine is None else session.refine
             )
@@ -134,13 +124,7 @@ class BoundedPolicyEngine(PolicyEngine):
                     belief,
                     min_improvement=self.refine_min_improvement,
                 )
-            if telemetry is not None:
-                with telemetry.span("controller.expand_tree"):
-                    decision = expand_tree(
-                        pomdp, belief, self.depth, self.bound_set
-                    )
-            else:
-                decision = expand_tree(pomdp, belief, self.depth, self.bound_set)
+            decision = expand_tree(pomdp, belief, self.depth, self.bound_set)
         action = decision.action
         terminate = self.model.terminate_action
         tie_break = False

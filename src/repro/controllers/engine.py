@@ -32,13 +32,13 @@ chunk and merges back, and the policy service checkpoints to disk.
 from __future__ import annotations
 
 import abc
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import BeliefError, ControllerError
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.pomdp.belief import update_belief
 from repro.recovery.model import RecoveryModel
 from repro.util.timing import Stopwatch
@@ -211,12 +211,7 @@ class RecoverySession:
         model = self.engine.model
         pomdp = model.pomdp
         telemetry = telemetry_active()
-        span = (
-            telemetry.span("belief.update")
-            if telemetry is not None
-            else nullcontext()
-        )
-        with span:
+        with span("belief.update", category="belief"):
             try:
                 self._belief = update_belief(
                     pomdp, self._belief, action, observation

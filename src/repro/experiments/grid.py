@@ -42,6 +42,7 @@ from repro.controllers.bounded import BoundedController
 from repro.experiments.store import GRID_SCHEMA, ResultsStore
 from repro.io import save_bound_set
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.recovery.model import convert_backend
 from repro.sim.campaign import run_campaign
 from repro.sim.metrics import campaign_fingerprint
@@ -444,12 +445,7 @@ def run_grid(
             if on_cell is not None:
                 on_cell("skip", cell, existing)
             continue
-        if telemetry is not None:
-            with telemetry.trace_span(
-                "grid.cell", category="grid", cell=cell.cell_id
-            ):
-                outcome = run_cell(cell, parallel=parallel)
-        else:
+        with span("grid.cell", category="grid", cell=cell.cell_id):
             outcome = run_cell(cell, parallel=parallel)
         artifact = None
         if outcome.bound_set is not None:

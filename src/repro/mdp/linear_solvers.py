@@ -16,7 +16,6 @@ size and density (see :func:`select_method`).
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
@@ -25,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from repro.exceptions import DivergenceError, NotConvergedError
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 
 #: Value magnitude past which an undiscounted iteration is declared divergent.
 DIVERGENCE_THRESHOLD = 1e12
@@ -368,26 +368,20 @@ def solve_markov_reward(
     }
     if method not in solvers:
         raise ValueError(f"unknown method {method!r}")
+    n_states = int(np.asarray(reward).shape[0])
     telemetry = telemetry_active()
-    if telemetry is None:
-        return solvers[method]()
-    telemetry.count(f"solver.dispatch.{method}")
-    with (
-        telemetry.trace_span(
-            "solver.solve",
-            category="solver",
-            method=method,
-            n_states=int(np.asarray(reward).shape[0]),
-        ),
-        telemetry.span("solver.solve"),
-    ):
-        started = time.perf_counter()  # codelint: ignore[R903]
+    if telemetry is not None:
+        telemetry.count(f"solver.dispatch.{method}")
+    with span(
+        "solver.solve", category="solver", method=method, n_states=n_states
+    ) as solve:
         value = solvers[method]()
-    telemetry.event(
-        "solver_dispatch",
-        requested=requested,
-        method=method,
-        n_states=int(np.asarray(reward).shape[0]),
-        seconds=round(time.perf_counter() - started, 6),  # codelint: ignore[R903]
-    )
+    if telemetry is not None:
+        telemetry.event(
+            "solver_dispatch",
+            requested=requested,
+            method=method,
+            n_states=n_states,
+            seconds=round(solve.seconds, 6),
+        )
     return value

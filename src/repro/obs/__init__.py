@@ -10,11 +10,12 @@ change regressed the measured hot paths.
 Six pieces:
 
 * :mod:`repro.obs.telemetry` — the process-local registry (counters,
-  gauges, span timers, hierarchical trace spans) and JSONL event sink,
-  activated with :func:`session` and read from hot paths with
-  :func:`active`;
-* :mod:`repro.obs.schema` — the ``repro-obs/v2`` event schema and stream
-  validator (v1 streams remain valid);
+  gauges, latency histograms, hierarchical trace spans) and JSONL event
+  sink, activated with :func:`session` and read from hot paths with
+  :func:`active`; one primitive, :func:`repro.obs.telemetry.span`, times
+  a window into its histogram and, when tracing, its trace span;
+* :mod:`repro.obs.schema` — the ``repro-obs/v4`` event schema and stream
+  validator (v1–v3 streams remain valid);
 * :mod:`repro.obs.trace` — exporters for trace spans: Chrome
   ``trace_event`` JSON (``chrome://tracing`` / Perfetto) and
   collapsed-stack flamegraph lines;

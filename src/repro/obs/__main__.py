@@ -14,15 +14,17 @@ Examples::
 
 Exit codes follow the ``repro.analysis`` convention throughout: 0 — clean;
 1 — diagnostics found (schema problems, benchmark regressions); 2 — usage
-or I/O errors (missing file, unknown snapshot schema).  Empty and
-header-only telemetry streams are *clean*: a run killed before its summary
-leaves a truncated-but-valid file behind, and both ``report`` and
-``validate`` treat it as an empty run rather than a corrupt one.
+or I/O errors (missing file, unknown snapshot schema, and — except for
+``validate``, which reports it as a diagnostic — a line that is not JSON).
+Empty and header-only telemetry streams are *clean*: a run killed before
+its summary leaves a truncated-but-valid file behind, and both ``report``
+and ``validate`` treat it as an empty run rather than a corrupt one.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from pathlib import Path
 
 
@@ -31,7 +33,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     try:
         aggregate = aggregate_stream(args.run, session=args.session)
-    except OSError as error:
+    except (OSError, json.JSONDecodeError) as error:
         print(f"cannot read {args.run}: {error}")
         return 2
     print(format_report(aggregate))
@@ -63,7 +65,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         spans = read_spans(args.run)
-    except OSError as error:
+    except (OSError, json.JSONDecodeError) as error:
         print(f"cannot read {args.run}: {error}")
         return 2
     if not spans:
@@ -85,7 +87,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
     try:
         records = read_refinements(args.run)
-    except OSError as error:
+    except (OSError, json.JSONDecodeError) as error:
         print(f"cannot read {args.run}: {error}")
         return 2
     print(format_report(records), end="")
@@ -124,8 +126,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_store(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.bench import canonical_document, format_store, store_snapshot
 
     if not args.store.is_dir():

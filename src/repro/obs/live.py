@@ -5,7 +5,7 @@ campaign, read the JSONL afterwards.  This module is the **obs v3 runtime
 metrics plane** — the pieces an operator polls while the process serves:
 
 * :func:`snapshot` — a lock-safe, JSON-ready capture of every counter,
-  gauge, timer, and latency histogram on a live registry, taken from any
+  gauge, and latency histogram on a live registry, taken from any
   thread while the hot paths keep writing (the lock-free writers can
   resize a dict mid-copy; the copy retries rather than locking the hot
   path);
@@ -76,7 +76,6 @@ def snapshot(telemetry: Telemetry) -> dict[str, Any]:
     counters = _copy_live_dict(telemetry.counters, lock)
     process_counters = _copy_live_dict(telemetry.process_counters, lock)
     gauges = _copy_live_dict(telemetry.gauges, lock)
-    timers = _copy_live_dict(telemetry.timers, lock)
     histograms = _copy_live_dict(telemetry.histograms, lock)
     return {
         "counters": {name: int(counters[name]) for name in sorted(counters)},
@@ -84,13 +83,6 @@ def snapshot(telemetry: Telemetry) -> dict[str, Any]:
             name: int(process_counters[name]) for name in sorted(process_counters)
         },
         "gauges": {name: float(gauges[name]) for name in sorted(gauges)},
-        "timers": {
-            name: {
-                "seconds": round(float(timers[name][0]), 9),
-                "calls": int(timers[name][1]),
-            }
-            for name in sorted(timers)
-        },
         "histograms": {
             name: histograms[name].summary() for name in sorted(histograms)
         },
@@ -134,12 +126,13 @@ def render_prometheus(snap: dict[str, Any], prefix: str = "repro") -> str:
 
     Counters become ``<prefix>_<name>_total``, process counters the same
     (their names never collide with deterministic counters), gauges become
-    plain gauges, timers become ``_seconds_total``/``_calls_total`` pairs,
-    and histograms become native Prometheus histograms with *cumulative*
-    ``_bucket{le="..."}`` series over :data:`LATENCY_BUCKET_EDGES` plus
-    ``_sum``/``_count``.  Every section iterates its metric names in
-    sorted order — the R9xx determinism contract for emitted sequences —
-    so the rendering of a given snapshot is byte-stable.
+    plain gauges, and histograms become native Prometheus histograms with
+    *cumulative* ``_bucket{le="..."}`` series over
+    :data:`LATENCY_BUCKET_EDGES` plus ``_latency_seconds_sum``/``_count``
+    (a window's total seconds and calls).  Every section iterates its
+    metric names in sorted order — the R9xx determinism contract for
+    emitted sequences — so the rendering of a given snapshot is
+    byte-stable.
     """
     lines: list[str] = []
 
@@ -153,14 +146,6 @@ def render_prometheus(snap: dict[str, Any], prefix: str = "repro") -> str:
         metric = f"{prefix}_{_metric_name(name)}"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(snap['gauges'][name])}")
-
-    for name in sorted(snap.get("timers", {})):
-        stat = snap["timers"][name]
-        metric = f"{prefix}_{_metric_name(name)}"
-        lines.append(f"# TYPE {metric}_seconds_total counter")
-        lines.append(f"{metric}_seconds_total {_format_value(stat['seconds'])}")
-        lines.append(f"# TYPE {metric}_calls_total counter")
-        lines.append(f"{metric}_calls_total {_format_value(stat['calls'])}")
 
     for name in sorted(snap.get("histograms", {})):
         entry = snap["histograms"][name]

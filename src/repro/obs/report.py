@@ -10,8 +10,9 @@ alone (no live process needed):
   improvement delivered, and the vector-set size trajectory (the paper's
   Figure 5(b) storage curve, observed on a live campaign);
 * solver routing and joint-factor cache effectiveness;
-* wall-clock spans (outside the determinism contract, like
-  ``algorithm_time``).
+* wall-clock spans from the latency histograms (or, for pre-v3 streams
+  without histograms, the ``timers``) — outside the determinism contract,
+  like ``algorithm_time``.
 """
 
 from __future__ import annotations
@@ -218,15 +219,18 @@ def format_report(aggregate: RunAggregate) -> str:
                     title="Deterministic counters (worker-count invariant)",
                 )
             )
-        timers = summary.get("timers", {})
-        if timers:
+        spans = [
+            [name, entry.get("sum_seconds", 0.0), entry.get("count", 0)]
+            for name, entry in sorted(summary.get("histograms", {}).items())
+        ] or [
+            [name, stat.get("seconds", 0.0), stat.get("calls", 0)]
+            for name, stat in sorted(summary.get("timers", {}).items())
+        ]
+        if spans:
             sections.append(
                 render_table(
                     ["Span", "Seconds", "Calls"],
-                    [
-                        [name, stat.get("seconds", 0.0), stat.get("calls", 0)]
-                        for name, stat in sorted(timers.items())
-                    ],
+                    spans,
                     title="Wall-clock spans (not part of the determinism "
                     "contract)",
                 )

@@ -22,7 +22,7 @@ Schema history:
   events with convergence extras (``value``, ``t``, cumulative
   ``dominated``/``evicted``).  v2 readers accept v1 streams unchanged —
   every v1 stream is a valid v2 stream; see :data:`SUPPORTED_SCHEMAS`.
-* ``repro-obs/v3`` (current) — the live-operations schema.  The
+* ``repro-obs/v3`` — the live-operations schema.  The
   ``summary`` payload gains an optional ``histograms`` object (fixed
   log-spaced bucket counts plus bucket-derived p50/p95/p99/max, see
   :data:`repro.obs.telemetry.LATENCY_BUCKET_EDGES`); two event kinds are
@@ -36,6 +36,12 @@ Schema history:
   framing rule below exempts snapshot lines, so a stream from a
   daemon killed mid-flight stays valid (truncation is not corruption).
   v3 readers accept v1 and v2 streams unchanged.
+* ``repro-obs/v4`` (current) — one instrumentation primitive: every
+  timed window feeds its latency histogram (and, when tracing, its
+  span), so the ``summary`` drops the ``timers`` object that repeated
+  the histograms' ``sum_seconds`` and counts.  v1–v3 streams still
+  validate, and their summaries must still carry ``timers``
+  (:data:`TIMER_SCHEMAS`).
 
 Determinism contract: for a seeded campaign, the ``summary`` event's
 ``counters`` object and the episode-ordered simulation events
@@ -44,7 +50,8 @@ identical whatever the worker count — the campaign engine buffers them per
 chunk and replays them in chunk order.  Span *structure* (names, nesting,
 emission order) shares the guarantee; span timestamps do not.  Outside the
 contract sit the wall-clock fields in :data:`WALL_CLOCK_FIELDS`, the
-``timers`` and ``process_counters`` summary objects, process-local events
+histogram bucket placements and ``sum_seconds`` (pre-v4: ``timers``),
+the ``process_counters`` summary object, process-local events
 (``cache_build``/``cache_decline`` happen once per worker process), and
 the ``workers`` extra on ``campaign_start`` — all varying run to run or
 with the worker count, exactly as the ``algorithm_time`` metric does
@@ -58,17 +65,22 @@ from pathlib import Path
 from typing import Any
 
 #: Version tag written by ``session_start`` events.
-SCHEMA_VERSION = "repro-obs/v3"
+SCHEMA_VERSION = "repro-obs/v4"
 
 #: Schema versions :func:`validate_stream` accepts.  Each version's event
 #: kinds are a superset of its predecessor's, so one validator covers all.
-SUPPORTED_SCHEMAS = frozenset({"repro-obs/v1", "repro-obs/v2", "repro-obs/v3"})
+SUPPORTED_SCHEMAS = frozenset(
+    {"repro-obs/v1", "repro-obs/v2", "repro-obs/v3", "repro-obs/v4"}
+)
+
+#: Schema versions whose ``summary`` also requires the ``timers`` object.
+TIMER_SCHEMAS = frozenset({"repro-obs/v1", "repro-obs/v2", "repro-obs/v3"})
 
 #: Required fields per event kind (beyond ``event`` and ``seq``).
 EVENT_FIELDS: dict[str, frozenset[str]] = {
     # Session lifecycle (written by repro.obs.telemetry.session).
     "session_start": frozenset({"schema"}),
-    "summary": frozenset({"counters", "process_counters", "gauges", "timers"}),
+    "summary": frozenset({"counters", "process_counters", "gauges"}),
     "session_end": frozenset(),
     # Campaign lifecycle (repro.sim.campaign / repro.sim.parallel).
     "campaign_start": frozenset({"controller", "injections", "chunk_size"}),
@@ -135,7 +147,8 @@ def validate_event(record: Any) -> list[str]:
 def validate_stream(path: str | Path) -> list[str]:
     """Validate a JSONL run file; returns per-line problem strings.
 
-    Checks every line parses as JSON, every event is schema-valid, ``seq``
+    Checks every line parses as JSON, every event is schema-valid (for
+    the version the stream's ``session_start`` declares), ``seq``
     increases monotonically, and the stream opens with ``session_start``
     and ends with ``session_end`` preceded by a ``summary``.
 
@@ -148,6 +161,7 @@ def validate_stream(path: str | Path) -> list[str]:
     problems: list[str] = []
     kinds: list[str] = []
     last_seq = -1
+    schema = SCHEMA_VERSION
     with open(path, encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             if not line.strip():
@@ -160,7 +174,19 @@ def validate_stream(path: str | Path) -> list[str]:
             for problem in validate_event(record):
                 problems.append(f"line {line_number}: {problem}")
             if isinstance(record, dict):
-                kinds.append(str(record.get("event")))
+                kind = str(record.get("event"))
+                if kind == "session_start":
+                    schema = record.get("schema", schema)
+                elif (
+                    kind == "summary"
+                    and schema in TIMER_SCHEMAS
+                    and "timers" not in record
+                ):
+                    problems.append(
+                        f"line {line_number}: summary: {schema} requires "
+                        "the 'timers' field"
+                    )
+                kinds.append(kind)
                 seq = record.get("seq")
                 if isinstance(seq, int):
                     if seq <= last_seq:

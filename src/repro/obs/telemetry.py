@@ -14,33 +14,37 @@ metrics taxonomy:
 * **gauges** — last-written floats ("bound-set size"), merged across
   campaign chunks by maximum (the storage story of Figure 5(b) cares about
   the high-water mark).
-* **timers** — accumulated wall-clock spans with call counts, recorded via
-  :meth:`Telemetry.span`.  Wall-clock, hence never part of the determinism
-  contract.
 * **latency histograms** — fixed-bucket distributions of wall-clock
-  durations, recorded via :meth:`Telemetry.observe_latency` (and
-  automatically by every :meth:`Telemetry.span` site).  The bucket edges
-  are the module constant :data:`LATENCY_BUCKET_EDGES` — log-spaced, four
-  per decade from 10 µs to 100 s — so histograms from different workers,
+  durations, one per timed window.  The bucket edges are the module
+  constant :data:`LATENCY_BUCKET_EDGES` — log-spaced, four per decade
+  from 10 µs to 100 s — so histograms from different workers,
   chunks, or processes merge by plain element-wise addition and the
   aggregate never depends on merge order or worker count (the same
   algebra the deterministic counters rely on).  Quantiles (p50/p95/p99)
   and the maximum are *derived from the bucket counts* — the reported
   value is a bucket upper edge, never a raw wall-clock sample — so any
   two registries holding the same counts report the same quantiles.  The
-  recorded durations themselves are wall-clock and sit outside the
-  determinism contract, like timers.
+  recorded durations themselves (and each histogram's ``sum_seconds``)
+  are wall-clock and sit outside the determinism contract.
 * **trace spans** — *hierarchical* wall-clock spans with parent ids,
-  recorded via :meth:`Telemetry.trace_span` when the registry was created
-  with ``trace=True``.  Where timers aggregate ("total seconds in
-  ``solver.solve``"), trace spans keep every occurrence with its position
-  in the call tree (campaign → episode → decision → tree expansion → leaf
-  batch → solver call → cache lookup), ready for export to Chrome
+  recorded when the registry was created with ``trace=True``.  Where a
+  histogram aggregates ("how long does ``solver.solve`` take"), trace
+  spans keep every occurrence with its position in the call tree
+  (campaign → episode → decision → tree expansion → leaf batch → solver
+  call → cache lookup), ready for export to Chrome
   ``trace_event`` JSON or a collapsed-stack flamegraph
   (:mod:`repro.obs.trace`).  Span storage is a bounded ring buffer
   (:data:`DEFAULT_MAX_SPANS`, override with ``REPRO_MAX_TRACE_SPANS``):
   when full, the oldest span is dropped and the ``trace.events_dropped``
   counter incremented, so tracing can never OOM a long campaign.
+
+One primitive feeds the last two: :meth:`Telemetry.span` (or the
+module-level :func:`span`, which resolves the active registry) times a
+``with`` block, always records the duration in the ``name`` histogram,
+and also appends a :class:`SpanRecord` when the registry traces — so a
+window has one name everywhere it is reported.  The only hand-fed
+histogram is ``session.decide``, which reuses the algorithm-time
+stopwatch's clock reads (:meth:`Telemetry.observe_latency`).
 
 Events are dictionaries with an ``event`` kind (see
 :mod:`repro.obs.schema`) appended to a JSONL sink when one is attached, or
@@ -52,18 +56,20 @@ Instrumentation is **off by default**.  Hot paths guard with::
     telemetry = active()
     if telemetry is not None:
         telemetry.count("controller.decisions")
+    with span("controller.decision", category="controller"):
+        ...
 
-which costs one function call and a ``None`` test when disabled — far below
-the noise floor of any measured path (see EXPERIMENTS.md for numbers).
-:meth:`Telemetry.trace_span` returns a shared no-op context manager when
-tracing is off, so span sites cost one extra attribute test beyond the
-guard above.
+which costs one function call and a ``None`` test per guard when
+disabled — far below the noise floor of any measured path (see
+EXPERIMENTS.md for numbers) — and :func:`span` returns a shared no-op
+context manager, building no span object, when no registry is active.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import threading
 import time
@@ -109,8 +115,8 @@ class LatencyHistogram:
     ``counts[i]`` counts observations with ``value <= LATENCY_BUCKET_EDGES[i]``
     (exclusive of the previous edge); the final slot counts overflow
     (``value > 100 s``).  ``sum_seconds`` accumulates the raw durations for
-    rate/mean reporting — wall-clock, outside the determinism contract,
-    exactly like timers.  Everything quantile-like is derived from the
+    rate/mean reporting — wall-clock, outside the determinism contract.
+    Everything quantile-like is derived from the
     bucket counts alone (:meth:`quantile`, :meth:`max_seconds`), so two
     histograms with identical counts always report identical statistics.
     """
@@ -204,18 +210,31 @@ class LatencyHistogram:
         return f"LatencyHistogram(count={self.total})"
 
 
-def max_trace_spans(max_spans: int | None = None) -> int:
+def span_ring_capacity(max_spans: int | None = None) -> int:
     """Resolve the span ring-buffer capacity.
 
     Precedence: the ``max_spans`` argument, then ``REPRO_MAX_TRACE_SPANS``
     in the environment, then :data:`DEFAULT_MAX_SPANS`.
+
+    Raises:
+        ValueError: the chosen value is not an integer >= 1; the message
+            names ``max_spans`` or ``REPRO_MAX_TRACE_SPANS``, whichever
+            supplied it.
     """
     if max_spans is not None:
-        return int(max_spans)
-    from_env = os.environ.get(MAX_SPANS_ENV)
-    if from_env is not None:
-        return int(from_env)
-    return DEFAULT_MAX_SPANS
+        source, raw = "max_spans", max_spans
+    else:
+        raw = os.environ.get(MAX_SPANS_ENV)
+        if raw is None:
+            return DEFAULT_MAX_SPANS
+        source = MAX_SPANS_ENV
+    try:
+        capacity = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        capacity = 0
+    if capacity < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
+    return capacity
 
 
 @dataclass(frozen=True)
@@ -257,11 +276,17 @@ class SpanRecord:
         }
 
 
-class _TraceSpan:
-    """Context manager recording one :class:`SpanRecord` on exit."""
+class _Span:
+    """One timed window: a latency-histogram observation on exit, plus a
+    :class:`SpanRecord` when the registry traces.
+
+    After the ``with`` block, :attr:`seconds` holds the window's duration,
+    so a call site that also reports the duration reads it here rather
+    than timing the same call a second time.
+    """
 
     __slots__ = ("_telemetry", "_name", "_category", "_args", "_span_id",
-                 "_parent_id", "_started")
+                 "_parent_id", "_started", "seconds")
 
     def __init__(
         self,
@@ -275,39 +300,42 @@ class _TraceSpan:
         self._category = category
         self._args = args
 
-    def __enter__(self) -> _TraceSpan:
+    def __enter__(self) -> _Span:
         telemetry = self._telemetry
-        with telemetry._lock:
-            self._span_id = telemetry._next_span_id
-            telemetry._next_span_id += 1
-        # The open-span stack is thread-local: concurrent sessions (the
-        # policy service runs one thread per connection) each nest their
-        # own spans without seeing each other's parents.
-        stack = telemetry._span_stack
-        self._parent_id = stack[-1] if stack else None
-        stack.append(self._span_id)
+        if telemetry.trace_enabled:
+            with telemetry._lock:
+                self._span_id = telemetry._next_span_id
+                telemetry._next_span_id += 1
+            # The open-span stack is thread-local: concurrent sessions (the
+            # policy service runs one thread per connection) each nest their
+            # own spans without seeing each other's parents.
+            stack = telemetry._span_stack
+            self._parent_id = stack[-1] if stack else None
+            stack.append(self._span_id)
         self._started = time.perf_counter()  # codelint: ignore[R903]
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        ended = time.perf_counter()  # codelint: ignore[R903]
+        self.seconds = time.perf_counter() - self._started  # codelint: ignore[R903]
         telemetry = self._telemetry
-        telemetry._span_stack.pop()
-        telemetry._append_span(
-            SpanRecord(
-                span_id=self._span_id,
-                parent_id=self._parent_id,
-                name=self._name,
-                category=self._category,
-                t_start=self._started - telemetry._epoch,
-                seconds=ended - self._started,
-                args=tuple(sorted(self._args.items())),
+        telemetry.observe_latency(self._name, self.seconds)
+        if telemetry.trace_enabled:
+            telemetry._span_stack.pop()
+            telemetry._append_span(
+                SpanRecord(
+                    span_id=self._span_id,
+                    parent_id=self._parent_id,
+                    name=self._name,
+                    category=self._category,
+                    t_start=self._started - telemetry._epoch,
+                    seconds=self.seconds,
+                    args=tuple(sorted(self._args.items())),
+                )
             )
-        )
 
 
-#: Shared no-op context manager returned by :meth:`Telemetry.trace_span`
-#: when tracing is disabled (``nullcontext`` is reentrant and reusable).
+#: Shared no-op context manager :func:`span` returns when no registry is
+#: active (``nullcontext`` is reentrant and reusable).
 _NULL_SPAN = nullcontext()
 
 
@@ -324,7 +352,6 @@ class TelemetrySnapshot:
     counters: dict[str, int] = field(default_factory=dict)
     process_counters: dict[str, int] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    timers: dict[str, tuple[float, int]] = field(default_factory=dict)
     #: name -> (bucket counts over LATENCY_BUCKET_EDGES + overflow, sum s).
     histograms: dict[str, tuple[tuple[int, ...], float]] = field(
         default_factory=dict
@@ -341,10 +368,9 @@ class Telemetry:
             per line.  ``None`` buffers events in memory instead (the mode
             campaign chunks use; :meth:`snapshot` carries the buffer back to
             the coordinating process).
-        trace: record hierarchical spans via :meth:`trace_span`.  Off by
-            default — when off, :meth:`trace_span` returns a shared no-op
-            context manager and records nothing.
-        max_spans: span ring-buffer capacity (see :func:`max_trace_spans`).
+        trace: also record a :class:`SpanRecord` for every :meth:`span`.
+            Off by default — spans then feed only the latency histograms.
+        max_spans: span ring-buffer capacity (see :func:`span_ring_capacity`).
     """
 
     def __init__(
@@ -356,10 +382,9 @@ class Telemetry:
         self.counters: Counter[str] = Counter()
         self.process_counters: Counter[str] = Counter()
         self.gauges: dict[str, float] = {}
-        self.timers: dict[str, list[float]] = {}  # name -> [seconds, calls]
         self.histograms: dict[str, LatencyHistogram] = {}
         self.trace_enabled = bool(trace)
-        self.max_spans = max_trace_spans(max_spans)
+        self.max_spans = span_ring_capacity(max_spans)
         self.spans: deque[SpanRecord] = deque()
         self._sink = sink
         self._buffer: list[dict[str, Any]] = []
@@ -371,7 +396,7 @@ class Telemetry:
         # Span-id allocation, the span ring buffer, and event emission are
         # guarded so concurrent sessions (the policy service's threads) can
         # share one registry; the open-span stack is kept per thread.  The
-        # plain counter/gauge/timer paths stay lock-free — they are the
+        # plain counter/gauge/histogram paths stay lock-free — they are the
         # campaign hot path, single-threaded by construction, and a lost
         # increment under concurrent writers costs accuracy, not safety.
         self._lock = threading.RLock()
@@ -415,42 +440,22 @@ class Telemetry:
                 histogram = self.histograms.setdefault(name, LatencyHistogram())
         histogram.record(seconds)
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the enclosed block.
+    def span(self, name: str, category: str = "repro", **args: Any) -> _Span:
+        """A context manager timing one window as ``name``.
 
-        Every span site doubles as a latency-histogram site: the same
-        duration that feeds the ``name`` timer is bucketed into the
-        ``name`` histogram, so any timed hot path gets its distribution
-        (p50/p95/p99) for free.
+        The duration always lands in the ``name`` latency histogram; with
+        tracing on, the window is also recorded as a :class:`SpanRecord`
+        whose parent is whatever span is open on this thread, so nesting
+        ``with`` blocks produces the call tree.  ``category`` and ``args``
+        only reach the trace record.
         """
-        started = time.perf_counter()  # codelint: ignore[R903]
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started  # codelint: ignore[R903]
-            stat = self.timers.setdefault(name, [0.0, 0])
-            stat[0] += elapsed
-            stat[1] += 1
-            self.observe_latency(name, elapsed)
+        return _Span(self, name, category, args)
 
     def elapsed(self) -> float:
         """Seconds since this registry was created (its trace epoch)."""
         return time.perf_counter() - self._epoch  # codelint: ignore[R903]
 
     # -- trace spans ----------------------------------------------------------
-
-    def trace_span(self, name: str, category: str = "repro", **args: Any):
-        """A context manager recording one hierarchical span.
-
-        The span's parent is whatever span is currently open on this
-        registry, so nesting ``with`` blocks produces the call tree.  With
-        tracing disabled this returns a shared no-op context manager — one
-        attribute test per call site.
-        """
-        if not self.trace_enabled:
-            return _NULL_SPAN
-        return _TraceSpan(self, name, category, args)
 
     def _append_span(self, record: SpanRecord) -> None:
         with self._lock:
@@ -485,7 +490,6 @@ class Telemetry:
             counters=dict(self.counters),
             process_counters=dict(self.process_counters),
             gauges=dict(self.gauges),
-            timers={name: (stat[0], stat[1]) for name, stat in self.timers.items()},
             histograms={
                 name: (tuple(histogram.counts), histogram.sum_seconds)
                 for name, histogram in self.histograms.items()
@@ -499,8 +503,8 @@ class Telemetry:
     ) -> None:
         """Fold a chunk snapshot into this registry.
 
-        Counters add, gauges keep the maximum, timers accumulate, and the
-        snapshot's buffered events are re-emitted here (tagged with the
+        Counters add, gauges keep the maximum, histograms add bucket-wise,
+        and the snapshot's buffered events are re-emitted here (tagged with the
         ``chunk`` index when given) so they reach this telemetry's sink in
         the order the caller absorbs chunks — which the campaign engine
         guarantees is chunk order, independent of the worker count.
@@ -519,10 +523,6 @@ class Telemetry:
         self.process_counters.update(snapshot.process_counters)
         for name, value in snapshot.gauges.items():
             self.gauges[name] = max(self.gauges.get(name, value), value)
-        for name, (seconds, calls) in snapshot.timers.items():
-            stat = self.timers.setdefault(name, [0.0, 0])
-            stat[0] += seconds
-            stat[1] += calls
         # Histograms merge by element-wise bucket addition — commutative
         # and associative, so the aggregate is identical whatever the
         # chunking (asserted worker-count invariant in tests, the same
@@ -587,10 +587,6 @@ class Telemetry:
             "counters": dict(sorted(self.counters.items())),
             "process_counters": dict(sorted(self.process_counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "timers": {
-                name: {"seconds": round(stat[0], 6), "calls": stat[1]}
-                for name, stat in sorted(self.timers.items())
-            },
             "histograms": {
                 name: histogram.summary()
                 for name, histogram in sorted(self.histograms.items())
@@ -618,6 +614,21 @@ def active() -> Telemetry | None:
     instrumentation point and skips all work when it returns ``None``.
     """
     return _ACTIVE
+
+
+def span(
+    name: str, category: str = "repro", **args: Any
+) -> _Span | nullcontext[None]:
+    """:meth:`Telemetry.span` on the active registry.
+
+    With no registry active this returns the shared no-op context manager
+    and builds no span object, so instrumented code opens the same
+    ``with`` block whether or not telemetry is on.
+    """
+    telemetry = _ACTIVE
+    if telemetry is None:
+        return _NULL_SPAN
+    return _Span(telemetry, name, category, args)
 
 
 def enabled() -> bool:

@@ -1,6 +1,6 @@
 """Exporters for hierarchical trace spans.
 
-Spans are recorded by :meth:`repro.obs.telemetry.Telemetry.trace_span`
+Spans are recorded by :meth:`repro.obs.telemetry.Telemetry.span`
 (``trace=True`` registries) and serialised into the JSONL stream as
 ``span`` events just before the ``summary``.  This module turns them into
 formats external tools read:

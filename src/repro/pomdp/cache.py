@@ -36,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.pomdp.model import POMDP
 
 #: Default upper limit on the bytes a single model's factor tensors may
@@ -270,15 +271,11 @@ def get_joint_cache(
     # Cache outcomes are *process-local* telemetry: a build happens once per
     # process per model, so hit/build/decline splits legitimately vary with
     # the campaign worker count (unlike the deterministic counters).
+    # The cache.lookup histogram shows hit-path cost vs. first-build cost
+    # as distribution tails rather than a single averaged total.
     telemetry = telemetry_active()
-    if telemetry is None:
-        return _lookup_joint_cache(pomdp, max_bytes, None)
-    with telemetry.trace_span("cache.lookup", category="cache"):
-        # The timer span doubles as the cache.lookup latency histogram,
-        # so hit-path cost vs. first-build cost shows up as distribution
-        # tails rather than a single averaged total.
-        with telemetry.span("cache.lookup"):
-            return _lookup_joint_cache(pomdp, max_bytes, telemetry)
+    with span("cache.lookup", category="cache"):
+        return _lookup_joint_cache(pomdp, max_bytes, telemetry)
 
 
 def _lookup_joint_cache(

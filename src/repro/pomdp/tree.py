@@ -65,6 +65,7 @@ from repro.linalg.ops import (
     tie_break_argmax,
 )
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.pomdp.belief import GAMMA_EPSILON
 from repro.pomdp.cache import (
     JointFactorCache,
@@ -173,17 +174,14 @@ def expand_tree(
         and pomdp.backend.is_sparse
         and getattr(leaf, "vectors", None) is not None
     )
+    # Mode-tagged so dense and sparse traces of the same campaign are
+    # directly comparable (the fused path replaces the generic one).
+    mode = "fused_sparse" if fused else "generic"
     telemetry = telemetry_active()
     if telemetry is not None:
-        # Mode-tagged so dense and sparse traces of the same campaign are
-        # directly comparable (the fused path replaces the generic one).
-        mode = "fused_sparse" if fused else "generic"
         telemetry.count(f"tree.expansions.{mode}")
-        with telemetry.trace_span(
-            "tree.expand", category="tree", depth=depth, mode=mode
-        ):
-            return _expand(pomdp, belief, depth, leaf, allowed_actions, cache, fused)
-    return _expand(pomdp, belief, depth, leaf, allowed_actions, cache, fused)
+    with span("tree.expand", category="tree", depth=depth, mode=mode):
+        return _expand(pomdp, belief, depth, leaf, allowed_actions, cache, fused)
 
 
 def _expand(
@@ -334,10 +332,9 @@ class _LevelExpander:
         """One leaf call over a chunk's bottom-level posteriors."""
         self.leaves += posteriors.shape[0]
         telemetry = telemetry_active()
-        if telemetry is None:
-            return self.leaf.value_batch(posteriors)
-        telemetry.count("tree.leaf_batches")
-        with telemetry.trace_span(
+        if telemetry is not None:
+            telemetry.count("tree.leaf_batches")
+        with span(
             "tree.leaf_batch", category="tree", beliefs=int(posteriors.shape[0])
         ):
             return self.leaf.value_batch(posteriors)

@@ -103,7 +103,7 @@ class ServiceClient:
         return dict(self.call("stats")["stats"])
 
     def metrics(self) -> dict[str, Any]:
-        """Live telemetry snapshot: counters/gauges/timers/histograms."""
+        """Live telemetry snapshot: counters/gauges/latency histograms."""
         return dict(self.call("metrics")["metrics"])
 
     def metrics_text(self) -> str:

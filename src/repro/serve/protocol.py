@@ -29,7 +29,7 @@ Ops:
     Operational snapshot, including a per-session table.
     → ``{"ok": true, "stats": {...}}``.
 ``metrics``
-    Live telemetry snapshot (counters/gauges/timers/histograms).
+    Live telemetry snapshot (counters/gauges/latency histograms).
     → ``{"ok": true, "metrics": {...}}``; with ``"format": "prometheus"``
     → ``{"ok": true, "text": "..."}`` (Prometheus text exposition).
 ``health``

@@ -271,17 +271,15 @@ class PolicyService:
         session = self._session(session_id)
         telemetry = self._telemetry()
         span_mark = telemetry._next_span_id
-        started = time.perf_counter()  # codelint: ignore[R903]
-        with self._engine_lock:
-            decision = session.decide()
-            self.decisions += 1
-        elapsed = time.perf_counter() - started  # codelint: ignore[R903]
+        with telemetry.span(SESSION_DECIDE_HISTOGRAM, category="serve") as call:
+            with self._engine_lock:
+                decision = session.decide()
+                self.decisions += 1
         telemetry.count_process("serve.decisions")
-        telemetry.observe_latency(SESSION_DECIDE_HISTOGRAM, elapsed)
         threshold = self.config.slow_decision_seconds
-        if threshold is not None and elapsed > threshold:
+        if threshold is not None and call.seconds > threshold:
             self._log_slow_decision(
-                telemetry, session_id, elapsed, threshold, span_mark
+                telemetry, session_id, call.seconds, threshold, span_mark
             )
         action_label = None
         if decision.executes_action:

@@ -15,6 +15,7 @@ import numpy as np
 from repro.controllers.base import RecoveryController
 from repro.controllers.engine import RecoverySession
 from repro.obs.telemetry import active as telemetry_active
+from repro.obs.telemetry import span
 from repro.recovery.model import RecoveryModel
 from repro.sim.environment import RecoveryEnvironment
 from repro.sim.metrics import EpisodeMetrics, MetricSummary, summarize
@@ -202,13 +203,9 @@ def run_campaign(
             chunk_size=plan.chunk_size,
             workers=parallel,
         )
-        # The campaign span stays open while execute_plan absorbs chunk
-        # snapshots, so chunk-side episode spans are re-parented under it.
-        with telemetry.trace_span(
-            "campaign", category="sim", controller=controller.name
-        ):
-            episodes = execute_plan(plan, workers=parallel, on_chunk=on_chunk)
-    else:
+    # The campaign span stays open while execute_plan absorbs chunk
+    # snapshots, so chunk-side episode spans are re-parented under it.
+    with span("campaign", category="sim", controller=controller.name):
         episodes = execute_plan(plan, workers=parallel, on_chunk=on_chunk)
     if telemetry is not None:
         telemetry.event(

@@ -53,7 +53,6 @@ import copy
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +66,7 @@ from repro.obs.telemetry import (
     Telemetry,
     TelemetrySnapshot,
     activated,
+    span,
 )
 from repro.obs.telemetry import (
     active as telemetry_active,
@@ -292,14 +292,7 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
                     episode=index,
                     fault_state=int(plan.faults[index]),
                 )
-            episode_span = (
-                chunk_telemetry.trace_span(
-                    "episode", category="sim", episode=index
-                )
-                if chunk_telemetry is not None
-                else nullcontext()
-            )
-            with episode_span:
+            with span("episode", category="sim", episode=index):
                 metrics = run_episode(
                     session,
                     environment,

@@ -46,18 +46,18 @@ class TestRegistry:
     def test_span_accumulates_time_and_calls(self):
         telemetry = Telemetry()
         for _ in range(3):
-            with telemetry.span("work"):
+            with telemetry.span("work") as window:
                 pass
-        seconds, calls = telemetry.timers["work"]
-        assert calls == 3
-        assert seconds >= 0.0
+        histogram = telemetry.histograms["work"]
+        assert histogram.total == 3
+        assert histogram.sum_seconds >= window.seconds >= 0.0
 
     def test_span_records_on_exception(self):
         telemetry = Telemetry()
         with pytest.raises(RuntimeError):
             with telemetry.span("work"):
                 raise RuntimeError("boom")
-        assert telemetry.timers["work"][1] == 1
+        assert telemetry.histograms["work"].total == 1
 
 
 class TestActivation:
@@ -116,7 +116,7 @@ class TestSnapshotAbsorb:
         assert target.counters["decisions"] == 3
         assert target.process_counters["cache.hits"] == 1
         assert target.gauges["set_size"] == 9.0  # max wins
-        assert target.timers["work"][1] == 1
+        assert target.histograms["work"].total == 1
 
     def test_absorb_replays_events_with_chunk_tag(self):
         target = Telemetry()
@@ -276,8 +276,8 @@ class TestThreadSafety:
         def worker(label: str) -> None:
             barrier.wait()
             for turn in range(20):
-                with telemetry.trace_span("decision", session=label, turn=turn):
-                    with telemetry.trace_span("inner"):
+                with telemetry.span("decision", session=label, turn=turn):
+                    with telemetry.span("inner"):
                         pass
 
         threads = [

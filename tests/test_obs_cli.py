@@ -107,6 +107,51 @@ class TestValidate:
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_v4_summary_still_requires_timers(self, tmp_path, version, capsys):
+        path = tmp_path / "old.jsonl"
+        lines = [
+            {"event": "session_start", "seq": 0,
+             "schema": f"repro-obs/v{version}"},
+            {"event": "summary", "seq": 1, "counters": {},
+             "process_counters": {}, "gauges": {}},
+            {"event": "session_end", "seq": 2},
+        ]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        assert main(["validate", str(path)]) == 1
+        assert "requires the 'timers' field" in capsys.readouterr().out
+
+
+class TestWallClockTable:
+    """The report's wall-clock table reads the latency histograms, and the
+    timers only in streams that carry no histograms (v1/v2)."""
+
+    def _report(self, tmp_path, summary):
+        path = tmp_path / "run.jsonl"
+        lines = [
+            {"event": "session_start", "seq": 0, "schema": "repro-obs/v2"},
+            {"event": "summary", "seq": 1, "counters": {},
+             "process_counters": {}, "gauges": {}, **summary},
+            {"event": "session_end", "seq": 2},
+        ]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        return format_report(aggregate_stream(path))
+
+    def test_histograms_feed_the_table(self, tmp_path):
+        report = self._report(tmp_path, {
+            "histograms": {"tree.expand": {"count": 7, "sum_seconds": 0.25}},
+            "timers": {"controller.expand_tree": {"seconds": 0.2, "calls": 7}},
+        })
+        assert "tree.expand" in report
+        assert "controller.expand_tree" not in report
+
+    def test_timers_feed_the_table_without_histograms(self, tmp_path):
+        report = self._report(tmp_path, {
+            "timers": {"controller.expand_tree": {"seconds": 0.2, "calls": 7}},
+        })
+        assert "Wall-clock spans" in report
+        assert "controller.expand_tree" in report
+
 
 class TestDegenerateStreams:
     """Satellite regression tests: empty and header-only streams are clean
@@ -149,6 +194,13 @@ class TestDegenerateStreams:
     def test_missing_file_is_usage_error(self, tmp_path, command, capsys):
         assert main([command, str(tmp_path / "missing.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["report", "trace", "convergence"])
+    def test_non_json_line_is_usage_error(self, run_file, command, capsys):
+        with open(run_file, "a", encoding="utf-8") as stream:
+            stream.write('{"event": "span", "seq": 99, "na')  # cut by a kill
+        assert main([command, str(run_file)]) == 2
+        assert f"cannot read {run_file}: " in capsys.readouterr().out
 
 
 class TestReportSessionFilter:

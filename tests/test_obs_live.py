@@ -226,7 +226,7 @@ class TestLiveSnapshot:
         assert snap["counters"]["controller.decisions"] == 5
         assert snap["process_counters"]["cache.hits"] == 2
         assert snap["gauges"]["bounds.set_size"] == 17.0
-        assert snap["timers"]["solver.solve"]["calls"] == 1
+        assert snap["histograms"]["solver.solve"]["count"] == 1
         assert snap["histograms"]["serve.session_decide"]["count"] == 1
         json.dumps(snap)  # JSON-ready throughout
 
@@ -297,7 +297,7 @@ class TestPrometheusExposition:
         assert "# TYPE repro_controller_decisions_total counter" in text
         assert "repro_controller_decisions_total 3" in text
         assert "repro_serve_live_sessions 2" in text
-        assert "repro_bounds_refine_seconds_total" in text
+        assert "repro_bounds_refine_latency_seconds_count 1" in text
         assert (
             "# TYPE repro_serve_session_decide_latency_seconds histogram"
             in text

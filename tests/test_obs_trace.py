@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from repro.obs.telemetry import (
     SPANS_DROPPED_COUNTER,
     SpanRecord,
     Telemetry,
+    active,
+    span,
 )
 from repro.obs.trace import (
     read_spans,
@@ -22,13 +25,14 @@ from repro.obs.trace import (
     write_chrome_trace,
 )
 from repro.sim.campaign import run_campaign
+from repro.sim.metrics import campaign_fingerprint
 
 
 class TestSpanRecording:
     def test_nesting_produces_parent_ids(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["outer"].parent_id is None
@@ -36,32 +40,32 @@ class TestSpanRecording:
 
     def test_children_close_before_parents(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         assert [span.name for span in telemetry.spans] == ["inner", "outer"]
 
     def test_siblings_share_parent(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root"):
-            with telemetry.trace_span("a"):
+        with telemetry.span("root"):
+            with telemetry.span("a"):
                 pass
-            with telemetry.trace_span("b"):
+            with telemetry.span("b"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["a"].parent_id == spans["b"].parent_id == spans["root"].span_id
 
     def test_args_are_recorded_sorted(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("s", zeta=1, alpha=2):
+        with telemetry.span("s", zeta=1, alpha=2):
             pass
         (span,) = telemetry.spans
         assert span.args == (("alpha", 2), ("zeta", 1))
 
     def test_durations_nest(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["inner"].seconds <= spans["outer"].seconds
@@ -69,20 +73,20 @@ class TestSpanRecording:
 
     def test_disabled_tracing_records_nothing(self):
         telemetry = Telemetry()  # trace off
-        with telemetry.trace_span("outer"):
+        with telemetry.span("outer"):
             pass
         assert len(telemetry.spans) == 0
 
-    def test_disabled_trace_span_is_shared_noop(self):
-        telemetry = Telemetry()
-        assert telemetry.trace_span("a") is telemetry.trace_span("b")
+    def test_inactive_span_is_shared_noop(self):
+        assert active() is None
+        assert span("a") is span("b", category="tree", k=1)
 
 
 class TestRingBuffer:
     def test_oldest_spans_dropped_at_capacity(self):
         telemetry = Telemetry(trace=True, max_spans=3)
         for index in range(5):
-            with telemetry.trace_span(f"s{index}"):
+            with telemetry.span(f"s{index}"):
                 pass
         assert [span.name for span in telemetry.spans] == ["s2", "s3", "s4"]
         assert telemetry.events_dropped == 2
@@ -96,22 +100,33 @@ class TestRingBuffer:
     def test_no_drops_below_capacity(self):
         telemetry = Telemetry(trace=True, max_spans=10)
         for _ in range(5):
-            with telemetry.trace_span("s"):
+            with telemetry.span("s"):
                 pass
         assert telemetry.events_dropped == 0
+
+    @pytest.mark.parametrize("max_spans", [0, -1, 2.5])
+    def test_bad_capacity_argument_rejected(self, max_spans):
+        with pytest.raises(ValueError, match="max_spans must be an integer >= 1"):
+            Telemetry(trace=True, max_spans=max_spans)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_bad_env_capacity_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_MAX_TRACE_SPANS", value)
+        with pytest.raises(ValueError, match="REPRO_MAX_TRACE_SPANS"):
+            Telemetry(trace=True)
 
 
 class TestAbsorbMerge:
     def _chunk(self, episode: int) -> Telemetry:
         chunk = Telemetry(trace=True)
-        with chunk.trace_span("episode", episode=episode):
-            with chunk.trace_span("decision"):
+        with chunk.span("episode", episode=episode):
+            with chunk.span("decision"):
                 pass
         return chunk
 
     def test_chunk_roots_reparent_under_open_span(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             aggregate.absorb(self._chunk(0).snapshot(), chunk=0)
         spans = {span.name: span for span in aggregate.spans}
         assert spans["episode"].parent_id == spans["campaign"].span_id
@@ -119,7 +134,7 @@ class TestAbsorbMerge:
 
     def test_span_ids_stay_unique_across_chunks(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             for index in range(3):
                 aggregate.absorb(self._chunk(index).snapshot(), chunk=index)
         ids = [span.span_id for span in aggregate.spans]
@@ -127,7 +142,7 @@ class TestAbsorbMerge:
 
     def test_timestamps_rebase_end_to_end(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             for index in range(2):
                 aggregate.absorb(self._chunk(index).snapshot(), chunk=index)
         episodes = sorted(
@@ -148,10 +163,10 @@ class TestAbsorbMerge:
 class TestSpanTree:
     def test_canonical_structure(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root"):
-            with telemetry.trace_span("a", k=1):
+        with telemetry.span("root"):
+            with telemetry.span("a", k=1):
                 pass
-            with telemetry.trace_span("b"):
+            with telemetry.span("b"):
                 pass
         (root,) = span_tree(list(telemetry.spans))
         assert root["name"] == "root"
@@ -168,8 +183,8 @@ class TestSpanTree:
 class TestExporters:
     def _spans(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root", phase="x"):
-            with telemetry.trace_span("leaf"):
+        with telemetry.span("root", phase="x"):
+            with telemetry.span("leaf"):
                 pass
         return list(telemetry.spans)
 
@@ -215,7 +230,7 @@ class TestSessionIntegration:
     def test_session_emits_span_events(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path, trace=True) as telemetry:
-            with telemetry.trace_span("outer"):
+            with telemetry.span("outer"):
                 pass
         kinds = [
             json.loads(line)["event"] for line in path.read_text().splitlines()
@@ -227,8 +242,8 @@ class TestSessionIntegration:
     def test_read_spans_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path, trace=True) as telemetry:
-            with telemetry.trace_span("outer", k=3):
-                with telemetry.trace_span("inner"):
+            with telemetry.span("outer", k=3):
+                with telemetry.span("inner"):
                     pass
         recovered = read_spans(path)
         assert span_tree(recovered) == span_tree(list(telemetry.spans))
@@ -236,7 +251,7 @@ class TestSessionIntegration:
     def test_untraced_session_emits_no_span_events(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path) as telemetry:
-            with telemetry.trace_span("outer"):
+            with telemetry.span("outer"):
                 pass
             telemetry.count("x")
         kinds = [
@@ -293,7 +308,7 @@ class TestCampaignTraceDeterminism:
             for episode in episodes
             for child in episode["children"]
         }
-        assert decision_names == {"controller.decision"}
+        assert decision_names == {"controller.decision", "belief.update"}
         inner = {
             grandchild["name"]
             for episode in episodes
@@ -313,6 +328,86 @@ class TestCampaignTraceDeterminism:
             assert "chunk" in args
 
 
+class TestOneWindowOneName:
+    """Each timed window records under one name: its latency histogram
+    and its trace spans count the same calls, for any worker count, and
+    recording them leaves the campaign's behaviour untouched."""
+
+    INJECTIONS = 24
+    SEED = 11
+
+    #: The windows a bounded depth-1 campaign must time.
+    CAMPAIGN_SPANS = {
+        "campaign",
+        "episode",
+        "controller.decision",
+        "bounds.refine",
+        "tree.expand",
+        "tree.leaf_batch",
+        "cache.lookup",
+        "belief.update",
+        "solver.solve",
+    }
+
+    def _campaign(self, system, parallel=None, telemetry=True, trace=True):
+        faults = np.array([system.fault_a, system.fault_b])
+
+        def run():
+            # Built inside the session so its RA-Bound solve is recorded.
+            controller = BoundedController(system.model, depth=1)
+            return run_campaign(
+                controller,
+                fault_states=faults,
+                injections=self.INJECTIONS,
+                seed=self.SEED,
+                parallel=parallel,
+            )
+
+        if not telemetry:
+            return run(), None
+        with session(trace=trace) as registry:
+            result = run()
+        return result, registry
+
+    @pytest.fixture(scope="class")
+    def traced(self, simple_system):
+        return {
+            parallel: self._campaign(simple_system, parallel=parallel)
+            for parallel in (None, 4)
+        }
+
+    def test_histogram_totals_equal_span_counts(self, traced):
+        for _, telemetry in traced.values():
+            assert telemetry.events_dropped == 0
+            spans = Counter(record.name for record in telemetry.spans)
+            for name, count in spans.items():
+                assert telemetry.histograms[name].total == count, name
+
+    def test_histogram_names_are_span_names_plus_session_decide(self, traced):
+        names = {
+            parallel: (
+                {record.name for record in telemetry.spans},
+                set(telemetry.histograms),
+            )
+            for parallel, (_, telemetry) in traced.items()
+        }
+        span_names, histogram_names = names[None]
+        assert histogram_names == span_names | {"session.decide"}
+        assert span_names == self.CAMPAIGN_SPANS
+        assert names[4] == names[None]
+
+    def test_fingerprint_unchanged_by_telemetry_and_tracing(
+        self, simple_system, traced
+    ):
+        off, _ = self._campaign(simple_system, telemetry=False)
+        on, _ = self._campaign(simple_system, trace=False)
+        fingerprints = {
+            campaign_fingerprint(result.episodes)
+            for result in (off, on, *(result for result, _ in traced.values()))
+        }
+        assert len(fingerprints) == 1
+
+
 class TestSpanTreeBySession:
     """Grouping interleaved multi-session spans into per-session forests."""
 
@@ -323,10 +418,10 @@ class TestSpanTreeBySession:
         telemetry = Telemetry(trace=True)
         for turn in range(2):
             for label in ("s0", "s1"):
-                with telemetry.trace_span(
+                with telemetry.span(
                     "controller.decision", session=label, turn=turn
                 ):
-                    with telemetry.trace_span("controller.expand_tree"):
+                    with telemetry.span("tree.expand"):
                         pass
         return telemetry
 
@@ -346,14 +441,14 @@ class TestSpanTreeBySession:
         for forest in forests.values():
             for node in forest:
                 assert [child["name"] for child in node["children"]] == [
-                    "controller.expand_tree"
+                    "tree.expand"
                 ]
 
     def test_unlabelled_spans_group_under_none(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("warmup"):
+        with telemetry.span("warmup"):
             pass
-        with telemetry.trace_span("controller.decision", session="s0"):
+        with telemetry.span("controller.decision", session="s0"):
             pass
         forests = span_tree(list(telemetry.spans), by_session=True)
         assert [node["name"] for node in forests[None]] == ["warmup"]
@@ -361,8 +456,8 @@ class TestSpanTreeBySession:
 
     def test_cross_session_child_roots_its_own_forest(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("controller.decision", session="s0"):
-            with telemetry.trace_span("controller.decision", session="s1"):
+        with telemetry.span("controller.decision", session="s0"):
+            with telemetry.span("controller.decision", session="s1"):
                 pass
         forests = span_tree(list(telemetry.spans), by_session=True)
         assert forests["s0"][0]["children"] == []

@@ -503,7 +503,7 @@ class TestDaemonLiveOps:
         assert "serve.session_decide" in screen
         assert "watched" in screen
 
-    def test_metrics_flusher_writes_valid_v3_stream(self, live_daemon):
+    def test_metrics_flusher_writes_valid_v4_stream(self, live_daemon):
         import os
 
         daemon, service = live_daemon
@@ -524,7 +524,7 @@ class TestDaemonLiveOps:
         with open(path, encoding="utf-8") as stream:
             records = [json.loads(line) for line in stream if line.strip()]
         assert records[0]["event"] == "session_start"
-        assert records[0]["schema"] == "repro-obs/v3"
+        assert records[0]["schema"] == "repro-obs/v4"
         snapshots = [r for r in records if r["event"] == "metrics_snapshot"]
         assert len(snapshots) >= 2  # interval ticks plus the final flush
         last = snapshots[-1]
