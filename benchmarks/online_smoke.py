@@ -9,6 +9,14 @@ asserted — CI runners are too noisy — but an accidental densification
 anywhere on the decision path is a deterministic, order-of-magnitude RSS
 regression that this smoke catches.
 
+The joint-factor cache is declined at this size, so every decision runs
+the fused sparse depth-1 kernel.  The uniform belief and the first
+narrowed belief are decided again with ``REPRO_MAX_CACHE_BYTES`` small
+enough to cut the touched actions into dozens of chunks (one action per
+chunk when only a few are touched), and the run fails unless the action,
+leaf count, action values and bound-set usage are bit-identical to the
+default-budget decision.
+
 The smoke also exercises the shared-memory model handoff
 (:mod:`repro.linalg.shm`): the sparse containers are exported into an
 arena, rebuilt from the handle payload, and verified to reference the
@@ -27,15 +35,20 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import pickle
 import resource
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import BoundedController
 from repro.linalg import shm
 from repro.pomdp.belief import uniform_belief
+from repro.pomdp.cache import MAX_CACHE_BYTES_ENV
+from repro.pomdp.tree import depth1_action_bytes, expand_tree
 from repro.sim.environment import RecoveryEnvironment
 from repro.systems.tiered import build_tiered_system
 
@@ -46,6 +59,55 @@ DEFAULT_REPLICAS = 2_000
 #: densified 12,002^2 matrix alone is ~1.15 GB, so the ceiling separates
 #: the two regimes with a wide margin on both sides.
 DEFAULT_MAX_RSS_MB = 1_024
+
+
+#: Chunks the split-budget re-decision cuts the touched actions into.
+SPLIT_CHUNKS = 40
+
+
+@contextmanager
+def cache_budget(n_bytes: int | None):
+    """Run with ``REPRO_MAX_CACHE_BYTES`` set to ``n_bytes`` (``None``:
+    unset, the default budget), restoring it afterwards."""
+    saved = os.environ.pop(MAX_CACHE_BYTES_ENV, None)
+    if n_bytes is not None:
+        os.environ[MAX_CACHE_BYTES_ENV] = str(n_bytes)
+    try:
+        yield
+    finally:
+        os.environ.pop(MAX_CACHE_BYTES_ENV, None)
+        if saved is not None:
+            os.environ[MAX_CACHE_BYTES_ENV] = saved
+
+
+def check_split_budget(pomdp, belief, vectors) -> int:
+    """Decide ``belief`` under the default budget and under one that cuts
+    its touched actions into about :data:`SPLIT_CHUNKS` chunks; fail
+    unless both decisions are bit-identical.  Returns the chunk count."""
+    touched, _ = pomdp.transitions.live_corrections(belief)
+    # Observation-override actions (a_T) are scored outside the chunks.
+    touched = np.setdiff1d(touched, list(pomdp.observations.overrides))
+    per_chunk = max(1, touched.size // SPLIT_CHUNKS)
+    budget = per_chunk * depth1_action_bytes(len(vectors), pomdp.n_observations)
+    outcomes = []
+    for n_bytes in (None, budget):
+        leaf = BoundVectorSet(vectors)
+        with cache_budget(n_bytes):
+            outcomes.append((expand_tree(pomdp, belief, 1, leaf), leaf._usage))
+    (default, default_usage), (split, split_usage) = outcomes
+    assert split.action == default.action, (
+        f"chunked decision picked {split.action}, default {default.action}"
+    )
+    assert split.leaf_evaluations == default.leaf_evaluations, (
+        "chunked decision made a different number of leaf evaluations"
+    )
+    assert np.array_equal(split.action_values, default.action_values), (
+        "chunked decision's action values are not bit-identical"
+    )
+    assert np.array_equal(split_usage, default_usage), (
+        "chunked decision credited bound-set usage differently"
+    )
+    return -(-touched.size // per_chunk)
 
 
 def peak_rss_mb() -> float:
@@ -80,6 +142,8 @@ def run_smoke(replicas_per_tier: int) -> dict:
         f"(one faulty replica in {replicas_per_tier} costs less than a "
         f"restart), got action {decision.action}"
     )
+    vectors = controller.bound_set.vectors
+    uniform_chunks = check_split_budget(model.pomdp, belief, vectors)
 
     environment = RecoveryEnvironment(model, seed=2006)
     fault_indices = np.flatnonzero(model.fault_states)
@@ -89,6 +153,7 @@ def run_smoke(replicas_per_tier: int) -> dict:
     controller.reset(initial_belief=uniform_belief(model.pomdp, support=suspects))
     passive = int(np.flatnonzero(model.passive_actions)[0])
     controller.observe(passive, environment.initial_observation())
+    narrowed_chunks = check_split_budget(model.pomdp, controller.belief, vectors)
     steps = 0
     for _ in range(8):
         step = controller.decide()
@@ -107,6 +172,7 @@ def run_smoke(replicas_per_tier: int) -> dict:
         "episode_steps": steps,
         "episode_cost": environment.cost,
         "shm_bytes": shm_bytes,
+        "split_chunks": (uniform_chunks, narrowed_chunks),
     }
 
 
@@ -171,6 +237,12 @@ def main(argv: list[str] | None = None) -> int:
             f"({args.max_rss_mb:.0f} MB + {shm_mb:.0f} MB shm) — a "
             "decision-path operation is densifying the model"
         )
+    print(
+        "chunked re-decisions bit-identical to the default budget "
+        "(uniform belief in {} chunks, narrowed belief in {})".format(
+            *report["split_chunks"]
+        )
+    )
     print(
         f"peak RSS within the {ceiling:.0f} MB ceiling "
         f"({args.max_rss_mb:.0f} MB + {shm_mb:.0f} MB shm), "

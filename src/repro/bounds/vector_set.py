@@ -108,17 +108,15 @@ class BoundVectorSet:
         np.add.at(self._usage, winners, 1)
         return scores.max(axis=0)
 
-    def record_wins(self, winners: np.ndarray) -> None:
-        """Credit usage to the vectors that won a batch of evaluations.
+    def record_wins(self, counts: np.ndarray) -> None:
+        """Credit ``counts[j]`` won evaluations to vector ``j``.
 
-        The fused sparse lookahead (:mod:`repro.pomdp.tree`) computes the
-        winning hyperplane of each branch without calling :meth:`value`, so
-        it reports the winners here to keep the least-used eviction order
+        The fused sparse lookahead (:mod:`repro.pomdp.tree`) counts the
+        branches each hyperplane wins without calling :meth:`value`, so it
+        reports the counts here to keep the least-used eviction order
         identical to the dense path.
         """
-        winners = np.asarray(winners, dtype=np.int64)
-        if winners.size:
-            np.add.at(self._usage, winners, 1)
+        self._usage += np.asarray(counts, dtype=np.int64)
 
     def improvement_at(self, vector: np.ndarray, belief: np.ndarray) -> float:
         """How much ``vector`` would raise the bound at ``belief``."""

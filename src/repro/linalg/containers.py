@@ -192,19 +192,6 @@ class SparseTransitions:
             self._cache["delta_rows"] = cached
         return cached
 
-    @property
-    def _aggregator(self) -> sp.csr_matrix:
-        """CSR ``(|A|, R)`` summing override rows into their action."""
-        cached = self._cache.get("aggregator")
-        if cached is None:
-            n_rows = len(self.row_action)
-            cached = sp.csr_matrix(
-                (np.ones(n_rows), (self.row_action, np.arange(n_rows))),
-                shape=(self.n_actions, n_rows),
-            )
-            self._cache["aggregator"] = cached
-        return cached
-
     # -- linear algebra -------------------------------------------------
     def predict_base(self, belief: np.ndarray) -> np.ndarray:
         """``belief @ base`` as a dense vector."""
@@ -239,28 +226,32 @@ class SparseTransitions:
             predicted += np.asarray(self.delta_rows[block].T @ mass.T).T
         return predicted
 
-    def correction_matrix(self, belief: np.ndarray) -> sp.csr_matrix:
-        """CSR ``(|A|, |S|)`` with row ``a`` = ``belief @ T_a - belief @ base``.
+    def live_corrections(self, belief: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The override corrections ``belief`` sets off.
 
-        Two sparse products over all actions at once: scale each override's
-        delta row by the belief mass sitting on its origin state, then sum
-        the rows of each action.  The row scaling is applied directly to
-        the CSR data (one multiply per non-zero, no COO round trip) — the
-        per-row factor expands over ``diff(indptr)``.
+        Returns ``(touched, corrections)``: ``touched`` lists, ascending,
+        the actions with an override row on a state ``belief`` gives mass
+        to, and row ``i`` of the CSR ``corrections`` is
+        ``belief @ T_a - belief @ base`` for ``a = touched[i]``.
+
+        Only these *live* rows are read: they are gathered straight from
+        :attr:`delta_rows` and scaled by their origin state's mass.  As
+        ``row_action`` is sorted they come grouped by action, so an
+        action's row is its live rows laid end to end; its columns may
+        repeat and are not sorted.  scipy's products and ``toarray`` sum
+        duplicate entries, so the rows are never canonicalised.
         """
-        delta = self.delta_rows
-        factors = np.repeat(
-            np.asarray(belief, dtype=float)[self.row_state],
-            np.diff(delta.indptr),
+        mass = np.asarray(belief, dtype=float)[self.row_state]
+        live = np.flatnonzero(mass)
+        rows = self.delta_rows[live]
+        rows.data *= np.repeat(mass[live], np.diff(rows.indptr))
+        row_action = self.row_action[live]
+        first = np.flatnonzero(np.diff(row_action, prepend=-1))
+        corrections = sp.csr_matrix(
+            (rows.data, rows.indices, np.append(rows.indptr[first], rows.nnz)),
+            shape=(first.size, self.n_states),
         )
-        scaled = sp.csr_matrix(
-            (delta.data * factors, delta.indices, delta.indptr),
-            shape=delta.shape,
-            copy=False,
-        )
-        scaled.has_canonical_format = True
-        scaled.has_sorted_indices = True
-        return _as_csr(self._aggregator @ scaled)
+        return row_action[first], corrections
 
     def predict(self, belief: np.ndarray, action: int) -> np.ndarray:
         """``belief @ T_a`` as a dense vector (Eq. 3 numerator)."""

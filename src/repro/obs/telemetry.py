@@ -49,7 +49,8 @@ stopwatch's clock reads (:meth:`Telemetry.observe_latency`).
 Events are dictionaries with an ``event`` kind (see
 :mod:`repro.obs.schema`) appended to a JSONL sink when one is attached, or
 buffered in memory otherwise (campaign chunks buffer; the coordinating
-process owns the file).
+process owns the file).  A long-lived registry with no sink (the policy
+service's) bounds its buffer with ``max_events``, keeping the newest.
 
 Instrumentation is **off by default**.  Hot paths guard with::
 
@@ -69,8 +70,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-import os
 import threading
 import time
 from bisect import bisect_left
@@ -82,6 +81,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from repro.obs.schema import SCHEMA_VERSION
+from repro.util.validation import int_setting
 
 #: Default capacity of the per-registry span ring buffer.  At ~150 bytes a
 #: span this bounds trace storage to tens of megabytes; override with the
@@ -94,6 +94,10 @@ MAX_SPANS_ENV = "REPRO_MAX_TRACE_SPANS"
 
 #: Counter incremented when the span ring buffer drops its oldest span.
 SPANS_DROPPED_COUNTER = "trace.events_dropped"
+
+#: Process counter incremented when a bounded event buffer (``max_events``)
+#: drops its oldest sink-less event.
+EVENTS_DROPPED_COUNTER = "obs.events_dropped"
 
 #: Latency-histogram bucket *upper* edges in seconds: log-spaced, four per
 #: decade, 10 µs .. 100 s (29 edges; a 30th implicit overflow bucket
@@ -221,20 +225,7 @@ def span_ring_capacity(max_spans: int | None = None) -> int:
             names ``max_spans`` or ``REPRO_MAX_TRACE_SPANS``, whichever
             supplied it.
     """
-    if max_spans is not None:
-        source, raw = "max_spans", max_spans
-    else:
-        raw = os.environ.get(MAX_SPANS_ENV)
-        if raw is None:
-            return DEFAULT_MAX_SPANS
-        source = MAX_SPANS_ENV
-    try:
-        capacity = int(raw) if isinstance(raw, str) else operator.index(raw)
-    except (TypeError, ValueError):
-        capacity = 0
-    if capacity < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
-    return capacity
+    return int_setting(max_spans, "max_spans", MAX_SPANS_ENV, DEFAULT_MAX_SPANS, 1)
 
 
 @dataclass(frozen=True)
@@ -371,6 +362,11 @@ class Telemetry:
         trace: also record a :class:`SpanRecord` for every :meth:`span`.
             Off by default — spans then feed only the latency histograms.
         max_spans: span ring-buffer capacity (see :func:`span_ring_capacity`).
+        max_events: keep only this many of the newest buffered (sink-less)
+            events, counting each dropped one in the
+            :data:`EVENTS_DROPPED_COUNTER` process counter.  ``None`` (the
+            default) keeps them all, which campaign chunks need: their
+            snapshots re-emit every event at the join.
     """
 
     def __init__(
@@ -378,7 +374,10 @@ class Telemetry:
         sink: IO[str] | None = None,
         trace: bool = False,
         max_spans: int | None = None,
+        max_events: int | None = None,
     ):
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be >= 1, got {max_events!r}")
         self.counters: Counter[str] = Counter()
         self.process_counters: Counter[str] = Counter()
         self.gauges: dict[str, float] = {}
@@ -387,7 +386,7 @@ class Telemetry:
         self.max_spans = span_ring_capacity(max_spans)
         self.spans: deque[SpanRecord] = deque()
         self._sink = sink
-        self._buffer: list[dict[str, Any]] = []
+        self._buffer: deque[dict[str, Any]] = deque(maxlen=max_events)
         self._seq = 0
         self._epoch = time.perf_counter()  # codelint: ignore[R903]
         self._next_span_id = 0
@@ -479,8 +478,10 @@ class Telemetry:
             self._seq += 1
             if self._sink is not None:
                 self._sink.write(json.dumps(record) + "\n")
-            else:
-                self._buffer.append(record)
+                return
+            if len(self._buffer) == self._buffer.maxlen:
+                self.process_counters[EVENTS_DROPPED_COUNTER] += 1
+            self._buffer.append(record)
 
     # -- chunk merge protocol -------------------------------------------------
 

@@ -29,7 +29,6 @@ two-product path, so memory use stays bounded on very large models.
 
 from __future__ import annotations
 
-import os
 import weakref
 
 import numpy as np
@@ -38,12 +37,14 @@ import scipy.sparse as sp
 from repro.obs.telemetry import active as telemetry_active
 from repro.obs.telemetry import span
 from repro.pomdp.model import POMDP
+from repro.util.validation import int_setting
 
 #: Default upper limit on the bytes a single model's factor tensors may
 #: occupy (both layouts together).  Past this, caching is declined.  The
-#: effective limit is resolved per call by :func:`max_cache_bytes`: an
-#: explicit ``max_bytes`` argument wins, then the ``REPRO_MAX_CACHE_BYTES``
-#: environment variable, then this default.
+#: same budget sizes the chunks of the fused sparse depth-1 kernel
+#: (:mod:`repro.pomdp.tree`).  The effective limit is resolved per call by
+#: :func:`max_cache_bytes`: an explicit ``max_bytes`` argument wins, then
+#: the ``REPRO_MAX_CACHE_BYTES`` environment variable, then this default.
 MAX_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Environment variable overriding :data:`MAX_CACHE_BYTES`.
@@ -55,47 +56,17 @@ def max_cache_bytes(max_bytes: int | None = None) -> int:
 
     Precedence: the ``max_bytes`` argument (callers and constructors),
     then ``REPRO_MAX_CACHE_BYTES`` in the environment, then the
-    :data:`MAX_CACHE_BYTES` default.
+    :data:`MAX_CACHE_BYTES` default.  ``0`` is a valid budget: it declines
+    every cache.
+
+    Raises:
+        ValueError: the chosen value is not an integer >= 0; the message
+            names ``max_bytes`` or ``REPRO_MAX_CACHE_BYTES``, whichever
+            supplied it.
     """
-    if max_bytes is not None:
-        return int(max_bytes)
-    from_env = os.environ.get(MAX_CACHE_BYTES_ENV)
-    if from_env is not None:
-        return int(from_env)
-    return MAX_CACHE_BYTES
-
-
-def charge_block(
-    n_bytes: int,
-    *,
-    n_states: int,
-    kind: str = "leaf_block",
-    max_bytes: int | None = None,
-) -> bool:
-    """Charge a transient batched-evaluation block against the cache budget.
-
-    The batched depth-1 expansion materialises per-decision score blocks of
-    ``O((k + 3) * |A| * |O|)`` doubles; like the persistent factor caches,
-    those allocations must answer to :func:`max_cache_bytes` *before* they
-    exist.  Returns True when the block fits the budget.  A decline emits
-    the same process-local ``cache.declines`` counter and ``cache_decline``
-    event as a declined cache build (tagged with ``kind``), and the caller
-    falls back to its looped path.
-    """
-    limit = max_cache_bytes(max_bytes)
-    if n_bytes <= limit:
-        return True
-    telemetry = telemetry_active()
-    if telemetry is not None:
-        telemetry.count_process("cache.declines")
-        telemetry.event(
-            "cache_decline",
-            n_states=int(n_states),
-            required_bytes=int(n_bytes),
-            limit_bytes=int(limit),
-            kind=kind,
-        )
-    return False
+    return int_setting(
+        max_bytes, "max_bytes", MAX_CACHE_BYTES_ENV, MAX_CACHE_BYTES, 0
+    )
 
 
 class JointFactorCache:

@@ -45,10 +45,13 @@ Two choices keep that from costing time or memory elsewhere:
   already small next to the arithmetic.
 
 On the sparse backend with a linear-function leaf and no factor cache, the
-depth-1 expansion skips posteriors entirely: a batched kernel builds the
-full ``(k, |A|, |O|)`` score block from a few CSR × dense-block products,
-with a per-action looped fallback when the block is declined by the cache
-budget.
+depth-1 expansion skips posteriors entirely, and its work follows what the
+belief touches rather than the model: actions with no override row on a
+state the belief covers share one closed-form backup, the touched actions'
+``(k, c, |O|)`` score blocks come from a few CSR × sparse products in
+chunks sized from the cache budget, and an observation-override action is
+scored over the support of its own prediction.  A 300,002-state decision
+after a single-tier alarm thus scores about 50,000 of its 150,002 actions.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ from repro.pomdp.belief import GAMMA_EPSILON
 from repro.pomdp.cache import (
     JointFactorCache,
     SparseJointFactorCache,
-    charge_block,
     get_joint_cache,
+    max_cache_bytes,
 )
 from repro.pomdp.model import POMDP
 
@@ -353,204 +356,119 @@ def _expand_depth1_sparse(
         ``V(a) = r_a . pi + beta * sum_o max_b (pred_a * Z_a[:, o]) . b``
 
     — the posterior normalisation ``1/gamma_a(o)`` cancels against the
-    Max-Avg weighting, so no posterior is ever materialised.  Two kernels
-    implement the identity: the batched one materialises the full
-    ``(k, |A|, |O|)`` score block in a handful of CSR × dense-block
-    products, the looped one visits one action at a time and never holds
-    more than one action's scores.  The block is charged against the cache
-    budget (:func:`~repro.pomdp.cache.charge_block`) *before* it exists;
-    a decline falls back to the looped kernel.
+    Max-Avg weighting, so no posterior is ever materialised.  The work
+    follows the override rows the belief touches, not the model:
+
+    * an action with no live override row (none on a state the belief
+      covers) and no observation override shares the base branches: value
+      ``r_a + beta * future_base``, the base leaf count and the base
+      winners, from one backup for all of them;
+    * the touched actions' corrections
+      (:meth:`~repro.linalg.containers.SparseTransitions.live_corrections`)
+      go through the base observation matrix ``Z`` in chunks: one
+      ``corrections @ Z`` product for gamma and one per bound vector (the
+      correction data scaled by that vector) for the ``(k, c, |O|)`` score
+      block.  A chunk holds as many actions as fit their
+      :func:`depth1_action_bytes` into
+      :func:`~repro.pomdp.cache.max_cache_bytes`, at least one.  Each
+      action's row is computed on its own, so every budget gives the same
+      results bit for bit;
+    * an observation-override action is scored over the support of its own
+      prediction (``a_T``'s is ``s_T`` alone after any fault belief).
+
+    Bound-set usage is credited from per-vector win counts
+    (``leaf.record_wins``, when the leaf has it), tie-broken like
+    :meth:`~repro.bounds.vector_set.BoundVectorSet.value_batch`.
     """
+    transitions = pomdp.transitions
+    observations = pomdp.observations
+    base_obs = observations.base
+    n_actions, n_observations = pomdp.n_actions, pomdp.n_observations
     vectors = np.atleast_2d(np.asarray(leaf.vectors, dtype=float))
-    block_bytes = (
-        8 * (vectors.shape[0] + 3) * pomdp.n_actions * pomdp.n_observations
+    n_vectors = vectors.shape[0]
+    allowed = (
+        np.ones(n_actions, dtype=bool) if allowed_actions is None else allowed_actions
     )
-    if charge_block(
-        block_bytes, n_states=pomdp.n_states, kind="tree.depth1_block"
-    ):
-        return _expand_depth1_sparse_batched(
-            pomdp, belief, vectors, leaf, allowed_actions
-        )
-    return _expand_depth1_sparse_looped(
-        pomdp, belief, vectors, leaf, allowed_actions
-    )
-
-
-def _expand_depth1_sparse_batched(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    vectors: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-) -> TreeDecision:
-    """All-actions-at-once kernel of the fused sparse depth-1 expansion.
-
-    The per-action correction loop of the looped kernel collapses into CSR
-    × dense-block products: one ``corrections @ Z`` product yields every
-    action's observation-probability correction, and one such product per
-    bound vector (with the correction data scaled by that vector) yields
-    the full ``(k, |A|, |O|)`` score block.  Actions with observation
-    overrides are recomputed exactly as the looped kernel computes them,
-    since they do not observe through the shared base matrix.
-
-    Values agree with the looped kernel to summation re-association
-    (~1e-16): sparse row-times-matrix products may add the same terms in a
-    different order.  Branch bookkeeping (reachability, usage winners,
-    record order) is identical.
-    """
-    transitions = pomdp.transitions
-    observations = pomdp.observations
-    base_obs = observations.base
-    k = vectors.shape[0]
+    own = np.zeros(n_actions, dtype=bool)  # observes through its own matrix
+    own[list(observations.overrides)] = True
+    touched, corrections = transitions.live_corrections(belief)
+    rewards = rewards_matvec(pomdp.rewards, belief)
+    action_values = np.full(n_actions, -np.inf)
 
     pred_base = transitions.predict_base(belief)
-    corrections = transitions.correction_matrix(belief).tocsr()
     gamma_base = np.asarray(base_obs.T @ pred_base).ravel()
     scores_base = np.asarray(base_obs.T @ (vectors * pred_base).T).T  # (k, |O|)
+    shared = allowed & ~own
+    shared[touched] = False
+    future, base_wins = _backup(gamma_base[None, :], scores_base[:, None, :].copy())
+    action_values[shared] = rewards[shared] + pomdp.discount * future
+    wins = base_wins * np.count_nonzero(shared)
 
-    # gamma_all[a, o] = gamma_base[o] + (corrections[a] @ base_obs)[o]
-    gamma_all = (corrections @ base_obs).toarray() + gamma_base[None, :]
-    scores_all = np.empty((k, pomdp.n_actions, pomdp.n_observations))
-    scaled = corrections.copy()
-    for j in range(k):
-        scaled.data = corrections.data * vectors[j, corrections.indices]
-        scores_all[j] = (scaled @ base_obs).toarray()
-    scores_all += scores_base[:, None, :]
+    through_base = np.flatnonzero(allowed[touched] & ~own[touched])
+    action_bytes = depth1_action_bytes(n_vectors, n_observations)
+    chunk = max(1, max_cache_bytes() // action_bytes)
+    for start in range(0, through_base.size, chunk):
+        rows = through_base[start : start + chunk]
+        block = corrections[rows]
+        gamma = (block @ base_obs).toarray() + gamma_base
+        scores = np.empty((n_vectors, rows.size, n_observations))
+        scaled = block.copy()
+        for j, vector in enumerate(vectors):
+            scaled.data = block.data * vector[block.indices]
+            scores[j] = (scaled @ base_obs).toarray()
+        scores += scores_base[:, None, :]
+        future, block_wins = _backup(gamma, scores)
+        actions = touched[rows]
+        action_values[actions] = rewards[actions] + pomdp.discount * future
+        wins += block_wins
 
-    for action in sorted(observations.overrides):
-        # Overridden observation rows bypass the base matrix entirely;
-        # recompute them exactly as the looped kernel does.
-        matrix = observations.matrix(action)
-        start, stop = corrections.indptr[action], corrections.indptr[action + 1]
+    for action in np.flatnonzero(own & allowed):
         pred = pred_base.copy()
-        pred[corrections.indices[start:stop]] += corrections.data[start:stop]
-        gamma_all[action] = np.asarray(matrix.T @ pred).ravel()
-        scores_all[:, action, :] = np.asarray(matrix.T @ (vectors * pred).T).T
-
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    reachable = gamma_all > GAMMA_EPSILON  # (|A|, |O|)
-    if allowed_actions is not None:
-        reachable &= np.asarray(allowed_actions, dtype=bool)[:, None]
-    leaf_evaluations = int(np.count_nonzero(reachable))
+        position = np.searchsorted(touched, action)
+        if position < touched.size and touched[position] == action:
+            pred += corrections[position].toarray()[0]
+        support = np.flatnonzero(pred)
+        matrix = observations.matrix(int(action))[support].T
+        gamma = np.asarray(matrix @ pred[support]).reshape(1, n_observations)
+        scores = np.asarray(matrix @ (vectors[:, support] * pred[support]).T).T
+        future, block_wins = _backup(gamma, scores[:, None, :])
+        action_values[action] = rewards[action] + pomdp.discount * future[0]
+        wins += block_wins
 
     record = getattr(leaf, "record_wins", None)
-    if record is not None and leaf_evaluations:
-        # Row-major selection is action-major, observation-ascending — the
-        # exact order the looped kernel concatenates its winners in.  A
-        # single bound vector wins every branch by construction.
-        if k == 1:
-            record(np.zeros(leaf_evaluations, dtype=np.intp))
-        else:
-            winners = tie_break_argmax(scores_all, BACKUP_TIE_EPSILON, axis=0)
-            record(winners[reachable])
-
-    # max over one vector is the vector itself; skip the (k, |A|, |O|)
-    # reduction on the single-seed hot path.  scores_all is not read again,
-    # so zeroing the unreachable branches in place is safe.
-    best = scores_all[0] if k == 1 else scores_all.max(axis=0)
-    best[~reachable] = 0.0
-    future = best.sum(axis=1)
-    action_values = rewards + pomdp.discount * future
-    if allowed_actions is not None:
-        action_values[~np.asarray(allowed_actions, dtype=bool)] = -np.inf
+    if record is not None:
+        record(wins)
     best_action = _best_action(action_values)
     return TreeDecision(
         action=best_action,
         value=float(action_values[best_action]),
         action_values=action_values,
-        leaf_evaluations=leaf_evaluations,
+        leaf_evaluations=int(wins.sum()),
         nodes=1,
     )
 
 
-def _expand_depth1_sparse_looped(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    vectors: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-) -> TreeDecision:
-    """Per-action kernel of the fused sparse depth-1 expansion.
+def depth1_action_bytes(n_vectors: int, n_observations: int) -> int:
+    """Bytes the fused depth-1 kernel budgets per touched action: ``k + 3``
+    rows of ``|O|`` doubles (its scores, gamma and backup temporaries)."""
+    return 8 * (n_vectors + 3) * n_observations
 
-    The base quantities (prediction through the shared transition base,
-    scores through the shared observation matrix) are computed once per
-    decision; each action then contributes only a correction of the size
-    of its overrides.  Actions whose override rows carry no belief mass
-    and that observe through the base matrix reuse the base score
-    unchanged, which is what makes a 150,002-action decision tractable
-    even when the batched block is declined.
 
-    Leaf-usage accounting matches the generic path: the winning bound
-    vector of every reachable ``(a, o)`` branch is recorded via
-    ``leaf.record_wins`` when the leaf supports it.
+def _backup(gamma: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-1 futures of a block of actions, and the bound vectors' wins.
+
+    ``gamma`` is ``(n, |O|)`` and ``scores`` ``(k, n, |O|)``, which this
+    consumes.  Returns each action's ``sum_o max_b score`` over its
+    reachable branches, and how many reachable branches each vector wins.
     """
-    transitions = pomdp.transitions
-    observations = pomdp.observations
-    base_obs = observations.base
-
-    pred_base = transitions.predict_base(belief)
-    corrections = transitions.correction_matrix(belief).tocsr()
-    gamma_base = np.asarray(base_obs.T @ pred_base).ravel()
-    scores_base = np.asarray(base_obs.T @ (vectors * pred_base).T).T  # (k, |O|)
-    reachable_base = gamma_base > GAMMA_EPSILON
-    if reachable_base.any():
-        branch_scores = scores_base[:, reachable_base]
-        winners_base = tie_break_argmax(
-            branch_scores, BACKUP_TIE_EPSILON, axis=0
-        )
-        future_base = float(branch_scores.max(axis=0).sum())
+    reachable = gamma > GAMMA_EPSILON
+    if scores.shape[0] == 1:
+        # One vector wins every branch; skip the (k, n, |O|) reductions.
+        best = scores[0]
+        wins = np.array([np.count_nonzero(reachable)])
     else:
-        winners_base = np.zeros(0, dtype=int)
-        future_base = 0.0
-
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    action_values = np.full(pomdp.n_actions, -np.inf)
-    all_winners: list[np.ndarray] = []
-    leaves = 0
-    indptr = corrections.indptr
-    for action in range(pomdp.n_actions):
-        if allowed_actions is not None and not allowed_actions[action]:
-            continue
-        start, stop = indptr[action], indptr[action + 1]
-        overridden_obs = action in observations.overrides
-        if start == stop and not overridden_obs:
-            action_values[action] = rewards[action] + pomdp.discount * future_base
-            all_winners.append(winners_base)
-            leaves += winners_base.size
-            continue
-        cols = corrections.indices[start:stop]
-        vals = corrections.data[start:stop]
-        if overridden_obs:
-            matrix = observations.matrix(action)
-            pred = pred_base.copy()
-            pred[cols] += vals
-            gamma = np.asarray(matrix.T @ pred).ravel()
-            scores = np.asarray(matrix.T @ (vectors * pred).T).T
-        else:
-            gamma = gamma_base + np.asarray(base_obs[cols].T @ vals).ravel()
-            scores = scores_base + np.asarray(
-                base_obs[cols].T @ (vectors[:, cols] * vals).T
-            ).T
-        reachable = gamma > GAMMA_EPSILON
-        if reachable.any():
-            branch_scores = scores[:, reachable]
-            winners = tie_break_argmax(branch_scores, BACKUP_TIE_EPSILON, axis=0)
-            future = float(branch_scores.max(axis=0).sum())
-        else:
-            winners = np.zeros(0, dtype=int)
-            future = 0.0
-        action_values[action] = rewards[action] + pomdp.discount * future
-        all_winners.append(winners)
-        leaves += winners.size
-
-    record = getattr(leaf, "record_wins", None)
-    if record is not None and all_winners:
-        record(np.concatenate(all_winners))
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=leaves,
-        nodes=1,
-    )
+        winners = tie_break_argmax(scores, BACKUP_TIE_EPSILON, axis=0)
+        wins = np.bincount(winners[reachable], minlength=scores.shape[0])
+        best = scores.max(axis=0)
+    best[~reachable] = 0.0
+    return best.sum(axis=1), wins

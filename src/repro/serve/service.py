@@ -48,6 +48,12 @@ from repro.recovery.model import RecoveryModel
 #: Telemetry gauge tracking the number of live sessions.
 LIVE_SESSIONS_GAUGE = "serve.live_sessions"
 
+#: How many of the newest buffered events the service telemetry keeps.  Its
+#: registry has no sink, so without a bound every ``decision``, ``refine`` and
+#: ``slow_decision`` event would stay in memory for the daemon's lifetime;
+#: older ones are dropped and counted in ``obs.events_dropped``.
+EVENT_BUFFER_CAPACITY = 1000
+
 #: Latency-histogram name for service-level decisions (engine-lock wait
 #: included — the queueing delay is what a caller actually experiences, so
 #: it is what the serve-smoke SLO gate reads its p99 from).
@@ -140,7 +146,9 @@ class PolicyService:
         # activates it process-wide so the engine/bounds/cache layers
         # record into it too; in-process callers at least get the
         # service-level counters and histograms recorded below.
-        self.telemetry = Telemetry(trace=config.trace)
+        self.telemetry = Telemetry(
+            trace=config.trace, max_events=EVENT_BUFFER_CAPACITY
+        )
 
         bound_set = None
         self.started_warm = False

@@ -1,11 +1,16 @@
-"""Numeric validation helpers for stochastic models.
+"""Numeric validation helpers for stochastic models and integer settings.
 
 The model classes (:class:`repro.mdp.MDP`, :class:`repro.pomdp.POMDP`) call
 these at construction time, so every solver and controller downstream can
 assume well-formed inputs instead of re-checking them.
+:func:`int_setting` resolves the integer limits a caller or the
+environment may override (cache budget, span ring capacity).
 """
 
 from __future__ import annotations
+
+import operator
+import os
 
 import numpy as np
 
@@ -80,3 +85,29 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise ModelError("cannot normalise a vector with non-positive mass")
     return array / total
+
+
+def int_setting(
+    value: int | None, name: str, env_var: str, default: int, minimum: int
+) -> int:
+    """An integer setting: ``value`` when given, else the ``env_var``
+    environment variable, else ``default``.
+
+    Raises:
+        ValueError: the chosen value is not an integer >= ``minimum``; the
+            message names ``name`` or ``env_var``, whichever supplied it.
+    """
+    if value is not None:
+        source, raw = name, value
+    else:
+        raw = os.environ.get(env_var)
+        if raw is None:
+            return default
+        source = env_var
+    try:
+        setting = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        setting = minimum - 1
+    if setting < minimum:
+        raise ValueError(f"{source} must be an integer >= {minimum}, got {raw!r}")
+    return setting

@@ -85,9 +85,10 @@ class TestEvaluation:
 
     def test_record_wins_accumulates(self):
         bound_set = BoundVectorSet(np.array([[-1.0, 0.0], [0.0, -1.0]]))
-        bound_set.record_wins(np.array([0, 1, 1]))
-        bound_set.record_wins(np.array([], dtype=np.int64))
-        assert bound_set._usage.tolist() == [1, 2]
+        bound_set.record_wins(np.array([1, 2]))
+        bound_set.record_wins(np.zeros(2, dtype=np.int64))
+        bound_set.record_wins(np.array([0, 3]))
+        assert bound_set._usage.tolist() == [1, 5]
 
 
 class TestAdd:

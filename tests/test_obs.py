@@ -19,6 +19,7 @@ from repro.obs import (
     validate_event,
     validate_stream,
 )
+from repro.obs.telemetry import EVENTS_DROPPED_COUNTER
 from repro.sim.campaign import run_campaign
 
 
@@ -157,6 +158,18 @@ class TestSession:
             telemetry.event("episode_start", episode=0, fault_state=1)
         kinds = [r["event"] for r in telemetry.snapshot().events]
         assert kinds == ["session_start", "episode_start", "summary", "session_end"]
+
+    def test_event_buffer_unbounded_by_default(self):
+        telemetry = Telemetry()
+        for episode in range(3000):
+            telemetry.event("episode_start", episode=episode, fault_state=1)
+        assert len(telemetry.snapshot().events) == 3000
+        assert EVENTS_DROPPED_COUNTER not in telemetry.process_counters
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_event_bound_below_one_rejected(self, max_events):
+        with pytest.raises(ValueError, match="max_events"):
+            Telemetry(max_events=max_events)
 
     def test_deactivates_on_exit(self, tmp_path):
         with session(tmp_path / "run.jsonl"):

@@ -117,51 +117,27 @@ class TestRegistry:
         assert key not in cache_module._CACHES
 
 
-class TestChargeBlock:
-    def test_block_within_budget_is_accepted(self):
-        from repro.pomdp.cache import charge_block
+class TestBudgetParsing:
+    """``max_cache_bytes`` rejects budgets that are not integers >= 0 and
+    names where the bad value came from."""
 
-        assert charge_block(1024, n_states=10)
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "-5"])
+    def test_bad_env_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(MAX_CACHE_BYTES_ENV, raw)
+        with pytest.raises(ValueError, match=MAX_CACHE_BYTES_ENV):
+            max_cache_bytes()
+        with pytest.raises(ValueError, match=MAX_CACHE_BYTES_ENV):
+            get_joint_cache(random_pomdp(np.random.default_rng(9)))
 
-    def test_block_over_budget_is_declined(self):
-        from repro.pomdp.cache import charge_block
+    @pytest.mark.parametrize("raw", [-1, 1.5])
+    def test_bad_argument_names_max_bytes(self, monkeypatch, raw):
+        monkeypatch.delenv(MAX_CACHE_BYTES_ENV, raising=False)
+        with pytest.raises(ValueError, match="max_bytes"):
+            max_cache_bytes(raw)
 
-        assert not charge_block(MAX_CACHE_BYTES + 1, n_states=10)
-
-    def test_explicit_budget_overrides_default(self):
-        from repro.pomdp.cache import charge_block
-
-        assert not charge_block(100, n_states=4, max_bytes=50)
-        assert charge_block(100, n_states=4, max_bytes=200)
-
-    def test_env_budget_applies(self, monkeypatch):
-        from repro.pomdp.cache import charge_block
-
+    def test_zero_still_declines(self, monkeypatch):
         monkeypatch.setenv(MAX_CACHE_BYTES_ENV, "0")
-        assert not charge_block(1, n_states=2)
-
-    def test_decline_emits_counter_and_event(self):
-        from repro.obs import session
-        from repro.pomdp.cache import charge_block
-
-        with session() as telemetry:
-            charge_block(10, n_states=7, kind="tree.depth1_block", max_bytes=5)
-        assert telemetry.process_counters["cache.declines"] == 1
-        declines = [
-            r
-            for r in telemetry.snapshot().events
-            if r["event"] == "cache_decline"
-        ]
-        assert len(declines) == 1
-        assert declines[0]["n_states"] == 7
-        assert declines[0]["required_bytes"] == 10
-        assert declines[0]["limit_bytes"] == 5
-        assert declines[0]["kind"] == "tree.depth1_block"
-
-    def test_accept_is_silent(self):
-        from repro.obs import session
-        from repro.pomdp.cache import charge_block
-
-        with session() as telemetry:
-            charge_block(10, n_states=3, max_bytes=100)
-        assert "cache.declines" not in telemetry.process_counters
+        assert max_cache_bytes() == 0
+        assert get_joint_cache(random_pomdp(np.random.default_rng(10))) is None
+        monkeypatch.delenv(MAX_CACHE_BYTES_ENV)
+        assert max_cache_bytes(0) == 0

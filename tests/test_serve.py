@@ -339,6 +339,40 @@ class TestLiveOps:
 
         assert validate_event(event) == []
 
+    def test_event_buffer_keeps_the_newest(
+        self, simple_system, tmp_path, monkeypatch
+    ):
+        """The service registry has no sink: past its capacity it drops
+        the oldest events, counts them, and keeps the latest decision's."""
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "EVENT_BUFFER_CAPACITY", 8)
+        config = ServiceConfig(
+            socket_path=str(tmp_path / "bounded.sock"),
+            checkpoint_interval=0,
+            slow_decision_seconds=0.0,  # every decision is "slow"
+        )
+        bounded = PolicyService(config, model=simple_system.model)
+        telemetry = bounded.telemetry
+        with obs.activated(telemetry):
+            sid = bounded.open_session()
+            for _ in range(12):
+                bounded.decide(sid)
+        events = telemetry.snapshot().events
+        emitted = telemetry._seq
+        assert emitted > 2 * 12  # a decision and a slow_decision per call
+        assert len(events) == 8
+        dropped = emitted - 8
+        assert telemetry.process_counters[obs.EVENTS_DROPPED_COUNTER] == dropped
+        assert (
+            bounded.metrics()["process_counters"][obs.EVENTS_DROPPED_COUNTER]
+            == dropped
+        )
+        assert [record["seq"] for record in events] == list(range(dropped, emitted))
+        last = events[-1]
+        assert last["event"] == "slow_decision"
+        assert last["session"] == sid
+
     def test_slow_log_disabled_by_default(self, service):
         sid = service.open_session()
         service.decide(sid)
