@@ -150,7 +150,10 @@ class BoundVectorSet:
             )
         telemetry = telemetry_active()
         threshold = max(alpha.LP_EPSILON, min_improvement)
-        if belief is not None and self.improvement_at(vector, belief) <= threshold:
+        # "not >" so that a NaN improvement (a malformed belief) is rejected.
+        if belief is not None and not (
+            self.improvement_at(vector, belief) > threshold
+        ):
             self.rejections += 1
             if telemetry is not None:
                 telemetry.count("bounds.vectors_rejected")
@@ -247,27 +250,21 @@ class BoundVectorSet:
         """Remove redundant vectors; returns how many were dropped.
 
         ``"pointwise"`` drops pointwise-dominated vectors; ``"lp"`` runs the
-        exact witness-LP prune.  Seed pinning is preserved by re-inserting
-        the seed rows first if pruning removed them (they may be dominated
-        once refinement has swept past them — in that case they are truly
-        redundant and dropping them is sound, so we only keep them if
-        present; the pin count is adjusted).
+        exact witness-LP prune.  Rows are kept by index, so of several equal
+        rows only the first survives.  Seed rows may be dropped too (once
+        refinement has swept past them they are truly redundant, so dropping
+        them is sound); the pin count becomes the number of seed rows kept.
         """
         before = len(self)
         if method == "lp":
-            pruned = alpha.prune_lp(self._vectors)
+            kept = alpha.lp_survivors(self._vectors)
         elif method == "pointwise":
-            pruned = alpha.prune_pointwise(self._vectors)
+            kept = alpha.pointwise_survivors(self._vectors)
         else:
             raise ValueError(f"unknown prune method {method!r}")
-        kept_rows = [
-            i
-            for i in range(before)
-            if any(np.array_equal(self._vectors[i], row) for row in pruned)
-        ]
-        self._vectors = self._vectors[kept_rows]
-        self._usage = self._usage[kept_rows]
-        self._pinned = sum(1 for i in kept_rows if i < self._pinned)
+        self._vectors = self._vectors[kept]
+        self._usage = self._usage[kept]
+        self._pinned = int(np.count_nonzero(kept < self._pinned))
         return before - len(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -42,6 +42,7 @@ from repro.obs.telemetry import span
 from repro.pomdp.belief import update_belief
 from repro.recovery.model import RecoveryModel
 from repro.util.timing import Stopwatch
+from repro.util.validation import check_distribution
 
 #: Sentinel action index for terminating decisions that execute nothing.
 #: Only engines on models *without* a terminate action (recovery
@@ -136,6 +137,13 @@ class RecoverySession:
         The default initial belief is the paper's "all faults equally
         likely" distribution; the campaign then immediately feeds the first
         monitor outputs through :meth:`observe`.
+
+        Raises:
+            ControllerError: ``initial_belief`` has the wrong length.
+            ModelError: ``initial_belief`` is not a probability
+                distribution (negative or NaN entries, or a sum away from
+                one); decisions from it would refine the shared bound set
+                with a meaningless vector.
         """
         model = self.engine.model
         if initial_belief is None:
@@ -146,6 +154,10 @@ class RecoverySession:
                 raise ControllerError(
                     f"initial belief must have length {model.pomdp.n_states}"
                 )
+            # Checked, but stored as given: the check's copy clips tiny
+            # negative entries to zero, and decisions must see exactly the
+            # caller's belief.
+            check_distribution(belief, "initial belief")
             self._belief = belief.copy()
         self._done = False
         self.steps = 0

@@ -11,9 +11,10 @@ Dense inputs take the exact code path the dense-only implementation used
 bit-for-bit identical to the pre-refactor behaviour — the determinism
 contract of the campaign fingerprints depends on that.
 
-The four belief-side hot operations (``predict``, ``transition_matvec``,
-``observation_probabilities_from_predicted``, ``rewards_matvec``) count
-their dispatches under ``linalg.<op>.<dense|sparse>`` when telemetry is on,
+The belief-side hot operations (``predict``, ``transition_matvec``,
+``observation_probabilities_from_predicted``, ``rewards_matvec``, and the
+batch and block forms of the first three) count their dispatches under
+``linalg.<op>.<dense|sparse>`` when telemetry is on,
 so dense and sparse traces of the same campaign can be compared operation
 for operation.  The counts are a pure function of the decision sequence,
 hence worker-count invariant like the other deterministic counters.
@@ -123,6 +124,46 @@ def transition_matvec(transitions, action: int, values: np.ndarray) -> np.ndarra
     return transitions[action] @ values
 
 
+def predict_block(transitions, belief: np.ndarray, actions: slice) -> np.ndarray:
+    """``belief @ T_a`` for every action of the block ``actions``: ``(c, |S'|)``.
+
+    Row ``i`` is bit-identical to ``predict(transitions, belief, a_i)``: the
+    dense path is one batched product whose per-action kernel is that of
+    :func:`predict`, the sparse path calls it per action.
+    """
+    if isinstance(transitions, SparseTransitions):
+        _count_dispatch("predict_block", sparse=True)
+        return np.stack(
+            [transitions.predict(belief, a) for a in _block_range(actions)]
+        )
+    _count_dispatch("predict_block", sparse=False)
+    return belief @ transitions[actions]
+
+
+def transition_matvec_block(
+    transitions, actions: slice, values: np.ndarray
+) -> np.ndarray:
+    """``T_a @ values[i]`` for the ``i``-th action of ``actions``: ``(c, |S|)``.
+
+    Row ``i`` is bit-identical to ``transition_matvec(transitions, a_i,
+    values[i])``, by the same construction as :func:`predict_block`.
+    """
+    if isinstance(transitions, SparseTransitions):
+        _count_dispatch("transition_matvec_block", sparse=True)
+        return np.stack(
+            [
+                transitions.matvec(a, row)
+                for a, row in zip(_block_range(actions), values)
+            ]
+        )
+    _count_dispatch("transition_matvec_block", sparse=False)
+    return (transitions[actions] @ values[:, :, None])[:, :, 0]
+
+
+def _block_range(actions: slice) -> range:
+    return range(actions.start, actions.stop)
+
+
 def transition_matrix_dense(transitions, action: int) -> np.ndarray:
     """``T_a`` as a dense matrix — small models only."""
     if isinstance(transitions, SparseTransitions):
@@ -158,6 +199,15 @@ def observation_matrix_dense(observations, action: int) -> np.ndarray:
     if isinstance(observations, SparseObservations):
         return observations.matrix(action).toarray()
     return np.asarray(observations[action])
+
+
+def observation_block(observations, actions: slice) -> np.ndarray:
+    """Dense ``(c, |S|, |O|)`` observation matrices of the block ``actions``."""
+    if isinstance(observations, SparseObservations):
+        return np.stack(
+            [observations.matrix(a).toarray() for a in _block_range(actions)]
+        )
+    return np.asarray(observations[actions])
 
 
 def observation_row(observations, action: int, state: int) -> np.ndarray:
@@ -261,6 +311,13 @@ def reward_row(rewards, action: int) -> np.ndarray:
     if isinstance(rewards, StructuredRewards):
         return rewards.row(action)
     return np.asarray(rewards[action])
+
+
+def reward_block(rewards, actions: slice) -> np.ndarray:
+    """Dense ``(c, |S|)`` reward rows of the block ``actions``."""
+    if isinstance(rewards, StructuredRewards):
+        return np.stack([rewards.row(a) for a in _block_range(actions)])
+    return np.asarray(rewards[actions])
 
 
 def reward_column(rewards, state: int) -> np.ndarray:
@@ -389,6 +446,7 @@ __all__ = [
     "bellman_backup_envelope",
     "is_sparse_transitions",
     "mean_transition_matrix",
+    "observation_block",
     "observation_column",
     "observation_matrix",
     "observation_matrix_dense",
@@ -397,6 +455,8 @@ __all__ = [
     "observation_row",
     "predict",
     "predict_batch",
+    "predict_block",
+    "reward_block",
     "reward_column",
     "reward_row",
     "reward_scalar",
@@ -406,6 +466,7 @@ __all__ = [
     "tie_break_argmax",
     "transition_matrix_dense",
     "transition_matvec",
+    "transition_matvec_block",
     "transition_row",
     "union_transition_matrix",
 ]

@@ -43,26 +43,24 @@ def pointwise_dominated(candidate: np.ndarray, vectors: np.ndarray) -> bool:
 
 
 def prune_pointwise(vectors: np.ndarray) -> np.ndarray:
-    """Drop vectors pointwise-dominated by another vector in the set.
+    """Drop vectors pointwise-dominated by another vector in the set."""
+    return vectors[pointwise_survivors(vectors)]
 
-    A vector is dropped when some other vector is at least as good
-    everywhere and either strictly better somewhere or an earlier duplicate
-    (so exactly one copy of each tie survives).
+
+def pointwise_survivors(vectors: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows :func:`prune_pointwise` keeps.
+
+    A row is dropped when some other row is at least as good everywhere and
+    either strictly better somewhere or an earlier duplicate (so exactly one
+    copy of each tie survives).  Every pair is compared in one broadcast.
     """
-    keep = []
-    for i, candidate in enumerate(vectors):
-        dominated = False
-        for j, other in enumerate(vectors):
-            if i == j:
-                continue
-            if np.all(other >= candidate - LP_EPSILON) and (
-                bool(np.any(other > candidate + LP_EPSILON)) or j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return vectors[keep]
+    rows = vectors[:, None, :]  # candidate i against every other row j
+    at_least = np.all(vectors >= rows - LP_EPSILON, axis=2)
+    better = np.any(vectors > rows + LP_EPSILON, axis=2)
+    earlier = np.tri(len(vectors), k=-1, dtype=bool)  # j < i
+    dominated = at_least & (better | earlier)
+    np.fill_diagonal(dominated, False)
+    return np.flatnonzero(~dominated.any(axis=1))
 
 
 def witness_belief(
@@ -104,22 +102,28 @@ def witness_belief(
 
 
 def prune_lp(vectors: np.ndarray) -> np.ndarray:
-    """Exact (Lark-style) pruning: keep only vectors useful at some belief.
+    """Exact (Lark-style) pruning: keep only vectors useful at some belief."""
+    return vectors[lp_survivors(vectors)]
 
-    After the cheap pointwise filter (which also dedups ties), a vector
+
+def lp_survivors(vectors: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows :func:`prune_lp` keeps.
+
+    After the cheap pointwise filter (which also dedups ties), a row
     survives iff the witness LP finds a belief where it strictly beats all
     remaining rivals.
     """
-    vectors = prune_pointwise(vectors)
+    survivors = pointwise_survivors(vectors)
+    rows = vectors[survivors]
     keep = []
-    for i in range(vectors.shape[0]):
-        rivals = np.delete(vectors, i, axis=0)
-        if rivals.size == 0 or witness_belief(vectors[i], rivals) is not None:
+    for i in range(rows.shape[0]):
+        rivals = np.delete(rows, i, axis=0)
+        if rivals.size == 0 or witness_belief(rows[i], rivals) is not None:
             keep.append(i)
     if not keep:
         # Degenerate numerical case: keep one representative.
         keep.append(0)
-    return vectors[keep]
+    return survivors[keep]
 
 
 def cross_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:

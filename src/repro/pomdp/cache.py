@@ -12,10 +12,16 @@ product from ``transitions`` and ``observations`` at every decision node.
 :class:`JointFactorCache` precomputes ``F`` once per :class:`POMDP`, flattened
 so the per-belief work collapses to a single GEMV:
 
-* ``joint(belief, a)`` — one ``(|S|,) @ (|S|, |S'|*|O|)`` product;
+* ``joint(belief, a)`` — one ``(|S|,) @ (|S|, |S'|*|O|)`` product, for
+  posterior enumeration;
 * ``joint_all(beliefs)`` — one ``(m, |S|) @ (|S|, |A|*|S'|*|O|)`` product
   that yields every action's joint for a whole stack of beliefs at once,
-  which is how the lookahead tree expands a level.
+  which is how the lookahead tree expands a level and how the Eq. 7
+  refinement scores every action.
+
+Both cache classes remember the joint of the last single belief they were
+asked for (a read-only array), so a decision that refines the bound at its
+belief and then expands the tree from it computes that joint once.
 
 POMDPs are frozen dataclasses whose arrays are never mutated after
 validation, so a cache entry is valid for the lifetime of its model object;
@@ -69,7 +75,39 @@ def max_cache_bytes(max_bytes: int | None = None) -> int:
     )
 
 
-class JointFactorCache:
+class _LastJointMemo:
+    """The joint of the last single belief, remembered for the next caller.
+
+    A decision asks twice for the joint at its belief: the Eq. 7 refinement
+    passes ``(|S|,)``, then the lookahead tree's root ``(1, |S|)``.  Both
+    shapes share one entry, keyed on the belief's bytes, so a different
+    belief, or the same array changed in place, recomputes.  The entry (the
+    key and a read-only joint) is swapped as one tuple, so sessions deciding
+    on other threads never see a key paired with another belief's joint.
+    """
+
+    _last: tuple[bytes, np.ndarray] | None = None
+
+    def joint_all(self, beliefs: np.ndarray) -> np.ndarray:
+        """Every action's joint at once: ``(|A|, |S'|, |O|)`` for one belief,
+        ``(m, |A|, |S'|, |O|)`` for a ``(m, |S|)`` stack."""
+        beliefs = np.asarray(beliefs, dtype=float)
+        if beliefs.ndim == 2 and beliefs.shape[0] != 1:
+            return self._joint_all(beliefs)
+        belief = beliefs.reshape(-1)
+        key = belief.tobytes()
+        last = self._last
+        if last is None or last[0] != key:
+            joint = self._joint_all(belief)
+            joint.flags.writeable = False
+            last = self._last = (key, joint)
+        return last[1] if beliefs.ndim == 1 else last[1][None]
+
+    def _joint_all(self, beliefs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class JointFactorCache(_LastJointMemo):
     """Precomputed ``p(s', o | s, a)`` factors for one POMDP.
 
     Two layouts of the same tensor are kept so that both access patterns
@@ -111,16 +149,14 @@ class JointFactorCache:
             self.n_states, self.n_observations
         )
 
-    def joint_all(self, beliefs: np.ndarray) -> np.ndarray:
-        """Every action's joint at once: ``(|A|, |S'|, |O|)`` for one belief,
-        ``(m, |A|, |S'|, |O|)`` for a ``(m, |S|)`` stack."""
+    def _joint_all(self, beliefs: np.ndarray) -> np.ndarray:
         return (beliefs @ self._stacked).reshape(
             beliefs.shape[:-1]
             + (self.n_actions, self.n_states, self.n_observations)
         )
 
 
-class SparseJointFactorCache:
+class SparseJointFactorCache(_LastJointMemo):
     """Per-action CSR joint factors ``p(s', o | s, a)`` for a sparse POMDP.
 
     The dense cache flattens ``F_a`` into contiguous GEMV operands; on the
@@ -159,9 +195,7 @@ class SparseJointFactorCache:
         flat = np.asarray(self._factors[action].T @ belief).ravel()
         return flat.reshape(self.n_states, self.n_observations)
 
-    def joint_all(self, beliefs: np.ndarray) -> np.ndarray:
-        """Every action's joint at once: ``(|A|, |S'|, |O|)`` for one belief,
-        ``(m, |A|, |S'|, |O|)`` for a ``(m, |S|)`` stack."""
+    def _joint_all(self, beliefs: np.ndarray) -> np.ndarray:
         lead = beliefs.shape[:-1]
         out = np.empty(lead + (self.n_actions, self.n_states, self.n_observations))
         for action, factor in enumerate(self._factors):

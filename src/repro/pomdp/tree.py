@@ -87,7 +87,9 @@ DECISION_TIE_EPSILON = 1e-9
 #: Byte budget of one transient block of the level expander: a chunk holds
 #: as many beliefs as fit their ``(|A|, |S'|, |O|)`` joint blocks into it
 #: (at least one).  The chunk's posteriors are a subset of its joint block,
-#: so they fit too.  Each level of an expansion keeps two such blocks.
+#: so they fit too.  Each level of an expansion keeps two such blocks.  The
+#: Eq. 7 refinement (:mod:`repro.bounds.incremental`) sizes its chunks of
+#: actions from the same budget.
 BLOCK_BYTES = 512 * 1024
 
 

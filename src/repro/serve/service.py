@@ -240,6 +240,9 @@ class PolicyService:
         if self._draining.is_set():
             raise ServeError("service is draining; not accepting new sessions")
         session = self.engine.session(refine=refine)
+        # Reset before registering, so a rejected belief leaves no session.
+        belief = None if initial_belief is None else np.asarray(initial_belief)
+        session.reset(belief)
         with self._registry_lock:
             if session_id is None:
                 session_id = f"s{self._next_session}"
@@ -249,8 +252,6 @@ class PolicyService:
             session.session_id = session_id
             self._sessions[session_id] = session
             self._gauge_sessions_locked()
-        belief = None if initial_belief is None else np.asarray(initial_belief)
-        session.reset(belief)
         self._telemetry().count_process("serve.sessions_opened")
         return session_id
 

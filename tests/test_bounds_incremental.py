@@ -1,10 +1,14 @@
 """Tests for incremental bound refinement (Eqs. 6-7) and Property 1(b)."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounds import incremental
 from repro.bounds.incremental import (
     incremental_update,
     refine_at,
@@ -13,8 +17,18 @@ from repro.bounds.incremental import (
 )
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
+from repro.linalg.ops import (
+    BACKUP_TIE_EPSILON,
+    observation_matrix_dense,
+    predict,
+    reward_row,
+    tie_break_argmax,
+    transition_matvec,
+)
+from repro.pomdp.cache import MAX_CACHE_BYTES_ENV, get_joint_cache
 from repro.pomdp.exact import solve_exact
 from repro.systems.simple import build_simple_system
+from tests.test_linalg_backends import _sparse_twin
 
 
 @pytest.fixture()
@@ -61,6 +75,109 @@ class TestIncrementalUpdate:
         for _ in range(30):
             refine_at(pomdp, seeded_set, belief, min_improvement=1e9)
         assert len(seeded_set) == 1  # nothing could clear the bar
+
+
+def _reference_update(pomdp, vectors, belief):
+    """The per-action Eq. 7 loop that :func:`incremental_update` replaced."""
+    belief = np.asarray(belief, dtype=float)
+    candidates = np.empty((pomdp.n_actions, pomdp.n_states))
+    cache = get_joint_cache(pomdp)
+    mass_all = cache.joint_all(belief) if cache is not None else None
+    for action in range(pomdp.n_actions):
+        if mass_all is not None:
+            mass = mass_all[action]
+        else:
+            predicted = predict(pomdp.transitions, belief, action)
+            mass = predicted[:, None] * observation_matrix_dense(
+                pomdp.observations, action
+            )
+        scores = vectors @ mass  # (|B|, |O|)
+        chosen = tie_break_argmax(scores, BACKUP_TIE_EPSILON)  # (|O|,)
+        selected = vectors[chosen]  # (|O|, |S'|)
+        backup = (
+            observation_matrix_dense(pomdp.observations, action) * selected.T
+        ).sum(axis=1)
+        candidates[action] = reward_row(pomdp.rewards, action) + pomdp.discount * (
+            transition_matvec(pomdp.transitions, action, backup)
+        )
+    best_action = int(tie_break_argmax(candidates @ belief, BACKUP_TIE_EPSILON))
+    return candidates[best_action], best_action
+
+
+@pytest.fixture(scope="module")
+def backup_models(simple_system, emn_system):
+    """Dense models and their sparse twins, each with its RA-Bound vector."""
+    models = {}
+    for name, system in (("simple", simple_system), ("emn", emn_system)):
+        dense = system.model.pomdp
+        seed_vector = ra_bound_vector(dense)
+        models[name, "dense"] = (dense, seed_vector)
+        models[name, "sparse"] = (_sparse_twin(dense), seed_vector)
+    return models
+
+
+def _test_belief(rng, n_states, support):
+    """A full-support, 1-3-state-support, or point belief."""
+    if support == "full":
+        return rng.dirichlet(np.ones(n_states))
+    size = 1 if support == "point" else int(rng.integers(1, 4))
+    states = rng.choice(n_states, size=size, replace=False)
+    belief = np.zeros(n_states)
+    belief[states] = rng.dirichlet(np.ones(size))
+    return belief
+
+
+def _test_bound_stack(rng, seed_vector, count):
+    """``count`` hyperplanes grown from the RA-Bound: raised copies that
+    cross each other, exact duplicates, and copies tied within
+    ``BACKUP_TIE_EPSILON`` (shifted by at most a quarter of it)."""
+    scale = 0.5 * float(np.abs(seed_vector).max())
+    stack = [seed_vector]
+    while len(stack) < count:
+        base = stack[int(rng.integers(len(stack)))]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            raised = rng.uniform(0.0, scale, seed_vector.size)
+            stack.append(seed_vector + raised * (rng.random(seed_vector.size) < 0.5))
+        elif kind == 1:
+            stack.append(base.copy())
+        else:
+            shift = rng.uniform(-0.25, 0.25, seed_vector.size)
+            stack.append(base + shift * BACKUP_TIE_EPSILON)
+    return np.array(stack)
+
+
+@given(
+    model=st.sampled_from(
+        [("simple", "dense"), ("simple", "sparse"), ("emn", "dense"), ("emn", "sparse")]
+    ),
+    cached=st.booleans(),
+    one_action_chunks=st.booleans(),
+    support=st.sampled_from(["full", "partial", "point"]),
+    n_vectors=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_stacked_backup_matches_reference_loop(
+    backup_models, model, cached, one_action_chunks, support, n_vectors, seed
+):
+    """The stacked Eq. 7 backup is the per-action loop, bit for bit, on
+    both backends, with the joint cache present or declined, and for any
+    chunking of the actions."""
+    pomdp, seed_vector = backup_models[model]
+    rng = np.random.default_rng(seed)
+    belief = _test_belief(rng, pomdp.n_states, support)
+    vectors = _test_bound_stack(rng, seed_vector, n_vectors)
+    environment = {} if cached else {MAX_CACHE_BYTES_ENV: "0"}
+    block_bytes = 1 if one_action_chunks else incremental.BLOCK_BYTES
+    with mock.patch.dict(os.environ, environment), mock.patch.object(
+        incremental, "BLOCK_BYTES", block_bytes
+    ):
+        assert (get_joint_cache(pomdp) is not None) == cached
+        expected_vector, expected_action = _reference_update(pomdp, vectors, belief)
+        vector, action = incremental_update(pomdp, vectors, belief)
+    assert np.array_equal(vector, expected_vector)
+    assert action == expected_action
 
 
 class TestLowerBoundSoundness:

@@ -122,6 +122,14 @@ class TestAdd:
         with pytest.raises(ModelError):
             make_set().add(np.array([-1.0, -1.0, -1.0]))
 
+    def test_nan_improvement_rejected(self):
+        """A malformed (NaN) belief must not let a vector past the gate."""
+        bound_set = make_set()
+        assert not bound_set.add(
+            np.array([-1.0, -1.0]), belief=np.array([np.nan, np.nan])
+        )
+        assert (len(bound_set), bound_set.rejections) == (1, 1)
+
 
 class TestEviction:
     def test_least_used_evicted(self):
@@ -162,6 +170,16 @@ class TestPrune:
         bound_set._usage = np.append(bound_set._usage, 0)
         dropped = bound_set.prune("lp")
         assert dropped == 1
+
+    @pytest.mark.parametrize("method", ["pointwise", "lp"])
+    def test_duplicated_row_keeps_one_copy(self, method):
+        v, w = np.array([-1.0, -3.0]), np.array([-3.0, -1.0])
+        bound_set = BoundVectorSet(np.stack([v, w, v]))
+        bound_set._usage[:] = [5, 6, 7]
+        assert bound_set.prune(method) == 1
+        assert np.array_equal(bound_set.vectors, np.stack([v, w]))
+        assert bound_set._usage.tolist() == [5, 6]
+        assert bound_set._pinned == 2
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

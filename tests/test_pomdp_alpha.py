@@ -51,6 +51,55 @@ class TestPointwiseDominance:
         assert pruned.shape[0] == 3
 
 
+def _reference_survivors(vectors):
+    """The double loop :func:`alpha.pointwise_survivors` replaced."""
+    keep = []
+    for i, candidate in enumerate(vectors):
+        dominated = False
+        for j, other in enumerate(vectors):
+            if i == j:
+                continue
+            if np.all(other >= candidate - alpha.LP_EPSILON) and (
+                bool(np.any(other > candidate + alpha.LP_EPSILON)) or j < i
+            ):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    return keep
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_pointwise_survivors_match_reference_loop(seed, n_states, n_vectors):
+    """Random stacks with exact duplicates and copies shifted within (and
+    just past) ``LP_EPSILON``, where the keep rule's tie cases live."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(-3, 3, size=n_states).astype(float)]
+    while len(rows) < n_vectors:
+        base = rows[int(rng.integers(len(rows)))]
+        shift = rng.choice([0.0, 0.5, 1.0, 2.0, 1.0]) * alpha.LP_EPSILON
+        kind = int(rng.integers(3))
+        if kind == 0:
+            rows.append(rng.integers(-3, 3, size=n_states).astype(float))
+        elif kind == 1:
+            rows.append(base.copy())
+        else:
+            rows.append(base + shift * rng.choice([-1.0, 0.0, 1.0], size=n_states))
+    vectors = np.array(rows)
+    survivors = alpha.pointwise_survivors(vectors)
+    assert survivors.tolist() == _reference_survivors(vectors)
+    assert np.array_equal(alpha.prune_pointwise(vectors), vectors[survivors])
+
+
+def test_pointwise_survivors_of_an_empty_stack():
+    assert alpha.pointwise_survivors(np.empty((0, 3))).size == 0
+
+
 class TestWitnessLP:
     def test_useful_vector_has_witness(self):
         vectors = np.array([[1.0, 0.0]])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,14 @@ from repro.pomdp.cache import (
     MAX_CACHE_BYTES,
     MAX_CACHE_BYTES_ENV,
     JointFactorCache,
+    SparseJointFactorCache,
     cache_size_bytes,
     clear_caches,
     get_joint_cache,
     max_cache_bytes,
 )
 from tests.conftest import random_pomdp
+from tests.test_linalg_backends import _sparse_twin
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +71,109 @@ class TestJointFactorCache:
         belief = rng.dirichlet(np.ones(pomdp.n_states))
         gamma = cache.joint(belief, 0).sum(axis=0)
         assert np.isclose(gamma.sum(), 1.0)
+
+
+class TestLastJointMemo:
+    """Both cache classes remember the joint of the last single belief."""
+
+    @pytest.fixture(params=["dense", "sparse"])
+    def cache(self, request, monkeypatch):
+        pomdp = random_pomdp(
+            np.random.default_rng(11), n_states=6, n_actions=3, n_observations=4
+        )
+        if request.param == "sparse":
+            cache = SparseJointFactorCache(_sparse_twin(pomdp))
+        else:
+            cache = JointFactorCache(pomdp)
+        cache.computed = 0
+        compute = cache._joint_all
+
+        def counting(beliefs):
+            cache.computed += 1
+            return compute(beliefs)
+
+        monkeypatch.setattr(cache, "_joint_all", counting)
+        return cache
+
+    def _belief(self, seed):
+        return np.random.default_rng(seed).dirichlet(np.ones(6))
+
+    def test_same_belief_twice_returns_the_same_array(self, cache):
+        belief = self._belief(0)
+        first = cache.joint_all(belief)
+        assert cache.joint_all(belief.copy()) is first
+        assert cache.computed == 1
+        assert not first.flags.writeable
+
+    def test_vector_and_row_share_the_entry(self, cache):
+        """Refinement passes ``(|S|,)``, the tree root ``(1, |S|)``; the
+        shared joint equals what each shape computes on its own."""
+        belief = self._belief(1)
+        from_vector = cache.joint_all(belief)
+        from_row = cache.joint_all(belief[None, :])
+        assert cache.computed == 1
+        assert from_row.shape == (1,) + from_vector.shape
+        assert np.shares_memory(from_row, from_vector)
+        assert np.array_equal(from_row, cache._joint_all(belief[None, :]))
+        assert np.array_equal(from_vector, cache._joint_all(belief))
+
+    def test_new_belief_or_in_place_change_recomputes(self, cache):
+        belief = self._belief(2)
+        cache.joint_all(belief)
+        other = self._belief(3)
+        assert np.array_equal(cache.joint_all(other), cache._joint_all(other))
+        assert cache.computed == 3  # the miss, plus the direct reference
+        other[[0, 1]] = other[[1, 0]]
+        assert np.array_equal(cache.joint_all(other), cache._joint_all(other))
+        assert cache.computed == 5
+
+    def test_stacks_bypass_the_memo(self, cache):
+        beliefs = np.stack([self._belief(4), self._belief(5)])
+        cache.joint_all(beliefs[0])
+        stacked = cache.joint_all(beliefs)
+        assert stacked.shape[0] == 2 and cache.computed == 2
+        assert cache.joint_all(beliefs[0]) is cache._last[1]
+        assert cache.computed == 2
+
+    def test_writing_to_the_result_raises(self, cache):
+        belief = self._belief(6)
+        for joint in (cache.joint_all(belief), cache.joint_all(belief[None, :])):
+            with pytest.raises(ValueError):
+                joint[(0,) * joint.ndim] = 1.0
+
+    def test_threads_always_get_their_own_beliefs_joint(self, cache):
+        """Eight threads on two cores alternate four beliefs through one
+        memo with a tiny switch interval; a key and joint swapped apart
+        would hand some thread another belief's joint."""
+        beliefs = [self._belief(10 + i) for i in range(4)]
+        expected = [cache._joint_all(belief) for belief in beliefs]
+        start = threading.Barrier(8)
+        failures = []
+
+        def ask(index):
+            start.wait()
+            try:
+                for _ in range(1000):
+                    joint = cache.joint_all(beliefs[index])
+                    if not np.array_equal(joint, expected[index]):
+                        failures.append(index)
+            except Exception as error:  # reported below
+                failures.append(repr(error))
+
+        threads = [
+            threading.Thread(target=ask, args=(i % 4,), daemon=True) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestRegistry:

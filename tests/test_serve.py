@@ -176,6 +176,26 @@ class TestProtocol:
         stale = handle_line(service, '{"op": "decide", "session": "x"}', opened)
         assert stale["error"] == "serve-error"
 
+    @pytest.mark.parametrize("kind", ["nan", "negative", "off-sum"])
+    def test_open_rejects_malformed_beliefs(self, service, kind):
+        """A belief that is not a distribution is answered ``invalid``
+        before it can decide, or refine the shared bound set from there."""
+        n_states = service.model.pomdp.n_states
+        belief = {
+            "nan": [float("nan")] * n_states,
+            "negative": [-4.0, 5.0] + [0.0] * (n_states - 2),
+            "off-sum": (service.model.initial_belief() * 1e6).tolist(),
+        }[kind]
+        bound_set = service.engine.bound_set
+        before = (len(bound_set), bound_set.additions)
+        opened: set[str] = set()
+        response = handle_line(
+            service, json.dumps({"op": "open", "belief": belief}), opened
+        )
+        assert (response["ok"], response["error"]) == (False, "invalid")
+        assert opened == set() and service.live_sessions == 0
+        assert (len(bound_set), bound_set.additions) == before
+
     def test_handle_line_tracks_opened_sessions(self, service):
         opened: set[str] = set()
         response = handle_line(service, '{"op": "open"}', opened)
