@@ -12,8 +12,10 @@ The CI guard for the serve-layer contract of :mod:`repro.serve`:
 4. fail unless the daemon exits 0 (graceful drain), checkpoints the
    refined set, and unlinks its socket;
 5. restart the daemon from the checkpoint (warm start, R3xx-certified
-   via the digest sidecar), replay the same observation sequence in a
-   fresh read-only session, and fail on any decision drift;
+   via the digest sidecar), replay the same observation sequence in
+   :data:`WARM_REPLAYS` read-only sessions at once, each on its own
+   connection, so they decide under the shared engine lock, and fail
+   unless every replay matches the cold run's decisions bit for bit;
 6. check the live operational plane on the warm daemon: ``health`` and
    ``ready`` answer truthfully, ``metrics`` serves both the JSON
    snapshot and Prometheus text exposition and carries samples for every
@@ -57,6 +59,8 @@ from repro.systems.tiered import build_tiered_system
 CONCURRENT_SESSIONS = 8
 REPLAY_STEPS = 12
 SIGTERM_AFTER = 1
+#: Read-only replays the warm daemon serves concurrently.
+WARM_REPLAYS = 4
 
 #: Pinned warm-model session-decision p99 ceiling (milliseconds) for the
 #: SLO gate.  Read from the live ``serve.session_decide`` histogram, so it
@@ -169,6 +173,34 @@ def _replay(
         client.observe(sid, decision["action"], step % 2)
     client.close_session(sid)
     return decisions
+
+
+def _replay_concurrently(
+    socket_path: Path, failures: list[str]
+) -> list[list[tuple[int, bool]] | None]:
+    """:data:`WARM_REPLAYS` read-only replays at once, one connection each.
+
+    Returns each replay's decisions, ``None`` for one that failed.
+    """
+    results: list[list[tuple[int, bool]] | None] = [None] * WARM_REPLAYS
+
+    def worker(index: int) -> None:
+        try:
+            with ServiceClient(str(socket_path), timeout=120.0) as client:
+                results[index] = _replay(client, f"replay-{index}")
+        except Exception as error:  # noqa: BLE001 — collected for the report
+            failures.append(f"warm replay {index}: {error}")
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(WARM_REPLAYS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300.0)
+        if thread.is_alive():
+            failures.append("a warm replay did not finish within 300s")
+    return results
 
 
 def _check_live_ops(
@@ -359,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"{stats['bound_vectors']} bound vectors, "
                         f"startup {stats['startup_seconds']:.3f}s"
                     )
-                    resumed = _replay(client, "replay")
+                    resumed = _replay_concurrently(socket_path, failures)
                     _check_live_ops(client, socket_path, failures)
                     client.shutdown()
                 returncode = daemon.wait(timeout=120)
@@ -369,12 +401,19 @@ def main(argv: list[str] | None = None) -> int:
                     daemon.wait()
             if returncode != 0:
                 failures.append(f"daemon exited {returncode} after shutdown op")
-            if resumed != reference:
+            drifted = [
+                index for index, replay in enumerate(resumed) if replay != reference
+            ]
+            if drifted:
                 failures.append(
-                    f"decision drift after restart: {resumed} != {reference}"
+                    f"decision drift after restart in replays {drifted}: "
+                    f"{[resumed[index] for index in drifted]} != {reference}"
                 )
             else:
-                print(f"replay identical across restart ({len(resumed)} decisions)")
+                print(
+                    f"{WARM_REPLAYS} concurrent replays identical across restart "
+                    f"({len(reference)} decisions each)"
+                )
             _check_metrics_stream(metrics_path, failures)
 
         if socket_path.exists():

@@ -11,6 +11,8 @@ to the paper's unlimited behaviour.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.exceptions import ModelError
@@ -47,6 +49,9 @@ class BoundVectorSet:
             )
         self._vectors = stack
         self._usage = np.zeros(stack.shape[0], dtype=np.int64)
+        # Usage credits are the one write on the read path: sessions that
+        # only read the set may evaluate it from several threads at once.
+        self._usage_lock = threading.Lock()
         self._pinned = stack.shape[0]  # seed vectors are never evicted
         self.max_vectors = max_vectors
         self.additions = 0
@@ -54,6 +59,17 @@ class BoundVectorSet:
         self.duplicates = 0
         self.dominated = 0
         self.evictions = 0
+
+    def __getstate__(self) -> dict:
+        # Campaign chunks deep-copy the set and workers receive it pickled;
+        # a lock can be neither, so each copy gets a fresh one.
+        state = self.__dict__.copy()
+        del state["_usage_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._usage_lock = threading.Lock()
 
     @property
     def vectors(self) -> np.ndarray:
@@ -81,7 +97,8 @@ class BoundVectorSet:
         """
         scores = self._vectors @ belief
         winner = int(tie_break_argmax(scores, BACKUP_TIE_EPSILON))
-        self._usage[winner] += 1
+        with self._usage_lock:
+            self._usage[winner] += 1
         return float(np.max(scores))
 
     def value_batch(self, beliefs: np.ndarray) -> np.ndarray:
@@ -105,7 +122,8 @@ class BoundVectorSet:
             return np.zeros(0)
         scores = self._vectors @ beliefs.T
         winners = tie_break_argmax(scores, BACKUP_TIE_EPSILON, axis=0)
-        np.add.at(self._usage, winners, 1)
+        with self._usage_lock:
+            np.add.at(self._usage, winners, 1)
         return scores.max(axis=0)
 
     def record_wins(self, counts: np.ndarray) -> None:
@@ -116,7 +134,9 @@ class BoundVectorSet:
         reports the counts here to keep the least-used eviction order
         identical to the dense path.
         """
-        self._usage += np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        with self._usage_lock:
+            self._usage += counts
 
     def improvement_at(self, vector: np.ndarray, belief: np.ndarray) -> float:
         """How much ``vector`` would raise the bound at ``belief``."""

@@ -88,6 +88,16 @@ class BoundedPolicyEngine(PolicyEngine):
         self.bound_set = bound_set
         self.name = f"bounded (depth {depth})"
 
+    def refines(self, session: RecoverySession) -> bool:
+        """Whether ``session``'s decisions refine the shared bound set.
+
+        The session's ``refine`` override wins; ``None`` inherits
+        :attr:`refine_online`.  :meth:`decide` refines by this flag and the
+        policy service picks its engine-lock mode by it (a session that
+        does not refine only reads the set), so the two cannot disagree.
+        """
+        return self.refine_online if session.refine is None else bool(session.refine)
+
     def decide(self, session: RecoverySession) -> Decision:
         belief = session.belief_view()
         pomdp = self.model.pomdp
@@ -114,10 +124,7 @@ class BoundedPolicyEngine(PolicyEngine):
             category="controller",
             **session.span_attributes(),
         ):
-            refine = (
-                self.refine_online if session.refine is None else session.refine
-            )
-            if refine:
+            if self.refines(session):
                 refine_at(
                     pomdp,
                     self.bound_set,

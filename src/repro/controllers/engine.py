@@ -206,6 +206,12 @@ class RecoverySession:
         model/environment mismatch), the belief is re-seeded from the
         initial fault distribution and the update retried, so the
         session re-diagnoses instead of crashing mid-recovery.
+
+        Raises:
+            ControllerError: before :meth:`reset`, or ``action`` /
+                ``observation`` outside the model's ranges (numpy would
+                wrap a negative index and read another action's row, or
+                fail with an ``IndexError`` past the end).
         """
         if self._belief is None:
             raise ControllerError("observe() before reset()")
@@ -222,6 +228,12 @@ class RecoverySession:
             )
         model = self.engine.model
         pomdp = model.pomdp
+        if not (0 <= action < pomdp.n_actions and observation < pomdp.n_observations):
+            raise ControllerError(
+                f"observe() got action {action} and observation {observation}; "
+                f"the model has {pomdp.n_actions} actions and "
+                f"{pomdp.n_observations} observations"
+            )
         telemetry = telemetry_active()
         with span("belief.update", category="belief"):
             try:

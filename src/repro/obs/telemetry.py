@@ -291,6 +291,11 @@ class _Span:
         self._category = category
         self._args = args
 
+    @property
+    def span_id(self) -> int | None:
+        """The window's trace-span id once entered; ``None`` untraced."""
+        return self._span_id if self._telemetry.trace_enabled else None
+
     def __enter__(self) -> _Span:
         telemetry = self._telemetry
         if telemetry.trace_enabled:

@@ -66,6 +66,10 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
 class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default backlog of 5 overflows when a few agents
+    # connect at once while the accept thread waits for the interpreter
+    # lock; a client with a timeout then fails with EAGAIN.
+    request_queue_size = 64
 
 
 class PolicyDaemon:

@@ -18,7 +18,9 @@ Ops:
     → ``{"ok": true, "session": id}``.
 ``observe``
     ``session``, ``action`` (int), ``observation`` (int): fold a monitor
-    output into the session's belief.  → ``{"ok": true}``.
+    output into the session's belief.  → ``{"ok": true}``.  A non-integer
+    (or boolean) field is ``bad-request``; an index outside the model's
+    actions or observations is ``invalid``, and the belief is unchanged.
 ``decide``
     ``session``: one decision.  → ``{"ok": true, "action": int,
     "action_label": str|null, "terminate": bool, "value": float|null,
@@ -92,6 +94,15 @@ def _require(request: dict[str, Any], key: str) -> Any:
         raise BadRequest(f'missing required field "{key}"') from None
 
 
+def _require_int(request: dict[str, Any], key: str) -> int:
+    # JSON true/false decode to Python bools, which are ints: without the
+    # check ``"action": true`` would run action 1.
+    value = _require(request, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequest(f'"{key}" must be an integer')
+    return value
+
+
 def dispatch(
     service: PolicyService, request: dict[str, Any], opened: set[str]
 ) -> dict[str, Any]:
@@ -123,8 +134,8 @@ def dispatch(
     if op == "observe":
         service.observe(
             str(_require(request, "session")),
-            int(_require(request, "action")),
-            int(_require(request, "observation")),
+            _require_int(request, "action"),
+            _require_int(request, "observation"),
         )
         return {"ok": True}
     if op == "decide":

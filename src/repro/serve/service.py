@@ -8,13 +8,19 @@ the checkpointing of refined bounds back to disk.  It is transport-free —
 the unix-socket daemon (:mod:`repro.serve.daemon`) and in-process callers
 (tests, the perf snapshot) drive the same object.
 
-Concurrency model: belief state is per-session and never shared, but every
-decision reads — and, with refinement on, *writes* — the engine's shared
-bound set, so :meth:`decide` and :meth:`checkpoint` serialise on one lock.
-That is the same single-writer discipline the campaign engine gets from
-chunk isolation, here enforced at runtime because sessions are driven by
-whichever connection thread speaks next.  Session bookkeeping uses a
-separate registry lock so opens/closes never wait on a slow decision.
+Concurrency model: belief state is per-session, but every decision reads
+the engine's shared bound set, and a refining decision also *writes* it.
+One writer-preferring shared/exclusive engine lock keeps the two apart: a
+decision whose session does not refine (opened with ``refine: false``, or
+left at the default of a ``--no-refine`` daemon) holds it shared, so
+read-only sessions decide in parallel; a refining decision and :meth:`checkpoint` hold it
+exclusively, the same single-writer discipline the campaign engine gets
+from chunk isolation.  The mode comes from
+:meth:`~repro.controllers.bounded.BoundedPolicyEngine.refines`, the flag
+the engine itself refines by.  Each session also has its own lock, taken
+before the engine lock, so two connections addressing one session take
+turns.  Session bookkeeping (and the decision counter) uses a separate
+registry lock so opens/closes never wait on a slow decision.
 
 Since obs v3 the service also owns a :class:`~repro.obs.telemetry.Telemetry`
 registry — the daemon activates it process-wide so the deep layers
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +48,7 @@ from repro.controllers.engine import RecoverySession
 from repro.exceptions import ServeError
 from repro.io import load_bound_set, save_bound_set
 from repro.obs.live import snapshot as live_snapshot
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import SpanRecord, Telemetry
 from repro.obs.telemetry import active as telemetry_active
 from repro.pomdp.cache import get_joint_cache
 from repro.recovery.model import RecoveryModel
@@ -122,6 +130,46 @@ class ServiceConfig:
     trace: bool = False
 
 
+class _EngineLock:
+    """A writer-preferring shared/exclusive lock.
+
+    Any number of threads may hold it shared at once; an exclusive holder
+    has it alone.  A writer takes the turnstile on arrival and keeps it
+    until it is done, and every reader passes through the turnstile, so
+    once a writer waits no new reader gets in: read-only traffic cannot
+    starve a refinement or a checkpoint.  Not reentrant.
+    """
+
+    def __init__(self) -> None:
+        self._turnstile = threading.Lock()
+        # Held by the writer, or by the readers as a group: the first
+        # reader in takes it and the last one out releases it.
+        self._room = threading.Lock()
+        self._readers_lock = threading.Lock()
+        self._readers = 0
+
+    @contextmanager
+    def held(self, exclusive: bool) -> Iterator[None]:
+        """Hold the lock for the ``with`` block, exclusively or shared."""
+        if exclusive:
+            with self._turnstile, self._room:
+                yield
+            return
+        with self._turnstile:
+            pass
+        with self._readers_lock:
+            self._readers += 1
+            if self._readers == 1:
+                self._room.acquire()
+        try:
+            yield
+        finally:
+            with self._readers_lock:
+                self._readers -= 1
+                if not self._readers:
+                    self._room.release()
+
+
 class PolicyService:
     """Shared engine + session registry + checkpointing (transport-free).
 
@@ -188,10 +236,11 @@ class PolicyService:
         self.startup_seconds = time.perf_counter() - started  # codelint: ignore[R903]
 
         self._sessions: dict[str, RecoverySession] = {}
+        self._session_locks: dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
-        # Serialises every bound-set reader/writer: decides (refinement and
-        # the usage bumps of value_batch), checkpoints, and stats.
-        self._engine_lock = threading.Lock()
+        # Guards the bound set: shared for decisions that only read it (and
+        # for stats), exclusive for refining decisions and checkpoints.
+        self._engine_lock = _EngineLock()
         self._next_session = 0
         self._draining = threading.Event()
         self._idle = threading.Condition(self._registry_lock)
@@ -251,44 +300,56 @@ class PolicyService:
                 raise ServeError(f"session {session_id!r} is already open")
             session.session_id = session_id
             self._sessions[session_id] = session
+            self._session_locks[session_id] = threading.Lock()
             self._gauge_sessions_locked()
         self._telemetry().count_process("serve.sessions_opened")
         return session_id
 
-    def _session(self, session_id: str) -> RecoverySession:
+    def _session(self, session_id: str) -> tuple[RecoverySession, threading.Lock]:
+        """The open session ``session_id`` and the lock its requests take."""
         with self._registry_lock:
             try:
-                return self._sessions[session_id]
+                return self._sessions[session_id], self._session_locks[session_id]
             except KeyError:
                 raise ServeError(f"unknown session {session_id!r}") from None
 
     def observe(self, session_id: str, action: int, observation: int) -> None:
-        """Fold monitor outputs into one session's belief (Eq. 4)."""
-        session = self._session(session_id)
-        session.observe(int(action), int(observation))
+        """Fold monitor outputs into one session's belief (Eq. 4).
+
+        Holds the session's lock, so concurrent updates of one session
+        apply one after the other instead of both reading the old belief.
+        """
+        session, session_lock = self._session(session_id)
+        with session_lock:
+            session.observe(int(action), int(observation))
         self._telemetry().count_process("serve.observations")
 
     def decide(self, session_id: str) -> dict:
-        """One decision for ``session_id``; serialised on the engine lock.
+        """One decision for ``session_id``.
 
-        The whole call — engine-lock wait included — feeds the
+        Holds the session's lock, then the engine lock: shared when the
+        session does not refine, so read-only sessions decide in parallel,
+        and exclusive when it does, so a refinement never runs beside any
+        other decision (see the module's concurrency model).  The whole
+        call, lock waits included, feeds the
         :data:`SESSION_DECIDE_HISTOGRAM` latency histogram, and decisions
         slower than ``config.slow_decision_seconds`` leave a
-        ``slow_decision`` structured event carrying the span subtree
-        recorded during the call (when tracing is on).
+        ``slow_decision`` structured event carrying the call's span
+        subtree (when tracing is on).
         """
-        session = self._session(session_id)
+        session, session_lock = self._session(session_id)
         telemetry = self._telemetry()
-        span_mark = telemetry._next_span_id
         with telemetry.span(SESSION_DECIDE_HISTOGRAM, category="serve") as call:
-            with self._engine_lock:
+            with session_lock, self._engine_lock.held(self.engine.refines(session)):
                 decision = session.decide()
-                self.decisions += 1
+                done, steps = session.done, session.steps
+        with self._registry_lock:
+            self.decisions += 1
         telemetry.count_process("serve.decisions")
         threshold = self.config.slow_decision_seconds
         if threshold is not None and call.seconds > threshold:
             self._log_slow_decision(
-                telemetry, session_id, call.seconds, threshold, span_mark
+                telemetry, session_id, call.seconds, threshold, call.span_id
             )
         action_label = None
         if decision.executes_action:
@@ -298,8 +359,8 @@ class PolicyService:
             "action_label": action_label,
             "terminate": bool(decision.is_terminate),
             "value": None if decision.value is None else float(decision.value),
-            "done": bool(session.done),
-            "steps": int(session.steps),
+            "done": bool(done),
+            "steps": int(steps),
         }
 
     def _log_slow_decision(
@@ -308,33 +369,36 @@ class PolicyService:
         session_id: str,
         elapsed: float,
         threshold: float,
-        span_mark: int,
+        root_id: int | None,
     ) -> None:
         """Emit a ``slow_decision`` event, with the offending span subtree.
 
-        ``span_mark`` is the next-span-id watermark taken before the
-        decision: every span allocated at or after it was recorded during
-        the call.  Other connection threads can interleave spans into the
-        same window, but decides themselves serialise on the engine lock,
-        so the captured subtree is the slow decision's own work plus at
-        most some belief-update noise — and it is capped so one
+        ``root_id`` is the id of the call's own
+        :data:`SESSION_DECIDE_HISTOGRAM` span (``None`` when not tracing).
+        The event carries that span and every span below it, in recording
+        order, and none of the spans other connection threads record
+        meanwhile (read-only decisions overlap).  It is capped so one
         pathological decision cannot bloat the event stream.
         """
-        slow_spans: list[dict] = []
-        if telemetry.trace_enabled:
+        subtree: list[SpanRecord] = []
+        if root_id is not None:
+            # A span is recorded when it ends, so after its children:
+            # walking back from the newest, a subtree span's parent is met
+            # before the span itself.
+            members = {root_id}
             with telemetry._lock:
-                slow_spans = [
-                    record.event_fields()
-                    for record in telemetry.spans
-                    if record.span_id >= span_mark
-                ][:100]
+                for record in reversed(telemetry.spans):
+                    if record.span_id in members or record.parent_id in members:
+                        members.add(record.span_id)
+                        subtree.append(record)
+            subtree.reverse()
         telemetry.count_process("serve.slow_decisions")
         telemetry.event(
             "slow_decision",
             session=session_id,
             seconds=round(elapsed, 9),
             threshold=threshold,
-            spans=slow_spans,
+            spans=[record.event_fields() for record in subtree[:100]],
         )
 
     def close_session(self, session_id: str) -> None:
@@ -343,6 +407,7 @@ class PolicyService:
             if session_id not in self._sessions:
                 raise ServeError(f"unknown session {session_id!r}")
             del self._sessions[session_id]
+            del self._session_locks[session_id]
             self._gauge_sessions_locked()
             self._idle.notify_all()
         self._telemetry().count_process("serve.sessions_closed")
@@ -352,7 +417,8 @@ class PolicyService:
     def checkpoint(self, path: str | None = None) -> str | None:
         """Atomically persist the refined bound set; returns the path.
 
-        The engine lock is held across the save so no refinement lands
+        The engine lock is held exclusively across the save, so neither a
+        refinement nor a read-only decision's usage credits land
         mid-serialisation; :func:`repro.io.save_bound_set` is itself
         tmp-then-rename atomic, so a crash mid-checkpoint leaves the
         previous checkpoint intact.  Returns ``None`` when persistence is
@@ -361,7 +427,7 @@ class PolicyService:
         target = path if path is not None else self.config.bounds_path
         if target is None:
             return None
-        with self._engine_lock:
+        with self._engine_lock.held(exclusive=True):
             save_bound_set(target, self.engine.bound_set)
             self.checkpoints += 1
         self._telemetry().count_process("serve.checkpoints")
@@ -376,22 +442,15 @@ class PolicyService:
         """
         with self._registry_lock:
             live = len(self._sessions)
-            refine_default = bool(getattr(self.engine, "refine_online", False))
             sessions = {
                 session_id: {
                     "steps": int(session.steps),
                     "done": bool(session.done),
-                    # The effective flag: a session with no per-session
-                    # override follows the engine's refine_online default.
-                    "refine": (
-                        refine_default
-                        if session.refine is None
-                        else bool(session.refine)
-                    ),
+                    "refine": self.engine.refines(session),
                 }
                 for session_id, session in sorted(self._sessions.items())
             }
-        with self._engine_lock:
+        with self._engine_lock.held(exclusive=False):
             vectors = int(self.engine.bound_set.vectors.shape[0])
         return {
             "live_sessions": live,

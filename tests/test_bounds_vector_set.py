@@ -1,5 +1,10 @@
 """Tests for BoundVectorSet (Eq. 6 and Section 4.3 storage management)."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -189,3 +194,60 @@ class TestPrune:
         bound_set = make_set()
         with pytest.raises(ValueError):
             bound_set.vectors[0, 0] = 7.0
+
+
+class TestSharedReaders:
+    """Usage credits from concurrent readers, and copies of the set."""
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda bound_set: pickle.loads(pickle.dumps(bound_set)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copy_keeps_vectors_usage_and_a_working_lock(self, clone):
+        bound_set = BoundVectorSet(np.array([[-1.0, 0.0], [0.0, -1.0]]))
+        bound_set.value_batch(np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]]))
+        copied = clone(bound_set)
+        np.testing.assert_array_equal(copied.vectors, bound_set.vectors)
+        np.testing.assert_array_equal(copied._usage, bound_set._usage)
+        assert copied._usage_lock is not bound_set._usage_lock
+        assert copied._usage_lock.acquire(timeout=1.0)
+        copied._usage_lock.release()
+        copied.value(np.array([1.0, 0.0]))
+        assert copied._usage.tolist() == [1, 3]
+        assert bound_set._usage.tolist() == [1, 2]
+
+    def test_concurrent_credits_are_not_lost(self):
+        """Threads crediting one set at once lose no usage count.
+
+        The set is wide enough that numpy releases the interpreter lock
+        for a while inside the in-place add, so two unguarded updates
+        overlap and one overwrites the other's counts.
+        """
+        threads_n, rounds, width = 4, 200, 200_000
+        bound_set = BoundVectorSet(np.zeros((width, 2)))
+        wins = np.ones(width, dtype=np.int64)
+        errors: list[Exception] = []
+
+        def credit() -> None:
+            try:
+                for _ in range(rounds):
+                    bound_set.record_wins(wins)
+            except Exception as error:  # noqa: BLE001 — collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=credit) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        np.testing.assert_array_equal(
+            bound_set._usage, np.full(width, threads_n * rounds)
+        )

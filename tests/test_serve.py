@@ -4,18 +4,27 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.bounds.ra_bound import ra_bound_vector
+from repro.bounds.vector_set import BoundVectorSet
+from repro.controllers import engine as engine_module
 from repro.exceptions import ServeError
 from repro.io import load_bound_set
 from repro.obs import telemetry as obs
 from repro.obs.trace import span_tree
+from repro.pomdp.belief import update_belief
 from repro.serve import PolicyDaemon, PolicyService, ServiceClient, ServiceConfig
 from repro.serve.protocol import decode_request, handle_line
+from repro.systems.tiered import build_tiered_system
+
+#: Seconds any test thread may take before the test counts it as hung.
+JOIN_TIMEOUT = 30.0
 
 
 @pytest.fixture()
@@ -70,8 +79,8 @@ class TestPolicyService:
         b = service.open_session()
         passive = int(np.flatnonzero(service.model.passive_actions)[0])
         service.observe(a, passive, 0)
-        left = service._session(a).belief
-        right = service._session(b).belief
+        left = service._sessions[a].belief
+        right = service._sessions[b].belief
         assert not np.array_equal(left, right)
 
     def test_refine_false_session_freezes_bounds(self, service):
@@ -196,6 +205,48 @@ class TestProtocol:
         assert opened == set() and service.live_sessions == 0
         assert (len(bound_set), bound_set.additions) == before
 
+    @pytest.mark.parametrize("model_kind", ["emn", "tiered"])
+    @pytest.mark.parametrize(
+        ("action", "observation", "code"),
+        [
+            (-1, 0, "invalid"),  # numpy would wrap it to the last action
+            (-3, 0, "invalid"),
+            (-10, 0, "invalid"),
+            ("|A|", 0, "invalid"),  # one past the end: an IndexError
+            (0, -1, "invalid"),
+            (0, "|O|", "invalid"),
+            (True, 0, "bad-request"),  # a JSON boolean, not action 1
+            (0, False, "bad-request"),
+            (1.0, 0, "bad-request"),
+        ],
+    )
+    def test_observe_rejects_indices_outside_the_model(
+        self, model_kind, action, observation, code, emn_system, tmp_path
+    ):
+        """``observe`` answers an index the model does not have with an
+        error code that blames the client, and leaves the belief as it was."""
+        if model_kind == "emn":
+            model = emn_system.model
+        else:
+            model = build_tiered_system((2, 2, 2), backend="sparse").model
+        config = ServiceConfig(
+            socket_path=str(tmp_path / "observe.sock"), checkpoint_interval=0
+        )
+        observing = PolicyService(config, model=model)
+        sizes = {"|A|": model.pomdp.n_actions, "|O|": model.pomdp.n_observations}
+        opened: set[str] = set()
+        sid = handle_line(observing, '{"op": "open"}', opened)["session"]
+        before = observing._sessions[sid].belief
+        request = {
+            "op": "observe",
+            "session": sid,
+            "action": sizes.get(action, action),
+            "observation": sizes.get(observation, observation),
+        }
+        response = handle_line(observing, json.dumps(request), opened)
+        assert (response["ok"], response["error"]) == (False, code)
+        np.testing.assert_array_equal(observing._sessions[sid].belief, before)
+
     def test_handle_line_tracks_opened_sessions(self, service):
         opened: set[str] = set()
         response = handle_line(service, '{"op": "open"}', opened)
@@ -216,9 +267,8 @@ def daemon(service):
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         try:
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.connect(service.config.socket_path)
-            probe.close()
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                probe.connect(service.config.socket_path)
             break
         except OSError:
             time.sleep(0.02)
@@ -359,6 +409,41 @@ class TestLiveOps:
 
         assert validate_event(event) == []
 
+    def test_slow_decision_spans_stay_with_their_decision(
+        self, simple_system, tmp_path, monkeypatch
+    ):
+        """Two read-only decisions overlap; each ``slow_decision`` event
+        carries its own call's span subtree and none of the other's."""
+        config = ServiceConfig(
+            socket_path=str(tmp_path / "overlap.sock"),
+            checkpoint_interval=0,
+            slow_decision_seconds=0.0,  # every decision is "slow"
+            trace=True,
+        )
+        slow_service = PolicyService(config, model=simple_system.model)
+        _meet_inside_engine(slow_service, monkeypatch)
+        with obs.activated(slow_service.telemetry):
+            sessions = [slow_service.open_session(refine=False) for _ in range(2)]
+            errors = _run_threads(
+                [lambda sid=sid: slow_service.decide(sid) for sid in sessions]
+            )
+        assert errors == []
+        events = {
+            record["session"]: record["spans"]
+            for record in slow_service.telemetry.snapshot().events
+            if record["event"] == "slow_decision"
+        }
+        assert set(events) == set(sessions)
+        for sid, spans in events.items():
+            (root,) = [span for span in spans if span["parent_id"] is None]
+            assert root["name"] == "serve.session_decide"
+            ids = {span["span_id"] for span in spans}
+            assert all(
+                span["parent_id"] in ids for span in spans if span is not root
+            )
+            decisions = [s for s in spans if s["name"] == "controller.decision"]
+            assert [span["args"]["session"] for span in decisions] == [sid]
+
     def test_event_buffer_keeps_the_newest(
         self, simple_system, tmp_path, monkeypatch
     ):
@@ -488,6 +573,273 @@ class TestConcurrentStats:
         assert 0 < histogram["count"] <= self.WORKERS * self.DECISIONS_EACH
 
 
+def _run_threads(targets) -> list[Exception]:
+    """Run each callable on its own thread; return what they raised.
+
+    Every join has a timeout, and a thread still alive after it fails the
+    test rather than hanging it.
+    """
+    errors: list[Exception] = []
+
+    def guarded(target) -> None:
+        try:
+            target()
+        except Exception as error:  # noqa: BLE001 — collected for the assert
+            errors.append(error)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=JOIN_TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads), "a thread hung"
+    return errors
+
+
+def _meet_inside_engine(service, monkeypatch) -> None:
+    """Make every engine decision wait until a second one is inside too.
+
+    Only decisions that overlap get past the barrier; serialised ones
+    raise ``BrokenBarrierError`` after its two-second timeout.
+    """
+    barrier = threading.Barrier(2, timeout=2)
+    decide = service.engine.decide
+
+    def meet(session):
+        barrier.wait()
+        return decide(session)
+
+    monkeypatch.setattr(service.engine, "decide", meet)
+
+
+class TestSessionLock:
+    """Requests addressing one session take turns."""
+
+    def test_concurrent_observes_both_apply(self, service, monkeypatch):
+        """Two observes on one session at once: the second waits for the
+        first, so the belief holds both updates, in order."""
+        first_inside = threading.Event()
+        second_inside = threading.Event()
+        update = engine_module.update_belief
+
+        def overlapping_update(pomdp, belief, action, observation):
+            if not first_inside.is_set():
+                first_inside.set()
+                # Without the session lock the second observe gets in here
+                # and reads the same old belief.
+                second_inside.wait(timeout=0.5)
+            else:
+                second_inside.set()
+            return update(pomdp, belief, action, observation)
+
+        monkeypatch.setattr(engine_module, "update_belief", overlapping_update)
+        sid = service.open_session()
+        start = service._sessions[sid].belief
+        pomdp = service.model.pomdp
+        passive = int(np.flatnonzero(service.model.passive_actions)[0])
+        expected = update_belief(
+            pomdp, update_belief(pomdp, start, passive, 0), passive, 1
+        )
+        assert not np.allclose(expected, update_belief(pomdp, start, passive, 1))
+
+        errors: list[Exception] = []
+
+        def observe(observation: int) -> None:
+            try:
+                service.observe(sid, passive, observation)
+            except Exception as error:  # noqa: BLE001 — collected for the assert
+                errors.append(error)
+
+        first = threading.Thread(target=observe, args=(0,))
+        first.start()
+        assert first_inside.wait(timeout=JOIN_TIMEOUT)
+        second = threading.Thread(target=observe, args=(1,))
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=JOIN_TIMEOUT)
+            assert not thread.is_alive()
+        assert errors == []
+        np.testing.assert_array_equal(service._sessions[sid].belief, expected)
+
+
+class TestEngineLock:
+    """Shared engine lock for read-only decisions, exclusive for writers."""
+
+    def test_read_only_decides_overlap(self, service, monkeypatch):
+        _meet_inside_engine(service, monkeypatch)
+        sessions = [service.open_session(refine=False) for _ in range(2)]
+        errors = _run_threads([lambda sid=sid: service.decide(sid) for sid in sessions])
+        assert errors == []
+        assert service.decisions == 2
+
+    def test_refining_decides_run_alone(self, service, monkeypatch):
+        """No decision of any kind is inside the engine beside a refining
+        one; read-only ones may share it with each other."""
+        guard = threading.Lock()
+        inside = {"all": 0, "refining": 0}
+        overlaps: list[str] = []
+        decide = service.engine.decide
+
+        def tracked(session):
+            refines = service.engine.refines(session)
+            with guard:
+                if inside["all"] if refines else inside["refining"]:
+                    overlaps.append(session.session_id)
+                inside["all"] += 1
+                inside["refining"] += refines
+            try:
+                time.sleep(0.005)  # widen the window an overlap would need
+                return decide(session)
+            finally:
+                with guard:
+                    inside["all"] -= 1
+                    inside["refining"] -= refines
+
+        monkeypatch.setattr(service.engine, "decide", tracked)
+        sessions = [service.open_session(refine=r) for r in (True, True, False, False)]
+
+        def loop(sid: str) -> None:
+            for _ in range(5):
+                if service.decide(sid)["done"]:
+                    service._sessions[sid].reset()
+
+        errors = _run_threads([lambda sid=sid: loop(sid) for sid in sessions])
+        assert errors == []
+        assert overlaps == []
+        assert service.decisions == 20
+
+    def test_writers_are_not_starved_by_readers(self, service, monkeypatch):
+        """While four sessions keep the lock shared, a checkpoint and a
+        refining decision still get their exclusive turn."""
+        decide = service.engine.decide
+
+        def slow_read(session):
+            if not service.engine.refines(session):
+                time.sleep(0.02)  # readers hold the lock most of the time
+            return decide(session)
+
+        monkeypatch.setattr(service.engine, "decide", slow_read)
+        stop = threading.Event()
+        readers = [service.open_session(refine=False) for _ in range(4)]
+        writer = service.open_session(refine=True)
+
+        errors: list[Exception] = []
+
+        def guarded(work) -> None:
+            try:
+                work()
+            except Exception as error:  # noqa: BLE001 — collected for the assert
+                errors.append(error)
+
+        def read(sid: str) -> None:
+            while not stop.is_set():
+                if service.decide(sid)["done"]:
+                    service._sessions[sid].reset()
+
+        reading = [
+            threading.Thread(target=guarded, args=(lambda sid=sid: read(sid),))
+            for sid in readers
+        ]
+        for thread in reading:
+            thread.start()
+        try:
+            deadline = time.monotonic() + JOIN_TIMEOUT
+            while service.decisions < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.decisions >= 8
+            finished: list[str] = []
+            for name, write in (
+                ("checkpoint", service.checkpoint),
+                ("refining decide", lambda: service.decide(writer)),
+            ):
+                thread = threading.Thread(target=guarded, args=(write,))
+                thread.start()
+                thread.join(timeout=5.0)
+                if not thread.is_alive():
+                    finished.append(name)
+            assert finished == ["checkpoint", "refining decide"]
+        finally:
+            stop.set()
+            for thread in reading:
+                thread.join(timeout=JOIN_TIMEOUT)
+        assert not any(thread.is_alive() for thread in reading)
+        assert errors == []
+
+
+class TestReadOnlyStress:
+    """Many read-only sessions on the sparse tiered model, switching often."""
+
+    THREADS = 6  # more than the cores of a small CI runner
+    STEPS = 6
+    VECTORS = 32  # wins spread over many vectors' usage counts
+
+    @pytest.mark.parametrize("path", ["joint-cache", "fused-sparse"])
+    def test_concurrent_decides_match_serial(self, path, tmp_path, monkeypatch):
+        """Usage credits and actions equal those of the same decisions run
+        one after another: no usage update is lost."""
+        if path == "fused-sparse":
+            monkeypatch.setenv("REPRO_MAX_CACHE_BYTES", "0")
+        model = build_tiered_system((2, 2, 2), backend="sparse").model
+        rng = np.random.default_rng(18)
+        passive = int(np.flatnonzero(model.passive_actions)[0])
+        observations = rng.integers(
+            0, model.pomdp.n_observations, size=(self.THREADS, self.STEPS + 1)
+        )
+        seed = ra_bound_vector(model.pomdp)
+        stack = np.vstack(
+            [seed, seed + rng.uniform(-2.0, 0.5, (self.VECTORS - 1, seed.size))]
+        )
+
+        def fresh_service() -> PolicyService:
+            config = ServiceConfig(
+                socket_path=str(tmp_path / "stress.sock"),
+                checkpoint_interval=0,
+                refine_online=False,
+            )
+            fresh = PolicyService(config, model=model)
+            fresh.engine.bound_set = BoundVectorSet(stack)
+            return fresh
+
+        def drive(target: PolicyService, index: int, actions: dict) -> None:
+            sid = target.open_session(session_id=f"r{index}")
+            script = observations[index]
+            target.observe(sid, passive, int(script[0]))
+            taken = []
+            for step in range(self.STEPS):
+                decision = target.decide(sid)
+                taken.append(decision["action"])
+                if decision["done"]:
+                    target._sessions[sid].reset()
+                    target.observe(sid, passive, int(script[step + 1]))
+                else:
+                    target.observe(sid, decision["action"], int(script[step + 1]))
+            actions[index] = taken
+
+        serial = fresh_service()
+        serial_actions: dict[int, list[int]] = {}
+        for index in range(self.THREADS):
+            drive(serial, index, serial_actions)
+
+        concurrent = fresh_service()
+        concurrent_actions: dict[int, list[int]] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_threads(
+                [
+                    lambda index=index: drive(concurrent, index, concurrent_actions)
+                    for index in range(self.THREADS)
+                ]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert concurrent_actions == serial_actions
+        usage = concurrent.engine.bound_set._usage
+        assert usage.sum() > 0
+        np.testing.assert_array_equal(usage, serial.engine.bound_set._usage)
+
+
 @pytest.fixture()
 def live_daemon(simple_system, tmp_path):
     """A daemon with the full obs v3 wiring: flusher, slow log, trace."""
@@ -509,9 +861,8 @@ def live_daemon(simple_system, tmp_path):
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         try:
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.connect(config.socket_path)
-            probe.close()
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                probe.connect(config.socket_path)
             break
         except OSError:
             time.sleep(0.02)
