@@ -88,6 +88,7 @@ def test_branch_and_bound_pruning(benchmark, emn_system, depth):
     half of them.
     """
     from repro.controllers.branch_and_bound import BranchAndBoundController
+    from repro.obs.telemetry import Telemetry, activated
 
     injections = bench_injections(20 if depth == 1 else 8)
 
@@ -95,22 +96,25 @@ def test_branch_and_bound_pruning(benchmark, emn_system, depth):
         controller = BranchAndBoundController(
             emn_system.model, depth=depth, refine_min_improvement=1.0
         )
-        result = run_campaign(
-            controller,
-            fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
-            injections=injections,
-            seed=SEED,
-            monitor_tail=MONITOR_DURATION,
-        )
-        return controller, result
+        telemetry = Telemetry()
+        with activated(telemetry):
+            result = run_campaign(
+                controller,
+                fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
+                injections=injections,
+                seed=SEED,
+                monitor_tail=MONITOR_DURATION,
+            )
+        return telemetry.counters, result
 
-    controller, result = benchmark.pedantic(run, rounds=1, iterations=1)
+    counters, result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.summary.unrecovered == 0
-    total = controller.expanded_actions + controller.pruned_actions
+    pruned = counters["controller.pruned_actions"]
+    total = counters["controller.expanded_actions"] + pruned
     benchmark.extra_info.update(
         {
             "depth": depth,
-            "pruned_fraction": round(controller.pruned_actions / total, 3),
+            "pruned_fraction": round(pruned / total, 3),
             "cost": round(result.summary.cost, 2),
         }
     )

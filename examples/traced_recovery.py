@@ -14,6 +14,7 @@ Run:  python examples/traced_recovery.py
 
 from repro import BranchAndBoundController, BoundedController, bootstrap_bounds
 from repro import build_emn_system
+from repro.obs.telemetry import Telemetry, activated
 from repro.sim import RecoveryEnvironment, trace_episode
 
 SEED = 42
@@ -41,20 +42,24 @@ def main() -> None:
         print()
 
     # The branch-and-bound extension prunes provably suboptimal actions
-    # using the sawtooth upper bound before expanding their subtrees.
+    # using the sawtooth upper bound before expanding their subtrees; it
+    # counts its expansions and prunes in the active telemetry registry.
     controller = BranchAndBoundController(
         system.model, depth=2, refine_min_improvement=1.0
     )
     environment = RecoveryEnvironment(system.model, seed=SEED, monitor_tail=5.0)
-    trace = trace_episode(
-        controller, environment, pomdp.state_index("zombie(S2)")
-    )
+    telemetry = Telemetry()
+    with activated(telemetry):
+        trace = trace_episode(
+            controller, environment, pomdp.state_index("zombie(S2)")
+        )
     print(trace.render())
-    total = controller.expanded_actions + controller.pruned_actions
+    pruned = telemetry.counters["controller.pruned_actions"]
+    total = telemetry.counters["controller.expanded_actions"] + pruned
     print(
         f"\nBranch-and-bound at depth 2: pruned "
-        f"{controller.pruned_actions}/{total} action expansions "
-        f"({100 * controller.pruned_actions / total:.0f}%)."
+        f"{pruned}/{total} action expansions "
+        f"({100 * pruned / total:.0f}%)."
     )
 
 

@@ -34,6 +34,22 @@ from repro.pomdp.model import POMDP
 SUPPORT_EPSILON = 1e-12
 
 
+def reachable_successors(
+    pomdp: POMDP, belief: np.ndarray, action: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 3 probabilities and Eq. 4 posteriors of the reachable observations.
+
+    A direct dense product: the joint-factor cache behind
+    :func:`repro.pomdp.belief.next_beliefs` rounds the low bits differently,
+    which would move the sawtooth and branch-and-bound values.
+    """
+    predicted = belief @ pomdp.transitions[action]
+    joint = predicted[:, None] * pomdp.observations[action]
+    gamma = joint.sum(axis=0)
+    reachable = gamma > GAMMA_EPSILON
+    return gamma[reachable], (joint[:, reachable] / gamma[reachable]).T
+
+
 class SawtoothUpperBound:
     """Point-set upper bound with sawtooth interpolation.
 
@@ -122,14 +138,10 @@ class SawtoothUpperBound:
         belief = np.asarray(belief, dtype=float)
         best = -np.inf
         for action in range(self.pomdp.n_actions):
-            predicted = belief @ self.pomdp.transitions[action]
-            joint = predicted[:, None] * self.pomdp.observations[action]
-            gamma = joint.sum(axis=0)
-            reachable = gamma > GAMMA_EPSILON
-            posteriors = (joint[:, reachable] / gamma[reachable]).T
+            gamma, posteriors = reachable_successors(self.pomdp, belief, action)
             future = self.value_batch(posteriors)
             total = float(belief @ self.pomdp.rewards[action])
-            total += self.pomdp.discount * float(gamma[reachable] @ future)
+            total += self.pomdp.discount * float(gamma @ future)
             best = max(best, total)
         return best
 

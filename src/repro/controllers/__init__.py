@@ -1,17 +1,22 @@
 """Recovery controllers (Sections 4 and 5).
 
-The decision logic lives in :class:`~repro.controllers.engine.PolicyEngine`
-subclasses — shared, immutable-after-warmup state (bound sets, Q-tables,
-fixing-action maps) that spawns lightweight per-episode
+One contract: every policy is a
+:class:`~repro.controllers.engine.PolicyEngine` subclass — shared,
+immutable-after-warmup state (bound sets, Q-tables, fixing-action maps)
+that spawns lightweight per-episode
 :class:`~repro.controllers.engine.RecoverySession` objects.  The
 ``*Controller`` classes are thin campaign-facing adapters binding one
-engine to one live session; subclassing
-:class:`~repro.controllers.base.RecoveryController` with a ``_decide``
-override (the legacy callback path) still works unchanged.
+engine to one live session; :class:`~repro.controllers.base.RecoveryController`
+rejects anything that is not an engine.  Diagnostic counts (decisions,
+tie-breaks, branch-and-bound expansions and prunes) are telemetry counters
+(:mod:`repro.obs.telemetry`), merged across campaign chunks in chunk order.
 
 * :mod:`repro.controllers.bounded` — the paper's controller: finite-depth
   lookahead with the piecewise-linear lower bound at the leaves, online
   refinement, and termination through the terminate action ``a_T``.
+* :mod:`repro.controllers.branch_and_bound` — the paper's future work:
+  the bounded lookahead with sawtooth upper-bound action pruning and
+  optional certified termination.
 * :mod:`repro.controllers.heuristic` — the SRDS'05 heuristic controller used
   as the main baseline (heuristic leaf value, probability-threshold
   termination).
@@ -30,7 +35,10 @@ override (the legacy callback path) still works unchanged.
 from repro.controllers.base import NO_ACTION, Decision, RecoveryController
 from repro.controllers.bootstrap import BootstrapResult, bootstrap_bounds
 from repro.controllers.bounded import BoundedController, BoundedPolicyEngine
-from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.controllers.branch_and_bound import (
+    BranchAndBoundController,
+    BranchAndBoundPolicyEngine,
+)
 from repro.controllers.engine import PolicyEngine, RecoverySession
 from repro.controllers.heuristic import (
     HeuristicController,
@@ -54,6 +62,7 @@ __all__ = [
     "BoundedController",
     "BoundedPolicyEngine",
     "BranchAndBoundController",
+    "BranchAndBoundPolicyEngine",
     "Decision",
     "HeuristicController",
     "HeuristicLeaf",

@@ -88,16 +88,6 @@ class BoundedPolicyEngine(PolicyEngine):
         self.bound_set = bound_set
         self.name = f"bounded (depth {depth})"
 
-    def refines(self, session: RecoverySession) -> bool:
-        """Whether ``session``'s decisions refine the shared bound set.
-
-        The session's ``refine`` override wins; ``None`` inherits
-        :attr:`refine_online`.  :meth:`decide` refines by this flag and the
-        policy service picks its engine-lock mode by it (a session that
-        does not refine only reads the set), so the two cannot disagree.
-        """
-        return self.refine_online if session.refine is None else bool(session.refine)
-
     def decide(self, session: RecoverySession) -> Decision:
         belief = session.belief_view()
         pomdp = self.model.pomdp

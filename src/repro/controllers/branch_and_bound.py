@@ -1,8 +1,8 @@
-"""Branch-and-bound recovery controller (the paper's named future work).
+"""Branch-and-bound recovery policy (the paper's named future work).
 
 The conclusion of the paper lists "generation of upper bounds in addition
 to the lower bounds to facilitate branch and bound techniques" as an
-extension.  This controller implements it: at every decision node of the
+extension.  This engine implements it: at every decision node of the
 finite-depth expansion it first scores each action *optimistically* with a
 one-step backup of the sawtooth upper bound; actions whose optimistic score
 cannot beat the best *pessimistic* (lower-bound) score found so far are
@@ -11,8 +11,12 @@ pruned without expanding their observation subtrees.
 The chosen action is identical to the plain bounded controller's — pruning
 is sound because an action whose upper bound is below another action's
 lower bound can never be the argmax — so the pay-off is purely
-computational, and the controller records its pruning statistics so the
-benefit is measurable (see ``benchmarks/bench_ablations.py``).
+computational.  The engine counts ``controller.expanded_actions``,
+``controller.pruned_actions`` and ``controller.withheld_terminations`` in
+the active telemetry registry, so the benefit is measurable (see
+``benchmarks/bench_ablations.py``); campaigns merge them across chunks
+like every other telemetry counter.  :class:`BranchAndBoundController` is
+the thin adapter over one :class:`BranchAndBoundPolicyEngine`.
 """
 
 from __future__ import annotations
@@ -21,27 +25,32 @@ import numpy as np
 
 from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
-from repro.bounds.sawtooth import SawtoothUpperBound
+from repro.bounds.sawtooth import SawtoothUpperBound, reachable_successors
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.base import Decision, RecoveryController
-from repro.controllers.bounded import TIE_EPSILON
-from repro.pomdp.belief import GAMMA_EPSILON
+from repro.controllers.base import RecoveryController
+from repro.controllers.bounded import NOTIFICATION_CERTAINTY, TIE_EPSILON
+from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
+from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import active as telemetry_active
 from repro.recovery.model import RecoveryModel
 
+#: ``(gamma, posteriors)`` of every action at one belief, by action index.
+Successors = list[tuple[np.ndarray, np.ndarray]]
 
-class BranchAndBoundController(RecoveryController):
-    """Bounded controller with upper-bound action pruning.
 
-    With ``certified_termination`` the controller additionally implements
-    the first item of the paper's future-work list — "providing of
-    guarantees against early termination of the recovery process": it
-    chooses ``a_T`` only when the termination reward is at least the
-    *upper bound* of every alternative action's value, i.e. when
-    terminating is provably optimal under the model.  Until that
-    certificate holds, the best non-terminate action runs instead, so the
-    controller can never quit while the model can prove recovery is the
-    better deal.  (The guarantee is model-relative, like everything else:
-    the robustness experiment shows what model overtrust does to it.)
+class BranchAndBoundPolicyEngine(PolicyEngine):
+    """Bounded lookahead with upper-bound action pruning.
+
+    With ``certified_termination`` the engine additionally implements the
+    first item of the paper's future-work list — "providing of guarantees
+    against early termination of the recovery process": it chooses ``a_T``
+    only when the termination reward is at least the *upper bound* of
+    every alternative action's value, i.e. when terminating is provably
+    optimal under the model.  Until that certificate holds, the best
+    non-terminate action runs instead, so the engine can never quit while
+    the model can prove recovery is the better deal.  (The guarantee is
+    model-relative, like everything else: the robustness experiment shows
+    what model overtrust does to it.)
 
     Args:
         model: the (augmented) recovery model.
@@ -49,20 +58,11 @@ class BranchAndBoundController(RecoveryController):
         lower: lower-bound hyperplane set (RA-Bound-seeded when None).
         upper: sawtooth upper bound (QMDP-corner-seeded when None).
         refine_online: refine both bounds at every visited belief.
+            Sessions can override it per episode via their ``refine`` flag.
         refine_min_improvement: lower-bound acceptance threshold.
         certified_termination: require the upper-bound certificate before
             choosing ``a_T`` (see above).
     """
-
-    CAMPAIGN_COUNTERS = (
-        "expanded_actions",
-        "pruned_actions",
-        "withheld_terminations",
-    )
-
-    def refinement_state(self):
-        """The branch-and-bound controller refines its *lower* set."""
-        return self.lower
 
     def __init__(
         self,
@@ -88,120 +88,102 @@ class BranchAndBoundController(RecoveryController):
         self.refine_online = refine_online
         self.refine_min_improvement = refine_min_improvement
         self.certified_termination = certified_termination
-        self.expanded_actions = 0
-        self.pruned_actions = 0
-        self.withheld_terminations = 0
         self.name = f"branch-and-bound (depth {depth})"
+
+    def refinement_state(self) -> BoundVectorSet:
+        """The engine refines (and campaigns merge) its *lower* set."""
+        return self.lower
 
     # -- lookahead with pruning ---------------------------------------------
 
-    def _children(self, belief: np.ndarray, action: int):
-        pomdp = self.model.pomdp
-        predicted = belief @ pomdp.transitions[action]
-        joint = predicted[:, None] * pomdp.observations[action]
-        gamma = joint.sum(axis=0)
-        reachable = gamma > GAMMA_EPSILON
-        posteriors = (joint[:, reachable] / gamma[reachable]).T
-        return gamma[reachable], posteriors
-
-    def _optimistic_action_value(self, belief: np.ndarray, action: int) -> float:
-        """One-step backup of the sawtooth bound — an upper bound on the
-        action's value at any remaining depth (monotonicity of L_p)."""
-        pomdp = self.model.pomdp
-        gamma, posteriors = self._children(belief, action)
-        future = self.upper.value_batch(posteriors)
-        return float(belief @ pomdp.rewards[action]) + pomdp.discount * float(
-            gamma @ future
+    def _lower_backup(
+        self, rewards: np.ndarray, successors: Successors, action: int
+    ) -> float:
+        """Pessimistic score of ``action``: the lower bound at its successors."""
+        gamma, posteriors = successors[action]
+        return float(rewards[action]) + self.model.pomdp.discount * float(
+            gamma @ self.lower.value_batch(posteriors)
         )
 
-    def _node_value(self, belief: np.ndarray, remaining: int) -> float:
+    def _search(
+        self, belief: np.ndarray, remaining: int, telemetry: Telemetry | None
+    ) -> tuple[float, int, np.ndarray, Successors]:
+        """Best-first pruned expansion of ``belief`` to ``remaining`` levels.
+
+        Returns the best pessimistic value, the first action in best-first
+        order that reaches it, every action's optimistic score, and every
+        action's successors.  The successors are computed once and serve
+        both scores (and the root's tie and certificate checks).
+        """
         pomdp = self.model.pomdp
         rewards = pomdp.rewards @ belief
-        # Cheap pessimistic scores first: order actions best-first so the
-        # incumbent is strong early and pruning bites.
+        successors = [
+            reachable_successors(pomdp, belief, action)
+            for action in range(pomdp.n_actions)
+        ]
+        # One-step backup of the sawtooth bound: an upper bound on the
+        # action's value at any remaining depth (monotonicity of L_p).
         optimistic = np.array(
             [
-                self._optimistic_action_value(belief, action)
-                for action in range(pomdp.n_actions)
+                float(belief @ pomdp.rewards[action])
+                + pomdp.discount * float(gamma @ self.upper.value_batch(posteriors))
+                for action, (gamma, posteriors) in enumerate(successors)
             ]
         )
-        order = np.argsort(-optimistic)
-        incumbent = -np.inf
-        for action in order:
-            if optimistic[action] <= incumbent + TIE_EPSILON:
-                self.pruned_actions += 1
+        best_value = -np.inf
+        best_action = -1
+        expanded = pruned = 0
+        # Best-first order makes the incumbent strong early, so pruning bites.
+        for action in np.argsort(-optimistic):
+            if optimistic[action] <= best_value + TIE_EPSILON:
+                pruned += 1
                 continue
-            self.expanded_actions += 1
-            gamma, posteriors = self._children(belief, int(action))
+            expanded += 1
             if remaining == 1:
-                future = self.lower.value_batch(posteriors)
+                value = self._lower_backup(rewards, successors, action)
             else:
+                gamma, posteriors = successors[action]
                 future = np.array(
                     [
-                        self._node_value(child, remaining - 1)
+                        self._search(child, remaining - 1, telemetry)[0]
                         for child in posteriors
                     ]
                 )
-            value = float(rewards[action]) + pomdp.discount * float(
-                gamma @ future
-            )
-            incumbent = max(incumbent, value)
-        return incumbent
+                value = float(rewards[action]) + pomdp.discount * float(
+                    gamma @ future
+                )
+            if value > best_value:
+                best_value = value
+                best_action = int(action)
+        if telemetry is not None:
+            telemetry.count("controller.expanded_actions", expanded)
+            telemetry.count("controller.pruned_actions", pruned)
+        return best_value, best_action, optimistic, successors
 
-    def _decide(self, belief: np.ndarray) -> Decision:
+    def decide(self, session: RecoverySession) -> Decision:
+        belief = session.belief_view()
         pomdp = self.model.pomdp
         if (
             self.model.recovery_notification
-            and self.model.recovered_probability(belief) >= 1.0 - 1e-9
+            and self.model.recovered_probability(belief) >= NOTIFICATION_CERTAINTY
         ):
-            return self._terminate_decision(value=0.0)
-        if self.refine_online:
+            return self.terminate_decision(value=0.0)
+        if self.refines(session):
             refine_at(
                 pomdp, self.lower, belief,
                 min_improvement=self.refine_min_improvement,
             )
             self.upper.refine_at(belief)
-
-        optimistic = np.array(
-            [
-                self._optimistic_action_value(belief, action)
-                for action in range(pomdp.n_actions)
-            ]
+        telemetry = telemetry_active()
+        best_value, best_action, optimistic, successors = self._search(
+            belief, self.depth, telemetry
         )
-        order = np.argsort(-optimistic)
         rewards = pomdp.rewards @ belief
-        best_action = -1
-        best_value = -np.inf
-        for action in order:
-            if optimistic[action] <= best_value + TIE_EPSILON:
-                self.pruned_actions += 1
-                continue
-            self.expanded_actions += 1
-            gamma, posteriors = self._children(belief, int(action))
-            if self.depth == 1:
-                future = self.lower.value_batch(posteriors)
-            else:
-                future = np.array(
-                    [
-                        self._node_value(child, self.depth - 1)
-                        for child in posteriors
-                    ]
-                )
-            value = float(rewards[action]) + pomdp.discount * float(
-                gamma @ future
-            )
-            if value > best_value:
-                best_value = value
-                best_action = int(action)
-
         terminate = self.model.terminate_action
         if terminate is not None and best_action != terminate:
-            # Same terminate-on-tie policy as the bounded controller: the
+            # Same terminate-on-tie policy as the bounded engine: the
             # pruning loop may have skipped a_T when it merely tied.
-            gamma, posteriors = self._children(belief, terminate)
-            terminate_value = float(rewards[terminate]) + pomdp.discount * float(
-                gamma @ self.lower.value_batch(posteriors)
-            )
+            terminate_value = self._lower_backup(rewards, successors, terminate)
             if terminate_value >= best_value - TIE_EPSILON:
                 best_action = terminate
                 best_value = max(best_value, terminate_value)
@@ -221,18 +203,60 @@ class BranchAndBoundController(RecoveryController):
                 and optimistic[action] > terminate_value + TIE_EPSILON
             ]
             if rivals:
-                self.withheld_terminations += 1
+                if telemetry is not None:
+                    telemetry.count("controller.withheld_terminations")
                 best_action = max(
                     rivals, key=lambda action: float(optimistic[action])
                 )
                 # Re-score the substitute action pessimistically for the
                 # decision record.
-                gamma, posteriors = self._children(belief, best_action)
-                best_value = float(rewards[best_action]) + pomdp.discount * float(
-                    gamma @ self.lower.value_batch(posteriors)
-                )
+                best_value = self._lower_backup(rewards, successors, best_action)
         return Decision(
             action=best_action,
             is_terminate=best_action == terminate,
             value=best_value,
         )
+
+
+class BranchAndBoundController(RecoveryController):
+    """Campaign-facing adapter over a :class:`BranchAndBoundPolicyEngine`.
+
+    Accepts the engine's arguments (see there) and exposes the engine's
+    depth and bounds under the historical attribute names.
+    """
+
+    def __init__(
+        self,
+        model: RecoveryModel,
+        depth: int = 1,
+        lower: BoundVectorSet | None = None,
+        upper: SawtoothUpperBound | None = None,
+        refine_online: bool = True,
+        refine_min_improvement: float = 0.0,
+        certified_termination: bool = False,
+        preflight: bool = False,
+    ):
+        super().__init__(
+            engine=BranchAndBoundPolicyEngine(
+                model,
+                depth=depth,
+                lower=lower,
+                upper=upper,
+                refine_online=refine_online,
+                refine_min_improvement=refine_min_improvement,
+                certified_termination=certified_termination,
+                preflight=preflight,
+            )
+        )
+
+    @property
+    def depth(self) -> int:
+        return self.engine.depth
+
+    @property
+    def lower(self) -> BoundVectorSet:
+        return self.engine.lower
+
+    @property
+    def upper(self) -> SawtoothUpperBound:
+        return self.engine.upper

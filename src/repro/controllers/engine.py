@@ -162,7 +162,6 @@ class RecoverySession:
         self._done = False
         self.steps = 0
         self.true_state = None
-        self.engine.on_reset(self)
 
     @property
     def belief(self) -> np.ndarray:
@@ -291,7 +290,7 @@ class RecoverySession:
         back (it models omniscient diagnosis, not something a real
         controller could do).
         """
-        self.engine.on_true_state(self, state)
+        self.true_state = int(state)
 
 
 class PolicyEngine(abc.ABC):
@@ -319,6 +318,9 @@ class PolicyEngine(abc.ABC):
 
     #: Engines that opt out of monitor feedback (the oracle) set this False.
     uses_monitors: bool = True
+
+    #: Refinement default of sessions that do not override it (see refines).
+    refine_online: bool = False
 
     def __init__(self, model: RecoveryModel, preflight: bool = False):
         self.model = model
@@ -352,14 +354,16 @@ class PolicyEngine(abc.ABC):
         """
         return getattr(self, "bound_set", None)
 
-    # -- session hooks --------------------------------------------------------
+    def refines(self, session: RecoverySession) -> bool:
+        """Whether ``session``'s decisions refine the shared bound set.
 
-    def on_reset(self, session: RecoverySession) -> None:
-        """Per-episode engine hook (optional)."""
-
-    def on_true_state(self, session: RecoverySession, state: int) -> None:
-        """Store the campaign's ground-truth signal on the session."""
-        session.true_state = int(state)
+        The session's ``refine`` override wins; ``None`` inherits
+        :attr:`refine_online`.  Refining engines refine by this flag and
+        the policy service picks its engine-lock mode by it (a session
+        that does not refine only reads the set), so the two cannot
+        disagree.
+        """
+        return self.refine_online if session.refine is None else bool(session.refine)
 
     # -- decisions ------------------------------------------------------------
 

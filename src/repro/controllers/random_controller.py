@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.controllers.base import RecoveryController
+from repro.controllers.bounded import NOTIFICATION_CERTAINTY
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.recovery.model import RecoveryModel
 from repro.util.rng import as_generator
@@ -67,7 +68,7 @@ class RandomPolicyEngine(PolicyEngine):
         is_terminate = action == self.model.terminate_action
         if (
             self.model.recovery_notification
-            and self.model.recovered_probability(belief) >= 1.0 - 1e-9
+            and self.model.recovered_probability(belief) >= NOTIFICATION_CERTAINTY
         ):
             is_terminate = True
         return Decision(action=action, is_terminate=is_terminate)

@@ -16,7 +16,7 @@ left at the default of a ``--no-refine`` daemon) holds it shared, so
 read-only sessions decide in parallel; a refining decision and :meth:`checkpoint` hold it
 exclusively, the same single-writer discipline the campaign engine gets
 from chunk isolation.  The mode comes from
-:meth:`~repro.controllers.bounded.BoundedPolicyEngine.refines`, the flag
+:meth:`~repro.controllers.engine.PolicyEngine.refines`, the flag
 the engine itself refines by.  Each session also has its own lock, taken
 before the engine lock, so two connections addressing one session take
 turns.  Session bookkeeping (and the decision counter) uses a separate

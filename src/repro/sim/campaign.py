@@ -9,15 +9,16 @@ and aggregates per-fault averages into a Table 1 row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.controllers.base import RecoveryController
-from repro.controllers.engine import RecoverySession
+from repro.controllers.engine import Decision, RecoverySession
 from repro.obs.telemetry import active as telemetry_active
 from repro.obs.telemetry import span
 from repro.recovery.model import RecoveryModel
-from repro.sim.environment import RecoveryEnvironment
+from repro.sim.environment import NO_OBSERVATION, ExecutionResult, RecoveryEnvironment
 from repro.sim.metrics import EpisodeMetrics, MetricSummary, summarize
 
 #: Safety cap: no reasonable controller needs this many steps on the EMN
@@ -54,8 +55,24 @@ def run_episode(
     the detection-time monitor outputs, then repeatedly decides, executes,
     and observes until it chooses to terminate.
     """
+    return _drive_episode(controller, environment, fault_state, max_steps)
+
+
+def _drive_episode(
+    controller: RecoveryController | RecoverySession,
+    environment: RecoveryEnvironment,
+    fault_state: int,
+    max_steps: int,
+    record: Callable[[Decision, ExecutionResult, int], None] | None = None,
+) -> EpisodeMetrics:
+    """The loop of :func:`run_episode`, shared with ``trace_episode``.
+
+    ``record(decision, result, observation)`` runs after every executed
+    action, ``a_T`` included; ``observation`` is what the controller was
+    fed (``NO_OBSERVATION`` when no monitors ran).
+    """
     model = controller.model
-    uses_monitors = getattr(controller, "uses_monitors", True)
+    uses_monitors = controller.uses_monitors
     environment.inject(fault_state)
     controller.reset()
     controller.stopwatch.reset()
@@ -77,16 +94,22 @@ def run_episode(
             # termination reward is charged; the NO_ACTION sentinel
             # (notification models, which have no a_T) executes nothing.
             if decision.executes_action and decision.action == model.terminate_action:
-                environment.execute(decision.action)
+                result = environment.execute(decision.action)
+                if record is not None:
+                    record(decision, result, NO_OBSERVATION)
             break
         steps += 1
         result = environment.execute(decision.action)
         if model.recovery_actions[decision.action]:
             actions += 1
+        observation = NO_OBSERVATION
         if uses_monitors:
             monitor_calls += 1
-            controller.observe(decision.action, result.observation)
+            observation = result.observation
+            controller.observe(decision.action, observation)
         controller.sync_true_state(environment.state)
+        if record is not None:
+            record(decision, result, observation)
 
     telemetry = telemetry_active()
     if telemetry is not None:

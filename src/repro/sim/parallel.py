@@ -61,7 +61,6 @@ import numpy as np
 from repro.linalg import shm
 
 from repro.controllers.base import RecoveryController
-from repro.controllers.engine import RecoverySession
 from repro.obs.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -207,35 +206,12 @@ def _clone_controller(plan: CampaignPlan) -> RecoveryController:
     return copy.deepcopy(plan.controller, memo)
 
 
-def _open_session(controller: RecoveryController) -> RecoverySession:
-    """The session the chunk loop drives.
-
-    Controller adapters carry a live session over their engine; the chunk
-    runner drives it directly (one fewer delegation layer per step, and
-    the same code path the policy service uses).  Anything else — a bare
-    session handed in as the "controller", or a duck-typed stand-in from
-    the tests — is driven as-is.
-    """
-    session = getattr(controller, "session", None)
-    if isinstance(session, RecoverySession):
-        return session
-    return controller
-
-
 def _bound_vectors(controller: RecoveryController) -> np.ndarray | None:
     """The controller's refinable bound-vector stack, when it has one."""
     bound_set = controller.refinement_state()
     if bound_set is None or not hasattr(bound_set, "vectors"):
         return None
     return np.array(bound_set.vectors, copy=True)
-
-
-def _counters(controller: RecoveryController) -> dict[str, int]:
-    """Current values of the controller's declared campaign counters."""
-    return {
-        name: int(getattr(controller, name, 0))
-        for name in controller.CAMPAIGN_COUNTERS
-    }
 
 
 @dataclass(frozen=True)
@@ -246,16 +222,14 @@ class ChunkResult:
         episodes: per-episode metrics, in injection order.
         new_vectors: hyperplanes the clone's bound set gained during the
             chunk (``None`` for controllers without bound sets).
-        counter_deltas: per-chunk increments of the controller's declared
-            :attr:`~repro.controllers.base.RecoveryController.CAMPAIGN_COUNTERS`.
         telemetry: snapshot of the chunk's private telemetry registry, when
             the plan collects telemetry (``None`` otherwise).  Snapshots are
-            picklable so they survive the process-pool hop.
+            picklable so they survive the process-pool hop, and they carry
+            every diagnostic counter a chunk produces.
     """
 
     episodes: list[EpisodeMetrics]
     new_vectors: np.ndarray | None
-    counter_deltas: dict[str, int]
     telemetry: TelemetrySnapshot | None = None
 
 
@@ -272,9 +246,10 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
     from repro.sim.campaign import run_episode
 
     controller = _clone_controller(plan)
-    session = _open_session(controller)
+    # Drive the adapter's live session directly: one fewer delegation
+    # layer per step, and the code path the policy service uses.
+    session = controller.session
     baseline = _bound_vectors(controller)
-    baseline_counters = _counters(controller)
     chunk_telemetry = (
         Telemetry(trace=plan.collect_trace) if plan.collect_telemetry else None
     )
@@ -309,10 +284,6 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
                     cost=metrics.cost,
                 )
             episodes.append(metrics)
-    counter_deltas = {
-        name: value - baseline_counters[name]
-        for name, value in _counters(controller).items()
-    }
     new_vectors = None
     if baseline is not None:
         # Diff by exact content rather than position: eviction may have
@@ -325,7 +296,6 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
     return ChunkResult(
         episodes=episodes,
         new_vectors=new_vectors,
-        counter_deltas=counter_deltas,
         telemetry=(
             chunk_telemetry.snapshot() if chunk_telemetry is not None else None
         ),
@@ -464,10 +434,4 @@ def execute_plan(
             and result.new_vectors.size
         ):
             bound_set.merge(result.new_vectors, prune_after=True)
-        for name, delta in result.counter_deltas.items():
-            setattr(
-                plan.controller,
-                name,
-                getattr(plan.controller, name, 0) + delta,
-            )
     return episodes

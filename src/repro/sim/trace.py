@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.controllers.base import RecoveryController
-from repro.sim.environment import NO_OBSERVATION, RecoveryEnvironment
+from repro.controllers.engine import Decision
+from repro.sim.campaign import _drive_episode
+from repro.sim.environment import NO_OBSERVATION, ExecutionResult, RecoveryEnvironment
 from repro.sim.metrics import EpisodeMetrics
 from repro.util.tables import render_table
 
@@ -93,66 +93,28 @@ def trace_episode(
     fault_state: int,
     max_steps: int = 200,
 ) -> EpisodeTrace:
-    """Run one instrumented episode (same loop as ``run_episode``).
+    """Run one instrumented episode (the loop behind ``run_episode``).
 
-    The metrics in the result match what ``run_episode`` would have
-    produced for the same seed; the trace is a superset of information.
+    The metrics in the result are exactly what ``run_episode`` would have
+    produced for the same seed; the trace adds one :class:`TraceStep` per
+    executed action, the terminating ``a_T`` included.
     """
     model = controller.model
     pomdp = model.pomdp
-    uses_monitors = getattr(controller, "uses_monitors", True)
-    environment.inject(fault_state)
-    controller.reset()
-    controller.stopwatch.reset()
-    controller.sync_true_state(environment.state)
-
-    passive = np.flatnonzero(model.passive_actions)
-    if uses_monitors and passive.size:
-        controller.observe(int(passive[0]), environment.initial_observation())
-
     steps: list[TraceStep] = []
-    actions = 0
-    monitor_calls = 0
-    terminated = False
-    for index in range(max_steps):
-        decision = controller.decide()
-        if decision.is_terminate:
-            terminated = True
-            if decision.executes_action and decision.action == model.terminate_action:
-                result = environment.execute(decision.action)
-                steps.append(
-                    TraceStep(
-                        index=index,
-                        action=decision.action,
-                        action_label=pomdp.action_labels[decision.action],
-                        observation=NO_OBSERVATION,
-                        observation_label="",
-                        true_state_after=environment.state,
-                        reward=result.reward,
-                        time_after=environment.time,
-                        recovered_probability=model.recovered_probability(
-                            controller.belief
-                        ),
-                        tree_value=decision.value,
-                    )
-                )
-            break
-        result = environment.execute(decision.action)
-        if model.recovery_actions[decision.action]:
-            actions += 1
-        observation_label = ""
-        if uses_monitors:
-            monitor_calls += 1
-            controller.observe(decision.action, result.observation)
-            observation_label = pomdp.observation_labels[result.observation]
-        controller.sync_true_state(environment.state)
+
+    def record(decision: Decision, result: ExecutionResult, observation: int) -> None:
         steps.append(
             TraceStep(
-                index=index,
+                index=len(steps),
                 action=decision.action,
                 action_label=pomdp.action_labels[decision.action],
-                observation=result.observation if uses_monitors else NO_OBSERVATION,
-                observation_label=observation_label,
+                observation=observation,
+                observation_label=(
+                    pomdp.observation_labels[observation]
+                    if observation != NO_OBSERVATION
+                    else ""
+                ),
                 true_state_after=environment.state,
                 reward=result.reward,
                 time_after=environment.time,
@@ -163,17 +125,8 @@ def trace_episode(
             )
         )
 
-    metrics = EpisodeMetrics(
-        fault_state=fault_state,
-        cost=environment.cost,
-        recovery_time=environment.time,
-        residual_time=environment.residual_time(),
-        algorithm_time=controller.stopwatch.total_seconds,
-        actions=actions,
-        monitor_calls=monitor_calls,
-        recovered=environment.recovered,
-        terminated=terminated,
-        steps=len([s for s in steps if s.observation >= 0 or s.action >= 0]),
+    metrics = _drive_episode(
+        controller, environment, fault_state, max_steps, record=record
     )
     return EpisodeTrace(
         fault_label=pomdp.state_labels[fault_state],

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.controllers.bounded import BoundedController
 from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
 from repro.systems.simple import build_simple_system
@@ -53,15 +54,17 @@ class TestCertificateBlocksPrematureQuits:
             refine_online=False,
             certified_termination=True,
         )
-        result = run_campaign(
-            controller,
-            fault_states=np.array([system.fault_a, system.fault_b]),
-            injections=60,
-            seed=2,
-        )
+        telemetry = Telemetry()
+        with activated(telemetry):
+            result = run_campaign(
+                controller,
+                fault_states=np.array([system.fault_a, system.fault_b]),
+                injections=60,
+                seed=2,
+            )
         assert result.summary.early_terminations == 0
         assert result.summary.unrecovered == 0
-        assert controller.withheld_terminations > 0
+        assert telemetry.counters["controller.withheld_terminations"] > 0
 
     def test_certificate_does_not_block_legitimate_termination(self):
         """Once recovery genuinely completes, the certificate must allow

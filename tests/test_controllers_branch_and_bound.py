@@ -6,7 +6,11 @@ import pytest
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import BoundedController
-from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.controllers.branch_and_bound import (
+    BranchAndBoundController,
+    BranchAndBoundPolicyEngine,
+)
+from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
 
@@ -50,9 +54,32 @@ class TestDecisionSoundness:
         belief = np.zeros(n)
         belief[simple_system.fault_a] = 1.0
         controller.reset(initial_belief=belief)
-        controller.decide()
-        assert controller.pruned_actions > 0
-        assert controller.expanded_actions > 0
+        telemetry = Telemetry()
+        with activated(telemetry):
+            controller.decide()
+        assert telemetry.counters["controller.pruned_actions"] > 0
+        assert telemetry.counters["controller.expanded_actions"] > 0
+
+    def test_frozen_session_leaves_bounds_unchanged(self, simple_system):
+        """A refine=False session on a refining engine only reads both
+        bounds, like the bounded engine's read-only sessions."""
+        engine = BranchAndBoundPolicyEngine(simple_system.model, depth=1)
+        assert engine.refine_online
+        lower = engine.lower.vectors.copy()
+        points = len(engine.upper)
+        frozen = engine.session(refine=False)
+        frozen.reset()
+        frozen.observe(simple_system.observe_action, 0)
+        frozen.decide()
+        np.testing.assert_array_equal(engine.lower.vectors, lower)
+        assert len(engine.upper) == points
+        # The engine default still refines when the session inherits it.
+        inherits = engine.session()
+        inherits.reset()
+        inherits.observe(simple_system.observe_action, 0)
+        inherits.decide()
+        assert len(engine.upper) > points
+        assert len(engine.lower) > lower.shape[0]
 
     def test_terminates_on_recovered_belief(self, simple_system):
         controller = BranchAndBoundController(simple_system.model, depth=1)
@@ -81,15 +108,17 @@ class TestEndToEnd:
         controller = BranchAndBoundController(
             emn_system.model, depth=1, refine_min_improvement=1.0
         )
-        result = run_campaign(
-            controller,
-            fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
-            injections=15,
-            seed=13,
-            monitor_tail=5.0,
-        )
+        telemetry = Telemetry()
+        with activated(telemetry):
+            result = run_campaign(
+                controller,
+                fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
+                injections=15,
+                seed=13,
+                monitor_tail=5.0,
+            )
         assert result.summary.unrecovered == 0
-        assert controller.pruned_actions > 0
+        assert telemetry.counters["controller.pruned_actions"] > 0
 
     def test_notified_model_supported(self, simple_notified_system):
         controller = BranchAndBoundController(

@@ -28,11 +28,13 @@ from repro.controllers import (
     RecoveryController,
 )
 from repro.experiments.table1 import make_controller
+from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
 from repro.sim.metrics import campaign_fingerprint, episode_fingerprint_bytes
 from repro.systems.emn import MONITOR_DURATION
 from repro.systems.faults import FaultKind
+from repro.systems.simple import build_simple_system
 from repro.systems.tiered import build_tiered_system
 
 SEED = 2006
@@ -60,6 +62,17 @@ PRE_REFACTOR_FINGERPRINTS = {
     "emn.heuristic_depth2": "04a7d174bd9288cf8dce06f7f7d483f083bdc899830c18556cb9bedb983ca22f",
     "tiered_sparse.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
     "tiered_dense.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
+    "simple.branch_and_bound_depth2": "39ae0b99fab09c432b94b2baccd3bf08b29cb162b6352b6b1319025c80d92b04",
+    "impatient.branch_and_bound_certified": "4babef177e5265720c4de6d73cb462bc76530e1146aa0ba4f9fcb5bc79908748",
+    "emn.branch_and_bound_depth2": "6329bd931a9311aed578daac8698a10ad51e6aabeb6350ba24fa80075de9571a",
+}
+
+#: Expanded / pruned action and withheld-termination totals of the pinned
+#: branch-and-bound campaigns, captured with the fingerprints above.
+BRANCH_AND_BOUND_COUNTS = {
+    "simple.branch_and_bound_depth2": (451, 1269, 0),
+    "impatient.branch_and_bound_certified": (1641, 1547, 657),
+    "emn.branch_and_bound_depth2": (1598, 8812, 0),
 }
 
 SIMPLE_FACTORIES = {
@@ -161,6 +174,60 @@ class TestEmnPinnedFingerprints:
         assert (
             campaign_fingerprint(result.episodes)
             == PRE_REFACTOR_FINGERPRINTS["emn.heuristic_depth2"]
+        )
+
+
+class TestBranchAndBoundPins:
+    """Branch-and-bound campaigns: fingerprints and pruning totals."""
+
+    @staticmethod
+    def _pinned(key, controller, **campaign):
+        telemetry = Telemetry()
+        with activated(telemetry):
+            result = run_campaign(controller, **campaign)
+        counts = tuple(
+            telemetry.counters[f"controller.{name}"]
+            for name in ("expanded_actions", "pruned_actions", "withheld_terminations")
+        )
+        assert campaign_fingerprint(result.episodes) == PRE_REFACTOR_FINGERPRINTS[key]
+        assert counts == BRANCH_AND_BOUND_COUNTS[key]
+
+    def test_simple_depth2(self, simple_system):
+        self._pinned(
+            "simple.branch_and_bound_depth2",
+            BranchAndBoundController(simple_system.model, depth=2),
+            fault_states=np.array([simple_system.fault_a, simple_system.fault_b]),
+            injections=12,
+            seed=SEED,
+        )
+
+    def test_certified_termination(self):
+        system = build_simple_system(
+            recovery_notification=False, operator_response_time=6.0
+        )
+        self._pinned(
+            "impatient.branch_and_bound_certified",
+            BranchAndBoundController(
+                system.model,
+                depth=1,
+                refine_online=False,
+                certified_termination=True,
+            ),
+            fault_states=np.array([system.fault_a, system.fault_b]),
+            injections=60,
+            seed=2,
+        )
+
+    def test_emn_depth2(self, emn_system):
+        self._pinned(
+            "emn.branch_and_bound_depth2",
+            BranchAndBoundController(
+                emn_system.model, depth=2, refine_min_improvement=1.0
+            ),
+            fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
+            injections=6,
+            seed=2026,
+            monitor_tail=MONITOR_DURATION,
         )
 
 

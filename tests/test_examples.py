@@ -52,3 +52,12 @@ class TestExamples:
         out = run_example("custom_system.py")
         assert "Recovery notification detected: False" in out
         assert "custom payment service" in out
+
+    @pytest.mark.slow
+    def test_traced_recovery(self):
+        out = run_example("traced_recovery.py")
+        assert "Recovery trace for zombie(S2)" in out
+        assert (
+            "Branch-and-bound at depth 2: pruned 1216/1720 action "
+            "expansions (71%)." in out.splitlines()
+        )

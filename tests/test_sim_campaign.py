@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from repro.controllers.base import RecoveryController
+from repro.controllers.engine import PolicyEngine
 from repro.controllers.most_likely import MostLikelyController
 from repro.controllers.oracle import OracleController
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
 
 
-class ImmediateTerminator(RecoveryController):
+class ImmediateTerminator(PolicyEngine):
     """Gives up on the first decision — exercises the termination paths."""
 
     name = "terminator"
     uses_monitors = False
 
-    def _decide(self, belief):
-        return self._terminate_decision(value=0.0)
+    def decide(self, session):
+        return self.terminate_decision(value=0.0)
 
 
 class TestRunEpisode:
@@ -68,7 +69,7 @@ class TestTerminationAccounting:
         action=-1 sentinel, so walking away from a live fault never charged
         r(s, a_T).  A terminating decision now carries a_T and the episode
         driver executes it."""
-        controller = ImmediateTerminator(simple_system.model)
+        controller = RecoveryController(ImmediateTerminator(simple_system.model))
         environment = RecoveryEnvironment(simple_system.model, seed=0)
         metrics = run_episode(controller, environment, simple_system.fault_a)
         expected = 0.5 * simple_system.model.operator_response_time
@@ -77,7 +78,7 @@ class TestTerminationAccounting:
         assert np.isclose(metrics.cost, expected)
 
     def test_terminate_action_not_counted_as_recovery_action(self, simple_system):
-        controller = ImmediateTerminator(simple_system.model)
+        controller = RecoveryController(ImmediateTerminator(simple_system.model))
         environment = RecoveryEnvironment(simple_system.model, seed=0)
         metrics = run_episode(controller, environment, simple_system.fault_a)
         assert metrics.actions == 0
@@ -87,7 +88,9 @@ class TestTerminationAccounting:
     def test_notification_sentinel_executes_nothing(self, simple_notified_system):
         """Without a_T in the model there is nothing to execute or charge;
         the NO_ACTION sentinel must never reach the environment."""
-        controller = ImmediateTerminator(simple_notified_system.model)
+        controller = RecoveryController(
+            ImmediateTerminator(simple_notified_system.model)
+        )
         environment = RecoveryEnvironment(simple_notified_system.model, seed=0)
         metrics = run_episode(
             controller, environment, simple_notified_system.fault_a

@@ -12,6 +12,7 @@ from repro.controllers.heuristic import HeuristicController
 from repro.controllers.most_likely import MostLikelyController
 from repro.controllers.oracle import OracleController
 from repro.exceptions import ModelError
+from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
 from repro.sim.metrics import (
     NONDETERMINISTIC_FIELDS,
@@ -195,17 +196,20 @@ class TestRefinementMerge:
         assert len(unique) == vectors.shape[0]
 
     def test_counters_merge_back(self, simple_system):
-        """Diagnostic counters incremented on clones reach the caller."""
-        serial_controller, _ = _run(
-            simple_system, "branch_and_bound", parallel=None
-        )
-        sharded_controller, _ = _run(
-            simple_system, "branch_and_bound", parallel=2
-        )
-        for name in BranchAndBoundController.CAMPAIGN_COUNTERS:
-            assert getattr(sharded_controller, name) == getattr(
-                serial_controller, name
-            )
+        """Diagnostic counters incremented on clones reach the caller's
+        telemetry registry, identically for any worker count."""
+        registries = {}
+        for parallel in (None, 2):
+            registries[parallel] = Telemetry()
+            with activated(registries[parallel]):
+                _run(simple_system, "branch_and_bound", parallel=parallel)
+        names = [
+            f"controller.{name}"
+            for name in ("expanded_actions", "pruned_actions", "withheld_terminations")
+        ]
+        serial, sharded = registries[None].counters, registries[2].counters
+        assert [sharded[name] for name in names] == [serial[name] for name in names]
+        assert serial["controller.pruned_actions"] > 0
 
     def test_template_controller_not_consumed(self, simple_system):
         """The engine runs episodes on clones; the template is never mid-

@@ -1,32 +1,39 @@
 """Tests for episode tracing."""
 
-import numpy as np
-
 from repro.controllers.bounded import BoundedController
 from repro.controllers.oracle import OracleController
 from repro.sim.campaign import run_episode
 from repro.sim.environment import RecoveryEnvironment
+from repro.sim.metrics import episode_fingerprint_bytes
 from repro.sim.trace import trace_episode
 
 
 class TestTraceEpisode:
-    def test_trace_matches_untraced_metrics(self, simple_system):
-        """Same controller, same seed: trace metrics == run_episode metrics."""
-        plain = run_episode(
-            BoundedController(simple_system.model, depth=1),
-            RecoveryEnvironment(simple_system.model, seed=5),
-            simple_system.fault_a,
+    def test_trace_matches_untraced_metrics(
+        self, simple_system, simple_notified_system
+    ):
+        """Same controller, same seed: trace metrics == run_episode metrics
+        on every deterministic field — with and without a_T, whose
+        terminate step the trace shows but does not count as a step."""
+        factories = (
+            lambda model: BoundedController(model, depth=1),
+            OracleController,
         )
-        trace = trace_episode(
-            BoundedController(simple_system.model, depth=1),
-            RecoveryEnvironment(simple_system.model, seed=5),
-            simple_system.fault_a,
-        )
-        assert trace.metrics.cost == plain.cost
-        assert trace.metrics.recovery_time == plain.recovery_time
-        assert trace.metrics.actions == plain.actions
-        assert trace.metrics.monitor_calls == plain.monitor_calls
-        assert trace.metrics.recovered == plain.recovered
+        for system in (simple_system, simple_notified_system):
+            for factory in factories:
+                plain = run_episode(
+                    factory(system.model),
+                    RecoveryEnvironment(system.model, seed=5),
+                    system.fault_a,
+                )
+                trace = trace_episode(
+                    factory(system.model),
+                    RecoveryEnvironment(system.model, seed=5),
+                    system.fault_a,
+                )
+                assert episode_fingerprint_bytes(
+                    trace.metrics
+                ) == episode_fingerprint_bytes(plain)
 
     def test_steps_carry_labels_and_beliefs(self, simple_system):
         trace = trace_episode(
