@@ -1,7 +1,10 @@
 """Full-analyzer smoke on the 300,002-state sparse tiered instance.
 
 Runs every analyzer pass — no R203 size skips allowed — over the largest
-instance the scalability experiments use, and asserts three things:
+instance the scalability experiments use, then solves the RA-Bound (Eq. 5)
+on it through :func:`repro.bounds.ra_bound.ra_bound_vector`, the sparse
+front door the controllers and the policy daemon use at this scale.  It
+asserts four things:
 
 * **completeness**: the report contains zero ``R203`` findings, i.e. the
   sparse-native passes (CSR reachability, hash-grouped duplicate
@@ -13,7 +16,9 @@ instance the scalability experiments use, and asserts three things:
 * **memory**: peak RSS stays under a ceiling that a single densified
   ``|S| x |S|`` matrix (~720 GB at 300k states — any attempt dies by
   allocation, but even a dense ``|A| x |S|`` reward tensor is ~360 GB)
-  could never fit, so no pass densifies anything.
+  could never fit, so no pass densifies anything;
+* **RA-Bound**: the solve returns a finite, non-positive value for every
+  state.
 
 The exit-1 analyzer verdict is expected: the instance's expected
 random-policy absorption time is ~|A| steps, so R105 legitimately warns
@@ -32,7 +37,10 @@ import argparse
 import resource
 import time
 
+import numpy as np
+
 from repro.analysis import analyze
+from repro.bounds.ra_bound import ra_bound_vector
 from repro.systems.tiered import build_tiered_system
 
 #: Replicas per tier: 3 tiers -> 2 + 2 * 3 * 50,000 = 300,002 states.
@@ -73,11 +81,19 @@ def run_smoke(replicas_per_tier: int) -> dict:
     assert not report.has_errors, (
         "the shipped tiered instance must be error-free:\n" + report.format()
     )
+
+    started = time.perf_counter()
+    ra_bound = ra_bound_vector(model.pomdp)
+    ra_seconds = time.perf_counter() - started
+    assert np.all(np.isfinite(ra_bound)) and np.all(ra_bound <= 0.0), (
+        "the RA-Bound must be finite and non-positive on every state"
+    )
     return {
         "n_states": model.pomdp.n_states,
         "n_actions": model.pomdp.n_actions,
         "build_seconds": build_seconds,
         "analyze_seconds": analyze_seconds,
+        "ra_seconds": ra_seconds,
         "findings": {d.code for d in report.findings},
     }
 
@@ -106,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         f"analyzer smoke: |S|={report['n_states']:,} "
         f"|A|={report['n_actions']:,}, build {report['build_seconds']:.1f}s, "
         f"full analysis {report['analyze_seconds']:.1f}s "
-        f"(codes {sorted(report['findings'])}), peak RSS {rss:.0f} MB"
+        f"(codes {sorted(report['findings'])}), RA-Bound solve "
+        f"{report['ra_seconds']:.1f}s, peak RSS {rss:.0f} MB"
     )
     if report["analyze_seconds"] > args.max_seconds:
         raise SystemExit(

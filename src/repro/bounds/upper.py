@@ -12,17 +12,27 @@ informed upper bounds:
 * **FIB** (fast informed bound, Hauskrecht [7]): a tighter per-action vector
   recursion that accounts for one step of observation information.
 
-Both are computed on the underlying MDP state space, like the RA-Bound.
+Both are computed on the underlying MDP state space, like the RA-Bound,
+and both need the dense backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import DivergenceError, NotConvergedError
+from repro.exceptions import DivergenceError, ModelError, NotConvergedError
 from repro.mdp.model import MDP
 from repro.mdp.value_iteration import DIVERGENCE_THRESHOLD, value_iteration
 from repro.pomdp.model import POMDP
+
+
+def _require_dense(model: MDP | POMDP, bound: str) -> None:
+    if model.backend.is_sparse:
+        raise ModelError(
+            f"the {bound} upper bound requires the dense backend (it sweeps "
+            "the full transition tensor); convert the model with "
+            "repro.recovery.model.convert_backend(model, 'dense')"
+        )
 
 
 class TrivialUpperBound:
@@ -48,6 +58,7 @@ class QMDPBound:
     """QMDP upper bound built from the optimal MDP Q-values."""
 
     def __init__(self, model: MDP | POMDP, tol: float = 1e-10):
+        _require_dense(model, "QMDP")
         mdp = model.to_mdp() if isinstance(model, POMDP) else model
         solution = value_iteration(mdp, tol=tol)
         self.q_values = mdp.rewards + mdp.discount * (
@@ -77,6 +88,7 @@ def fib_vectors(
     (the terminate action pins every state's value above the termination
     reward), and divergence is detected and raised otherwise.
     """
+    _require_dense(model, "FIB")
     vectors = np.zeros((model.n_actions, model.n_states))
     for iteration in range(max_iterations):
         updated = np.empty_like(vectors)

@@ -1,12 +1,7 @@
 """Canonical benchmark snapshots and perf-regression comparison.
 
-The repo has accumulated one benchmark file per perf PR —
-``BENCH_PR2.json`` (``bench-pr2/v1``: campaign throughput, RA-Bound solve
-scaling, tree expansion) and ``BENCH_PR4.json`` (``bench-pr4/v1``:
-dense-vs-sparse backend latency and cross-backend campaign parity) — with
-nothing comparing them.  This module defines the canonical schema every
-future snapshot uses and the comparison that turns two snapshots into a
-regression verdict.
+This module defines the canonical snapshot schema and the comparison that
+turns two snapshots into a regression verdict.
 
 **Canonical schema** (``repro-bench/v1``)::
 
@@ -15,21 +10,21 @@ regression verdict.
       "generated_by": "...",
       "machine": {"cpu_count": ..., "platform": ..., "python": ...},
       "seed": 2006,
-      "source_schemas": ["bench-pr2/v1", "bench-pr4/v1"],
+      "source_schemas": ["repro-grid/v1"],
       "metrics": {
         "<dotted.name>": {"value": ..., "unit": "...", "direction": "..."}
       }
     }
 
-Every metric is self-describing: ``direction`` is ``"lower"`` (latency —
+``machine`` and ``seed`` record where a committed snapshot was measured;
+nothing reads them back, and ``bench store`` writes them empty.  Every
+metric is self-describing: ``direction`` is ``"lower"`` (latency —
 regression when the new value exceeds the old by more than the threshold),
 ``"higher"`` (throughput), ``"exact"`` (fingerprints and parity flags —
 any change is a failure at any threshold), or ``"info"`` (recorded but
 never compared, e.g. memory footprints that vary with allocator
-behaviour).  :func:`load_snapshot` reads all three schemas, normalising
-the two legacy layouts into canonical metrics, so
-``python -m repro.obs bench compare BENCH_PR4.json BENCH_PR5.json``
-works across PR generations.
+behaviour).  :func:`load_snapshot` reads this schema only; any other
+``schema`` tag is a :class:`BenchFormatError`.
 
 Exit codes follow the ``repro.analysis`` CLI convention: 0 — no
 regressions; 1 — at least one regression or exact-metric mismatch;
@@ -39,7 +34,7 @@ regressions; 1 — at least one regression or exact-metric mismatch;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -47,9 +42,6 @@ from repro.util.tables import render_table
 
 #: The canonical snapshot schema tag.
 BENCH_SCHEMA = "repro-bench/v1"
-
-#: Legacy schemas :func:`load_snapshot` can normalise.
-LEGACY_SCHEMAS = frozenset({"bench-pr2/v1", "bench-pr4/v1"})
 
 #: Default regression threshold (percent) for directional metrics.
 DEFAULT_THRESHOLD_PCT = 25.0
@@ -73,99 +65,18 @@ class Metric:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A benchmark snapshot normalised to canonical metrics."""
+    """A ``repro-bench/v1`` snapshot's metrics, by dotted name."""
 
-    schema: str
     metrics: dict[str, Metric]
-    machine: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
 
 
-def _slug(controller: str) -> str:
-    """``"bounded (depth 1)"`` → ``"bounded_depth_1"``."""
-    return "".join(
-        ch if ch.isalnum() else "_" for ch in controller.lower()
-    ).strip("_").replace("__", "_")
-
-
-def _metrics_pr2(document: dict[str, Any]) -> dict[str, Metric]:
-    metrics: dict[str, Metric] = {}
-    for row in document.get("campaign", []):
-        prefix = f"campaign.{_slug(row['controller'])}"
-        metrics[f"{prefix}.serial_seconds"] = Metric(
-            row["serial_seconds"], "s", "lower"
+def normalize(document: dict[str, Any]) -> Snapshot:
+    """Validate a decoded ``repro-bench/v1`` document into a :class:`Snapshot`."""
+    schema = document.get("schema")
+    if schema != BENCH_SCHEMA:
+        raise BenchFormatError(
+            f"unknown benchmark schema {schema!r} (known: {BENCH_SCHEMA!r})"
         )
-        metrics[f"{prefix}.parallel_seconds"] = Metric(
-            row["parallel_seconds"], "s", "lower"
-        )
-        metrics[f"{prefix}.serial_episodes_per_second"] = Metric(
-            row["serial_episodes_per_second"], "eps/s", "higher"
-        )
-        metrics[f"{prefix}.fingerprint"] = Metric(
-            row["fingerprint"], "sha256", "exact"
-        )
-        metrics[f"{prefix}.fingerprints_match"] = Metric(
-            row["fingerprints_match"], "bool", "exact"
-        )
-    for row in document.get("ra_solve", []):
-        prefix = f"ra_solve.n{row['n_states']}"
-        if row.get("sparse_seconds") is not None:
-            metrics[f"{prefix}.sparse_seconds"] = Metric(
-                row["sparse_seconds"], "s", "lower"
-            )
-        if row.get("dense_seconds") is not None:
-            metrics[f"{prefix}.dense_seconds"] = Metric(
-                row["dense_seconds"], "s", "lower"
-            )
-    emn = document.get("ra_solve_emn")
-    if emn:
-        metrics["ra_solve.emn.solve_seconds"] = Metric(
-            emn["solve_seconds"], "s", "lower"
-        )
-    tree = document.get("tree")
-    if tree:
-        metrics["tree.seconds"] = Metric(tree["seconds"], "s", "lower")
-        metrics["tree.decisions_per_second"] = Metric(
-            tree["decisions_per_second"], "dec/s", "higher"
-        )
-    return metrics
-
-
-def _metrics_pr4(document: dict[str, Any]) -> dict[str, Metric]:
-    metrics: dict[str, Metric] = {}
-    for row in document.get("backends", []):
-        prefix = f"backend.tiered{row['replicas_per_tier']}"
-        if row.get("dense_decision_ms") is not None:
-            metrics[f"{prefix}.dense_decision_ms"] = Metric(
-                row["dense_decision_ms"], "ms", "lower"
-            )
-        if row.get("sparse_decision_ms") is not None:
-            metrics[f"{prefix}.sparse_decision_ms"] = Metric(
-                row["sparse_decision_ms"], "ms", "lower"
-            )
-        if row.get("sparse_model_bytes") is not None:
-            metrics[f"{prefix}.sparse_model_bytes"] = Metric(
-                row["sparse_model_bytes"], "bytes", "info"
-            )
-        if row.get("decisions_match") is not None:
-            metrics[f"{prefix}.decisions_match"] = Metric(
-                row["decisions_match"], "bool", "exact"
-            )
-    campaign = document.get("campaign")
-    if campaign:
-        prefix = f"campaign.{_slug(campaign['controller'])}"
-        for mode, seconds in campaign.get("seconds", {}).items():
-            metrics[f"{prefix}.{mode}_seconds"] = Metric(seconds, "s", "lower")
-        metrics[f"{prefix}.fingerprint"] = Metric(
-            campaign["fingerprint"], "sha256", "exact"
-        )
-        metrics[f"{prefix}.fingerprints_match"] = Metric(
-            campaign["fingerprints_match"], "bool", "exact"
-        )
-    return metrics
-
-
-def _metrics_canonical(document: dict[str, Any]) -> dict[str, Metric]:
     metrics: dict[str, Metric] = {}
     for name, entry in document.get("metrics", {}).items():
         if not isinstance(entry, dict) or "value" not in entry:
@@ -180,29 +91,7 @@ def _metrics_canonical(document: dict[str, Any]) -> dict[str, Metric]:
         metrics[name] = Metric(
             entry["value"], entry.get("unit", ""), direction
         )
-    return metrics
-
-
-def normalize(document: dict[str, Any]) -> Snapshot:
-    """Normalise a decoded benchmark document into canonical metrics."""
-    schema = document.get("schema")
-    if schema == BENCH_SCHEMA:
-        metrics = _metrics_canonical(document)
-    elif schema == "bench-pr2/v1":
-        metrics = _metrics_pr2(document)
-    elif schema == "bench-pr4/v1":
-        metrics = _metrics_pr4(document)
-    else:
-        raise BenchFormatError(
-            f"unknown benchmark schema {schema!r} "
-            f"(known: {sorted(LEGACY_SCHEMAS | {BENCH_SCHEMA})})"
-        )
-    return Snapshot(
-        schema=str(schema),
-        metrics=metrics,
-        machine=document.get("machine", {}),
-        seed=document.get("seed"),
-    )
+    return Snapshot(metrics)
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -221,17 +110,15 @@ def load_snapshot(path: str | Path) -> Snapshot:
 
 def canonical_document(
     metrics: dict[str, Metric],
-    machine: dict[str, Any] | None = None,
-    seed: int | None = None,
-    generated_by: str = "python -m benchmarks.perf_snapshot",
+    generated_by: str,
     source_schemas: list[str] | None = None,
 ) -> dict[str, Any]:
     """Assemble a canonical ``repro-bench/v1`` document for serialisation."""
     return {
         "schema": BENCH_SCHEMA,
         "generated_by": generated_by,
-        "machine": machine or {},
-        "seed": seed,
+        "machine": {},
+        "seed": None,
         "source_schemas": source_schemas or [],
         "metrics": {
             name: {
@@ -278,7 +165,7 @@ def store_snapshot(root) -> Snapshot:
             metrics[f"{prefix}.wall_seconds"] = Metric(
                 record["wall_seconds"], "s", "info"
             )
-    return Snapshot(schema=BENCH_SCHEMA, metrics=metrics)
+    return Snapshot(metrics)
 
 
 def format_store(root) -> str:

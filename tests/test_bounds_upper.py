@@ -5,8 +5,11 @@ import pytest
 
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.upper import FIBBound, QMDPBound, TrivialUpperBound, fib_vectors
+from repro.controllers import BranchAndBoundController, QMDPController
+from repro.exceptions import ModelError
 from repro.pomdp.exact import solve_exact
 from repro.systems.simple import build_simple_system
+from repro.systems.tiered import build_tiered_system
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +119,21 @@ class TestFIB:
         assert np.allclose(
             fib.value_batch(beliefs), [fib.value(b) for b in beliefs]
         )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda model: QMDPBound(model.pomdp),
+        lambda model: FIBBound(model.pomdp),
+        QMDPController,
+        BranchAndBoundController,
+    ],
+    ids=["QMDPBound", "FIBBound", "QMDPController", "BranchAndBoundController"],
+)
+def test_sparse_models_rejected(build):
+    """The informed bounds, and the controllers built on them, are
+    dense-only and say so instead of failing inside numpy."""
+    model = build_tiered_system((2, 2), backend="sparse").model
+    with pytest.raises(ModelError, match="requires the dense backend"):
+        build(model)

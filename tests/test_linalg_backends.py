@@ -25,6 +25,7 @@ from repro.bounds.incremental import (
 )
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
+from repro.controllers.bounded import BoundedController
 from repro.exceptions import ModelError
 from repro.linalg.backends import (
     densify_observations,
@@ -35,7 +36,8 @@ from repro.linalg.backends import (
     sparsify_rewards,
     sparsify_transitions,
 )
-from repro.pomdp.belief import update_belief
+from repro.pomdp.belief import uniform_belief, update_belief
+from repro.pomdp.cache import MAX_CACHE_BYTES_ENV
 from repro.pomdp.model import POMDP
 from repro.pomdp.tree import DECISION_TIE_EPSILON, _best_action, expand_tree
 from repro.recovery.model import (
@@ -313,6 +315,39 @@ class TestShippedSystems:
             back.pomdp.observations, dense.pomdp.observations
         )
         np.testing.assert_array_equal(back.pomdp.rewards, dense.pomdp.rewards)
+
+    @pytest.mark.parametrize("replicas_per_tier", [20, 50])
+    def test_tiered_decisions_match(self, replicas_per_tier, monkeypatch):
+        """The bounded depth-1 decision at the uniform fault belief.  Both
+        backends expand it level by level through the joint-factor cache;
+        with the cache declined, the sparse side runs the fused depth-1
+        kernel instead.  All three must choose the same action at the same
+        value."""
+        from repro.obs.telemetry import session
+
+        def decide(backend):
+            model = build_tiered_system(
+                replicas=(replicas_per_tier,) * 3, backend=backend
+            ).model
+            controller = BoundedController(model, depth=1, refine_online=False)
+            controller.reset(
+                initial_belief=uniform_belief(
+                    model.pomdp, support=model.fault_states
+                )
+            )
+            with session() as telemetry:
+                decision = controller.decide()
+            return decision, telemetry.counters
+
+        dense, _ = decide("dense")
+        cached, counters = decide("sparse")
+        assert counters["tree.expansions.generic"] == 1
+        monkeypatch.setenv(MAX_CACHE_BYTES_ENV, "0")
+        fused, counters = decide("sparse")
+        assert counters["tree.expansions.fused_sparse"] == 1
+        for decision in (cached, fused):
+            assert decision.action == dense.action
+            assert decision.value == pytest.approx(dense.value, abs=1e-9)
 
     def test_sparse_builds_are_diagnostic_clean(self):
         """The analyzer runs its full pass suite over sparse models and

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
 
@@ -22,8 +21,7 @@ from repro.obs.bench import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PR2 = REPO_ROOT / "BENCH_PR2.json"
-BENCH_PR4 = REPO_ROOT / "BENCH_PR4.json"
+BENCH_PR10 = REPO_ROOT / "BENCH_PR10.json"
 
 
 def _write(path: Path, document: dict) -> Path:
@@ -32,47 +30,25 @@ def _write(path: Path, document: dict) -> Path:
 
 
 def _canonical(metrics: dict[str, Metric]) -> dict:
-    return canonical_document(metrics)
+    return canonical_document(metrics, generated_by="tests")
 
 
 class TestNormalize:
-    def test_pr2_snapshot_normalises(self):
-        snapshot = load_snapshot(BENCH_PR2)
-        assert snapshot.schema == "bench-pr2/v1"
-        assert any(
-            name.startswith("campaign.") and name.endswith(".serial_seconds")
-            for name in snapshot.metrics
-        )
-        assert any(
-            name.startswith("ra_solve.") for name in snapshot.metrics
-        )
-        assert "tree.decisions_per_second" in snapshot.metrics
-
-    def test_pr4_snapshot_normalises(self):
-        snapshot = load_snapshot(BENCH_PR4)
-        assert snapshot.schema == "bench-pr4/v1"
-        assert any(
-            name.startswith("backend.tiered") for name in snapshot.metrics
-        )
-        fingerprints = [
-            name for name in snapshot.metrics if name.endswith(".fingerprint")
-        ]
-        assert fingerprints
-        for name in fingerprints:
-            assert snapshot.metrics[name].direction == "exact"
-
     def test_canonical_round_trip(self):
         metrics = {
             "campaign.bounded.serial_seconds": Metric(1.5, "s", "lower"),
             "campaign.bounded.fingerprint": Metric("abc", "sha256", "exact"),
         }
-        snapshot = normalize(_canonical(metrics))
-        assert snapshot.schema == BENCH_SCHEMA
-        assert snapshot.metrics == metrics
+        document = _canonical(metrics)
+        assert document["schema"] == BENCH_SCHEMA
+        assert normalize(document).metrics == metrics
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises(BenchFormatError, match="unknown benchmark schema"):
-            normalize({"schema": "bench-pr99/v1"})
+        # bench-pr2/v1 and bench-pr4/v1 are the retired pre-canonical
+        # layouts of BENCH_PR2.json and BENCH_PR4.json.
+        for schema in ("bench-pr99/v1", "bench-pr2/v1", "bench-pr4/v1"):
+            with pytest.raises(BenchFormatError, match="unknown benchmark schema"):
+                normalize({"schema": schema})
 
     def test_bad_direction_rejected(self):
         document = _canonical({})
@@ -99,7 +75,7 @@ class TestCompare:
             "fingerprint": Metric(values.get("fingerprint", "abc"), "sha256", "exact"),
             "footprint": Metric(values.get("footprint", 1000), "bytes", "info"),
         }
-        return Snapshot(schema=BENCH_SCHEMA, metrics=metrics)
+        return Snapshot(metrics)
 
     def test_identical_snapshots_are_clean(self):
         result = compare(self._snapshot(), self._snapshot())
@@ -152,8 +128,8 @@ class TestCompare:
         assert result.ok
 
     def test_disjoint_metrics_are_skipped(self):
-        old = Snapshot(BENCH_SCHEMA, {"a": Metric(1.0, "s", "lower")})
-        new = Snapshot(BENCH_SCHEMA, {"b": Metric(1.0, "s", "lower")})
+        old = Snapshot({"a": Metric(1.0, "s", "lower")})
+        new = Snapshot({"b": Metric(1.0, "s", "lower")})
         result = compare(old, new)
         assert result.rows == []
         assert result.ok
@@ -170,49 +146,43 @@ class TestCli:
     an injected 30 % latency regression and a fingerprint flip exit 1;
     an unknown schema exits 2."""
 
-    def test_self_compare_of_pr4_baseline_exits_zero(self, capsys):
+    def test_self_compare_of_pr10_baseline_exits_zero(self, capsys):
         assert main(
-            ["bench", "compare", str(BENCH_PR4), str(BENCH_PR4)]
+            ["bench", "compare", str(BENCH_PR10), str(BENCH_PR10)]
         ) == 0
         assert "no regressions" in capsys.readouterr().out
-
-    def test_cross_schema_compare_runs(self, capsys):
-        # PR2 vs PR4 share the bounded-campaign fingerprint metrics.
-        code = main(["bench", "compare", str(BENCH_PR2), str(BENCH_PR4)])
-        out = capsys.readouterr().out
-        assert "campaign.bounded_depth_1.fingerprint" in out
-        assert code in (0, 1)  # wall-clock drift between PR eras may trip
 
     def test_injected_thirty_percent_regression_exits_one(
         self, tmp_path, capsys
     ):
-        baseline = json.loads(BENCH_PR4.read_text())
-        regressed = copy.deepcopy(baseline)
-        for row in regressed["backends"]:
-            row["sparse_decision_ms"] *= 1.30
+        regressed = json.loads(BENCH_PR10.read_text())
+        for metric in regressed["metrics"].values():
+            if metric["direction"] == "lower":
+                metric["value"] *= 1.30
         new = _write(tmp_path / "new.json", regressed)
         code = main(
-            ["bench", "compare", str(BENCH_PR4), str(new), "--threshold", "25"]
+            ["bench", "compare", str(BENCH_PR10), str(new), "--threshold", "25"]
         )
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_fingerprint_mismatch_exits_one(self, tmp_path, capsys):
-        baseline = json.loads(BENCH_PR4.read_text())
-        tampered = copy.deepcopy(baseline)
-        tampered["campaign"]["fingerprint"] = "0" * 64
+        tampered = json.loads(BENCH_PR10.read_text())
+        tampered["metrics"]["campaign.bounded_depth_1.fingerprint"]["value"] = (
+            "0" * 64
+        )
         new = _write(tmp_path / "new.json", tampered)
-        assert main(["bench", "compare", str(BENCH_PR4), str(new)]) == 1
+        assert main(["bench", "compare", str(BENCH_PR10), str(new)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_unknown_schema_exits_two(self, tmp_path, capsys):
         bad = _write(tmp_path / "bad.json", {"schema": "bench-pr99/v1"})
-        assert main(["bench", "compare", str(BENCH_PR4), str(bad)]) == 2
+        assert main(["bench", "compare", str(BENCH_PR10), str(bad)]) == 2
         assert "unknown benchmark schema" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
-        assert main(["bench", "compare", str(BENCH_PR4), str(missing)]) == 2
+        assert main(["bench", "compare", str(BENCH_PR10), str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().out
 
 
