@@ -31,7 +31,7 @@ def _require_dense(model: MDP | POMDP, bound: str) -> None:
         raise ModelError(
             f"the {bound} upper bound requires the dense backend (it sweeps "
             "the full transition tensor); convert the model with "
-            "repro.recovery.model.convert_backend(model, 'dense')"
+            "repro.recovery.convert_backend(model, 'dense')"
         )
 
 

@@ -101,14 +101,19 @@ class BoundVectorSet:
             self._usage[winner] += 1
         return float(np.max(scores))
 
-    def value_batch(self, beliefs: np.ndarray) -> np.ndarray:
+    def value_batch(
+        self, beliefs: np.ndarray, weights: np.ndarray | None = None
+    ) -> np.ndarray:
         """Vectorised :meth:`value` over a ``(m, |S|)`` belief stack.
 
         One ``(|B|, |S|) x (|S|, m)`` matmul evaluates the whole bound set
         against the whole stack.  A single belief may be passed 1-D; an
         empty stack returns an empty result.  Returned values are the exact
         per-column maxima (bit-identical to :meth:`value`); only the usage
-        accounting goes through the shared tie-break.
+        accounting goes through the shared tie-break.  ``weights`` gives
+        each row's integer multiplicity: its winner is credited that many
+        uses, as the lookahead does for a belief that stands for several
+        tree branches (:mod:`repro.pomdp.tree`).
         """
         if self._vectors.shape[0] == 0:  # unreachable via the constructor
             raise ModelError("bound set has no vectors to evaluate")
@@ -123,7 +128,7 @@ class BoundVectorSet:
         scores = self._vectors @ beliefs.T
         winners = tie_break_argmax(scores, BACKUP_TIE_EPSILON, axis=0)
         with self._usage_lock:
-            np.add.at(self._usage, winners, 1)
+            np.add.at(self._usage, winners, 1 if weights is None else weights)
         return scores.max(axis=0)
 
     def record_wins(self, counts: np.ndarray) -> None:

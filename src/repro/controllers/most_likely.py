@@ -22,22 +22,25 @@ from repro.recovery.model import RecoveryModel
 FIX_PROBABILITY = 1.0 - 1e-9
 
 
-def cheapest_fixing_actions(model: RecoveryModel) -> dict[int, int]:
+def cheapest_fixing_actions(
+    model: RecoveryModel, policy: str = "the most-likely baseline"
+) -> dict[int, int]:
     """For every fault state, the cheapest action that surely repairs it.
 
     An action "recovers from" fault state ``s`` when it moves ``s`` into
     ``S_phi`` with probability one (the EMN model's recovery actions are
     deterministic, Section 5).  Cost ties break toward the shorter action,
-    then the lower index.  Raises :class:`~repro.exceptions.ModelError` if
-    some fault state has no surely-fixing action — such a model would need a
-    lookahead controller, not this baseline.
+    then the lower index.  Raises :class:`~repro.exceptions.ModelError`,
+    naming ``policy``, on a sparse model or if some fault state has no
+    surely-fixing action — such a model would need a lookahead controller,
+    not this baseline.
     """
     pomdp = model.pomdp
     if pomdp.backend.is_sparse:
         raise ModelError(
-            "the most-likely baseline requires the dense backend (it scans "
-            "the full transition tensor for surely-fixing actions); convert "
-            "the model with repro.recovery.convert_backend(model, 'dense')"
+            f"{policy} requires the dense backend (it scans the full "
+            "transition tensor for surely-fixing actions); convert the "
+            "model with repro.recovery.convert_backend(model, 'dense')"
         )
     null_mass = pomdp.transitions[:, :, model.null_states].sum(axis=2)  # (A, S)
     mapping: dict[int, int] = {}
@@ -50,8 +53,8 @@ def cheapest_fixing_actions(model: RecoveryModel) -> dict[int, int]:
         if not candidates:
             raise ModelError(
                 f"no recovery action surely fixes state "
-                f"{pomdp.state_labels[state]!r}; the most-likely baseline "
-                "requires deterministic repairs"
+                f"{pomdp.state_labels[state]!r}; {policy} requires "
+                "deterministic repairs"
             )
         mapping[int(state)] = min(
             candidates,

@@ -26,7 +26,7 @@ class OraclePolicyEngine(PolicyEngine):
 
     def __init__(self, model: RecoveryModel, preflight: bool = False):
         super().__init__(model, preflight=preflight)
-        self._fixing_action = cheapest_fixing_actions(model)
+        self._fixing_action = cheapest_fixing_actions(model, "the oracle")
         self.name = "oracle"
 
     def decide(self, session: RecoverySession) -> Decision:

@@ -34,12 +34,7 @@ import pstats
 from repro.experiments import ablations as ablations_module
 from repro.experiments import grid as grid_defaults
 from repro.experiments.fig5 import format_fig5a, format_fig5b, run_fig5, shape_checks
-from repro.experiments.table1 import (
-    DEFAULT_CONTROLLERS,
-    format_table1,
-    ordering_checks,
-    run_table1,
-)
+from repro.experiments.table1 import format_table1, ordering_checks, run_table1
 from repro.obs import session as telemetry_session
 
 
@@ -60,16 +55,8 @@ def _cmd_fig5(args, which: str) -> None:
 
 
 def _cmd_table1(args) -> None:
-    controllers = DEFAULT_CONTROLLERS
-    if args.skip_depth3:
-        controllers = tuple(
-            name for name in controllers if name != "heuristic (depth 3)"
-        )
     result = run_table1(
-        injections=args.injections,
-        seed=args.seed,
-        controllers=controllers,
-        parallel=args.parallel,
+        injections=args.injections, seed=args.seed, parallel=args.parallel
     )
     print(format_table1(result))
     print(_render_checks(ordering_checks(result)))
@@ -230,11 +217,6 @@ def main(argv: list[str] | None = None) -> None:
 
     table1 = subparsers.add_parser("table1", help="Table 1 fault injections")
     table1.add_argument("--injections", type=int, default=1000)
-    table1.add_argument(
-        "--skip-depth3",
-        action="store_true",
-        help="omit the (very slow) heuristic depth-3 row",
-    )
     add_seed(table1)
     add_parallel(table1)
 

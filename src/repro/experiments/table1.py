@@ -6,10 +6,9 @@ averages for six controllers — most-likely, heuristic with lookahead depths
 1/2/3, the bounded controller (depth 1, bootstrapped with 10 runs at depth
 2), and the oracle.
 
-The paper runs 10,000 injections; the count here is configurable because
-the heuristic depth-3 controller is ~4 orders of magnitude slower per
-decision than most-likely (that asymmetry is itself one of Table 1's
-findings).  Absolute algorithm times depend on hardware and language; the
+The paper runs 10,000 injections, as does the committed run
+(``results_table1_n10000.txt``); the count is configurable for quicker
+runs.  Absolute algorithm times depend on hardware and language; the
 claims that transfer are the orderings (see EXPERIMENTS.md).
 """
 

@@ -13,7 +13,7 @@ segments *once*, at plan-export time, and pickles only lightweight handles
 (segment name + shape + dtype).  Workers attach the segments and rebuild the
 containers as zero-copy views, so the model's pages are mapped, not copied,
 and the pickled plan shrinks from megabytes to kilobytes
-(``parallel.model_handoff_bytes`` in the perf snapshots).
+(:func:`repro.sim.parallel.model_handoff_bytes` measures it).
 
 Lifecycle contract:
 

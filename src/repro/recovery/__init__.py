@@ -13,6 +13,7 @@ from repro.recovery.model import (
     RecoveryModel,
     check_condition_1,
     check_condition_2,
+    convert_backend,
     make_null_absorbing,
     termination_rewards,
     with_termination_action,
@@ -24,6 +25,7 @@ __all__ = [
     "RecoveryModelBuilder",
     "check_condition_1",
     "check_condition_2",
+    "convert_backend",
     "detect_recovery_notification",
     "make_null_absorbing",
     "termination_rewards",

@@ -6,7 +6,7 @@ connections: the loaded :class:`~repro.recovery.model.RecoveryModel`, the
 RA-Bound-seeded (or warm-restarted) bound set, the session registry, and
 the checkpointing of refined bounds back to disk.  It is transport-free —
 the unix-socket daemon (:mod:`repro.serve.daemon`) and in-process callers
-(tests, the perf snapshot) drive the same object.
+(the tests) drive the same object.
 
 Concurrency model: belief state is per-session, but every decision reads
 the engine's shared bound set, and a refining decision also *writes* it.
@@ -176,7 +176,7 @@ class PolicyService:
     Args:
         config: static configuration.
         model: a pre-built model, bypassing ``config.model_path`` (the
-            in-process path tests and the perf snapshot use).
+            in-process path the tests use).
     """
 
     def __init__(self, config: ServiceConfig, model: RecoveryModel | None = None):

@@ -365,7 +365,7 @@ def model_handoff_bytes(plan: CampaignPlan) -> int:
     """Bytes of the per-worker campaign payload (the pickled plan).
 
     With the shared-memory handoff this is the size of the *handles*, not
-    of the model — the ``parallel.model_handoff_bytes`` snapshot metric.
+    of the model.
     """
     arena, payload = export_plan(plan)
     if arena is not None:

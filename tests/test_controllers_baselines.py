@@ -10,9 +10,11 @@ from repro.controllers.most_likely import (
 )
 from repro.controllers.oracle import OracleController
 from repro.controllers.random_controller import RandomController
-from repro.exceptions import ControllerError
+from repro.exceptions import ControllerError, ModelError
+from repro.recovery import convert_backend
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
+from repro.systems.tiered import build_tiered_system
 
 
 class TestCheapestFixingActions:
@@ -30,6 +32,26 @@ class TestCheapestFixingActions:
         assert mapping[zombie_s1] == pomdp.action_index("restart(S1)")
         host_crash = pomdp.state_index("host_crash(hostA)")
         assert mapping[host_crash] == pomdp.action_index("reboot(hostA)")
+
+
+@pytest.mark.parametrize(
+    "build, policy",
+    [(MostLikelyController, "the most-likely baseline"), (OracleController, "the oracle")],
+    ids=["most_likely", "oracle"],
+)
+def test_sparse_model_rejected_with_working_hint(build, policy):
+    """Both baselines scan dense transitions: on a sparse model the error
+    names the controller, and the conversion it suggests works."""
+    model = build_tiered_system((2, 2), backend="sparse").model
+    with pytest.raises(
+        ModelError,
+        match=rf"^{policy} requires the dense backend.*"
+        r"repro\.recovery\.convert_backend\(model, 'dense'\)",
+    ):
+        build(model)
+    dense = convert_backend(model, "dense")
+    repairs = build(dense).engine._fixing_action
+    assert set(repairs) == set(np.flatnonzero(dense.fault_states).tolist())
 
 
 class TestMostLikely:

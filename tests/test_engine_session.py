@@ -47,9 +47,11 @@ TIERED_INJECTIONS = 24
 #: The depth >= 2 campaigns (simple ``bounded_depth2``/``bounded_depth3``,
 #: the EMN heuristic at depth 2, and the EMN bounded controller, whose
 #: bootstrap runs depth-2 trees) were captured on the node-at-a-time tree
-#: expansion that the level-by-level expander replaced.  ``emn.most_likely``
-#: is older still: Table 1's most-likely row at 1,000 injections (seed
-#: 2006), as first recorded in ``BENCH_PR2.json``.
+#: expansion that the level-by-level expander replaced, except
+#: ``emn.heuristic_depth3``, captured on the level expander before it
+#: merged repeated beliefs.  ``emn.most_likely`` is older still: Table 1's
+#: most-likely row at 1,000 injections (seed 2006), as first recorded in
+#: ``BENCH_PR2.json``.
 PRE_REFACTOR_FINGERPRINTS = {
     "simple.bounded": "028766abd5e47d4fccdb8e046a412ae7a73fc7be4ef6fd8d88ce2492abb37016",
     "simple.heuristic": "3abc52204e1d252d998293ca6ad1ef58b718157516b18fc5ef41ae8ba3fb9a4b",
@@ -62,6 +64,7 @@ PRE_REFACTOR_FINGERPRINTS = {
     "simple.bounded_depth3": "c0d9a2ff5e127c8c9b5c24a424f70187c749ff702d6979e8707ad7986b3c3534",
     "emn.bounded": "9848721d9931511a73d1c3d16cf833f453959c6397c5b3c46cd8dccf9e4d4ed4",
     "emn.heuristic_depth2": "04a7d174bd9288cf8dce06f7f7d483f083bdc899830c18556cb9bedb983ca22f",
+    "emn.heuristic_depth3": "e082fb210ffcc3918557795a54849b1fa23eec1dbbb6406fa3cb80a4922701c1",
     "emn.most_likely": "75daae1f11a28c66c5c0478bd77cc7e3344aee619c00cc79dbe52c61d5e95513",
     "tiered_sparse.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
     "tiered_dense.bounded": "a2bd9a27c78ba1e6797d7d69097a3f25b5aada1da62b68e08631d1482b9dd098",
@@ -177,6 +180,20 @@ class TestEmnPinnedFingerprints:
         assert (
             campaign_fingerprint(result.episodes)
             == PRE_REFACTOR_FINGERPRINTS["emn.heuristic_depth2"]
+        )
+
+    def test_heuristic_depth3(self, emn_system):
+        """Table 1's heuristic depth-3 row, whose trees repeat beliefs most."""
+        result = run_campaign(
+            HeuristicController(emn_system.model, depth=3),
+            fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
+            injections=3,
+            seed=SEED,
+            monitor_tail=MONITOR_DURATION,
+        )
+        assert (
+            campaign_fingerprint(result.episodes)
+            == PRE_REFACTOR_FINGERPRINTS["emn.heuristic_depth3"]
         )
 
     @pytest.mark.parametrize("parallel", [None, 2])

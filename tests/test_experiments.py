@@ -1,8 +1,12 @@
 """Tests for the experiment harnesses (small-scale smoke + claim checks)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.bounds.upper import TrivialUpperBound
+from repro.controllers.bounded import TIE_EPSILON
 from repro.experiments.ablations import (
     BoundOutcome,
     bound_computation_cost,
@@ -22,7 +26,13 @@ from repro.experiments.table1 import (
     ordering_checks,
     run_table1,
 )
-from repro.systems.emn import build_emn_system
+from repro.pomdp.tree import expand_tree
+from repro.sim.campaign import run_episode
+from repro.sim.environment import RecoveryEnvironment
+from repro.sim.metrics import episode_fingerprint_bytes
+from repro.sim.parallel import plan_campaign
+from repro.systems.emn import MONITOR_DURATION, build_emn_system
+from repro.systems.faults import FaultKind
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +121,92 @@ class TestTable1:
         system = build_emn_system()
         with pytest.raises(KeyError):
             make_controller("ghost", system)
+
+
+#: The episodes of the 10,000-injection Table 1 run (seed 2006) that quit
+#: with the fault still live, and the SHA-256 of each episode's
+#: deterministic metrics in that run.
+EARLY_QUITS = {
+    "heuristic (depth 2)": (
+        7217,
+        "b5676691cdd4f250e57f1a1be80452811deed5f7cee72ea25d11fbb0b5072a69",
+    ),
+    "bounded (depth 1)": (
+        3206,
+        "3372e089f34b7aba7cb84465a2a2b3da144ed97c12217c641175941298e40898",
+    ),
+}
+
+
+def _replay_early_quit(system, name):
+    """Replay one early quit of the 10,000-injection Table 1 run.
+
+    A campaign runs its episodes in chunks, each on a clone of the freshly
+    built controller, so the quitting episode's controller has seen only
+    the episodes before it in its chunk; those run first.  Faults and
+    environment streams are drawn per episode up front, so a plan that
+    stops after the episode reproduces the campaign's.  Returns the
+    controller, holding its belief at the quit, and the injected fault.
+    """
+    episode, digest = EARLY_QUITS[name]
+    controller = make_controller(name, system)
+    plan = plan_campaign(
+        controller,
+        system.fault_states(FaultKind.ZOMBIE),
+        episode + 1,
+        seed=2006,
+        monitor_tail=MONITOR_DURATION,
+    )
+    for index in range(episode - episode % plan.chunk_size, episode + 1):
+        environment = RecoveryEnvironment(
+            plan.model,
+            seed=np.random.default_rng(plan.env_seeds[index]),
+            monitor_tail=plan.monitor_tail,
+        )
+        metrics = run_episode(controller.session, environment, int(plan.faults[index]))
+    assert hashlib.sha256(episode_fingerprint_bytes(metrics)).hexdigest() == digest
+    assert metrics.terminated and not metrics.recovered
+    return controller, int(plan.faults[episode])
+
+
+@pytest.mark.slow
+class TestTable1EarlyQuits:
+    """At 10,000 injections heuristic d2 and the bounded controller each
+    quit once with zombie(S2) live.  Both quits are what the controllers
+    are specified to do, not defects."""
+
+    def test_heuristic_depth2_quit_clears_its_threshold(self, emn_system):
+        controller, fault = _replay_early_quit(emn_system, "heuristic (depth 2)")
+        belief = controller.belief
+        recovered = emn_system.model.recovered_probability(belief)
+        assert emn_system.model.pomdp.state_labels[fault] == "zombie(S2)"
+        # Four clean monitor readings left the live fault 6.1e-5 of the
+        # belief: a false quit that the 0.9999 threshold permits.
+        assert recovered >= controller.engine.termination_probability == 0.9999
+        assert 0.0 < belief[fault] < 1e-4
+
+    def test_bounded_quit_is_the_optimal_action(self, emn_system):
+        controller, fault = _replay_early_quit(emn_system, "bounded (depth 1)")
+        model = emn_system.model
+        pomdp, terminate = model.pomdp, model.terminate_action
+        belief = controller.belief
+        assert pomdp.state_labels[fault] == "zombie(S2)"
+        assert model.recovered_probability(belief) < 0.9999
+        # The termination rule fired, with a_T the strict maximum of the
+        # lookahead rather than a tie broken toward it.
+        decision = expand_tree(pomdp, belief, 1, controller.bound_set)
+        assert decision.action_values[terminate] >= decision.value - TIE_EPSILON
+        assert decision.action == terminate
+        # Zero bounds V* from above (Condition 2), so a depth-2 tree with
+        # zero leaves bounds every Q*(a) from above, while a_T's value from
+        # the lower bound set bounds Q*(a_T) from below: terminating is
+        # optimal.  Quitting risks 2.44e-4 x 10,800 = 2.64 requests of
+        # operator penalty; one more monitor call costs 2.5 requests and
+        # still leaves 0.66 of it.
+        upper = expand_tree(pomdp, belief, 2, TrivialUpperBound(pomdp.n_states))
+        assert np.delete(upper.action_values, terminate).max() < (
+            decision.action_values[terminate]
+        )
 
 
 class TestBoundsComparison:

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.__main__ import main
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.report import fig5_markdown, table1_markdown
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import DEFAULT_CONTROLLERS, run_table1
 
 
 class TestCLI:
@@ -26,12 +26,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 5(b)" in out
 
-    def test_table1_command_skip_depth3(self, capsys):
-        main(["table1", "--injections", "5", "--seed", "1", "--skip-depth3"])
+    def test_table1_command(self, capsys):
+        main(["table1", "--injections", "5", "--seed", "1"])
         out = capsys.readouterr().out
         assert "Table 1" in out
-        assert "heuristic (depth 3)" not in out
-        assert "bounded (depth 1)" in out
+        for name in DEFAULT_CONTROLLERS:
+            assert name in out
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -39,8 +39,7 @@ class TestCLI:
 
     def test_table1_parallel_flag(self, capsys):
         main([
-            "table1", "--injections", "6", "--seed", "1", "--skip-depth3",
-            "--parallel", "2",
+            "table1", "--injections", "6", "--seed", "1", "--parallel", "2",
         ])
         out = capsys.readouterr().out
         assert "Table 1" in out

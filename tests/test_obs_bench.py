@@ -22,6 +22,8 @@ from repro.obs.bench import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PR10 = REPO_ROOT / "BENCH_PR10.json"
+#: The committed canonical snapshots, oldest first.
+BENCH_CHAIN = ("BENCH_PR5.json", "BENCH_PR7.json", "BENCH_PR9.json", "BENCH_PR10.json")
 
 
 def _write(path: Path, document: dict) -> Path:
@@ -184,6 +186,17 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert main(["bench", "compare", str(BENCH_PR10), str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", list(zip(BENCH_CHAIN, BENCH_CHAIN[1:])))
+def test_committed_chain_exact_metrics_match(old, new):
+    """Every fingerprint and parity flag two consecutive committed snapshots
+    share agrees.  Their wall-clock metrics are frozen figures from
+    different machines, so they are not compared."""
+    result = compare(load_snapshot(REPO_ROOT / old), load_snapshot(REPO_ROOT / new))
+    exact = [row for row in result.rows if row.direction == "exact"]
+    assert exact
+    assert [row.name for row in exact if row.regressed] == []
 
 
 class TestStoreView:

@@ -554,6 +554,75 @@ def _make_leaf(kind, pomdp, rng):
     return leaf
 
 
+def _repeating_pomdp(rng):
+    """A random POMDP built to repeat beliefs: one action is duplicated in
+    T, Z and R, so every branch of its copy repeats one of the original's
+    posteriors, and observation rows have zeros."""
+    base = _pruned_pomdp(rng)
+    copied = int(rng.integers(base.n_actions))
+
+    def duplicated(array):
+        return np.concatenate([array, array[copied : copied + 1]])
+
+    return POMDP(
+        transitions=duplicated(base.transitions),
+        observations=duplicated(base.observations),
+        rewards=duplicated(base.rewards),
+        discount=base.discount,
+    )
+
+
+def _in_setting(pomdp, setting):
+    """``pomdp`` on the backend of ``setting``, and the environment that
+    declines the joint-factor cache where the setting asks for it."""
+    if setting.startswith("sparse"):
+        pomdp = POMDP(
+            transitions=sparsify_transitions(pomdp.transitions),
+            observations=sparsify_observations(pomdp.observations),
+            rewards=sparsify_rewards(pomdp.rewards),
+            discount=pomdp.discount,
+        )
+    environment = {MAX_CACHE_BYTES_ENV: "0"} if setting.endswith("no_cache") else {}
+    return pomdp, environment
+
+
+def _check_against_reference(
+    pomdp, rng, depth, leaf_kind, setting, masked, chunk_beliefs
+):
+    """Expand ``pomdp`` both ways in ``setting`` under a chunk budget of
+    ``chunk_beliefs`` beliefs (whole levels when None) and compare."""
+    pomdp, environment = _in_setting(pomdp, setting)
+    belief = rng.dirichlet(np.ones(pomdp.n_states))
+    leaf = _make_leaf(leaf_kind, pomdp, rng)
+    reference_leaf = copy.deepcopy(leaf)
+    allowed = None
+    if masked:
+        allowed = rng.random(pomdp.n_actions) < 0.5
+        allowed[rng.integers(pomdp.n_actions)] = True
+    budget = tree.BLOCK_BYTES  # whole levels fit in one chunk
+    if chunk_beliefs is not None:
+        joint_bytes = 8 * pomdp.n_actions * pomdp.n_states * pomdp.n_observations
+        budget = chunk_beliefs * joint_bytes
+    with mock.patch.dict(os.environ, environment), mock.patch.object(
+        tree, "BLOCK_BYTES", budget
+    ):
+        expected = reference_expand(pomdp, belief, depth, reference_leaf, allowed)
+        decision = expand_tree(pomdp, belief, depth, leaf, allowed)
+
+    assert decision.action == expected.action
+    assert decision.nodes == expected.nodes
+    assert decision.leaf_evaluations == expected.leaf_evaluations
+    np.testing.assert_allclose(
+        decision.action_values,
+        expected.action_values,
+        rtol=0.0,
+        atol=ROOT_VALUE_TOLERANCE,
+    )
+    assert decision.value == decision.action_values[decision.action]
+    if isinstance(leaf, BoundVectorSet):
+        np.testing.assert_array_equal(leaf._usage, reference_leaf._usage)
+
+
 class TestLevelExpanderMatchesRecursion:
     """One batched expander for every depth: same decisions, node and leaf
     counts and bound-set usage as the node-at-a-time recursion."""
@@ -571,41 +640,57 @@ class TestLevelExpanderMatchesRecursion:
         self, seed, depth, leaf_kind, setting, masked, chunk_beliefs
     ):
         rng = np.random.default_rng(seed)
-        pomdp = _pruned_pomdp(rng)
-        if setting.startswith("sparse"):
-            pomdp = POMDP(
-                transitions=sparsify_transitions(pomdp.transitions),
-                observations=sparsify_observations(pomdp.observations),
-                rewards=sparsify_rewards(pomdp.rewards),
-                discount=pomdp.discount,
-            )
-        belief = rng.dirichlet(np.ones(pomdp.n_states))
-        leaf = _make_leaf(leaf_kind, pomdp, rng)
-        reference_leaf = copy.deepcopy(leaf)
-        allowed = None
-        if masked:
-            allowed = rng.random(pomdp.n_actions) < 0.5
-            allowed[rng.integers(pomdp.n_actions)] = True
-        budget = tree.BLOCK_BYTES  # whole levels fit in one chunk
-        if chunk_beliefs is not None:
-            joint_bytes = 8 * pomdp.n_actions * pomdp.n_states * pomdp.n_observations
-            budget = chunk_beliefs * joint_bytes
-        environment = {MAX_CACHE_BYTES_ENV: "0"} if setting.endswith("no_cache") else {}
-        with mock.patch.dict(os.environ, environment), mock.patch.object(
-            tree, "BLOCK_BYTES", budget
-        ):
-            expected = reference_expand(pomdp, belief, depth, reference_leaf, allowed)
-            decision = expand_tree(pomdp, belief, depth, leaf, allowed)
-
-        assert decision.action == expected.action
-        assert decision.nodes == expected.nodes
-        assert decision.leaf_evaluations == expected.leaf_evaluations
-        np.testing.assert_allclose(
-            decision.action_values,
-            expected.action_values,
-            rtol=0.0,
-            atol=ROOT_VALUE_TOLERANCE,
+        _check_against_reference(
+            _pruned_pomdp(rng), rng, depth, leaf_kind, setting, masked, chunk_beliefs
         )
-        assert decision.value == decision.action_values[decision.action]
-        if isinstance(leaf, BoundVectorSet):
-            np.testing.assert_array_equal(leaf._usage, reference_leaf._usage)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(2, 3),
+        leaf_kind=st.sampled_from(LEAF_KINDS),
+        setting=st.sampled_from(SETTINGS),
+        masked=st.booleans(),
+        chunk_beliefs=st.sampled_from([1, 2, None]),
+    )
+    def test_repeated_beliefs_match_reference(
+        self, seed, depth, leaf_kind, setting, masked, chunk_beliefs
+    ):
+        """Merged beliefs count every tree branch they stand for: nodes,
+        leaf evaluations and bound-set usage match the recursion, which
+        expands each copy."""
+        rng = np.random.default_rng(seed)
+        merged = []
+        distinct_rows = tree._distinct_rows
+
+        def spy(beliefs):
+            distinct, inverse = distinct_rows(beliefs)
+            merged.append(beliefs.shape[0] - distinct.shape[0])
+            return distinct, inverse
+
+        with mock.patch.object(tree, "_distinct_rows", spy):
+            _check_against_reference(
+                _repeating_pomdp(rng),
+                rng,
+                depth,
+                leaf_kind,
+                setting,
+                masked,
+                chunk_beliefs,
+            )
+        if depth == 3 or not masked:
+            # Inner nodes expand every action, so the copy's branches merge
+            # below the first level, and below the root unless it is masked.
+            assert sum(merged) > 0
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_depth_one_never_merges(self, setting):
+        """Depth-1 decisions, generic and fused sparse, run no merge."""
+        rng = np.random.default_rng(23)
+        pomdp, environment = _in_setting(_repeating_pomdp(rng), setting)
+        belief = rng.dirichlet(np.ones(pomdp.n_states))
+        with mock.patch.dict(os.environ, environment), mock.patch.object(
+            tree, "_distinct_rows", side_effect=AssertionError("merged at depth 1")
+        ):
+            for leaf_kind in LEAF_KINDS:
+                expand_tree(pomdp, belief, 1, _make_leaf(leaf_kind, pomdp, rng))
