@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import bench_injections
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.sim.campaign import run_campaign
 from repro.systems.emn import MONITOR_DURATION, build_emn_system
 from repro.systems.faults import FaultKind
@@ -23,12 +23,12 @@ def _bounded_campaign(system, injections, depth=1):
     bound_set, _ = bootstrap_bounds(
         system.model, iterations=10, depth=2, variant="average", seed=0
     )
-    controller = BoundedController(
+    engine = BoundedPolicyEngine(
         system.model, depth=depth, bound_set=bound_set,
         refine_min_improvement=1.0,
     )
     return run_campaign(
-        controller,
+        engine,
         fault_states=system.fault_states(FaultKind.ZOMBIE),
         injections=injections,
         seed=SEED,
@@ -87,19 +87,19 @@ def test_branch_and_bound_pruning(benchmark, emn_system, depth):
     proves unnecessary; at depth 2 the pruning typically removes well over
     half of them.
     """
-    from repro.controllers.branch_and_bound import BranchAndBoundController
+    from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
     from repro.obs.telemetry import Telemetry, activated
 
     injections = bench_injections(20 if depth == 1 else 8)
 
     def run():
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             emn_system.model, depth=depth, refine_min_improvement=1.0
         )
         telemetry = Telemetry()
         with activated(telemetry):
             result = run_campaign(
-                controller,
+                engine,
                 fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
                 injections=injections,
                 seed=SEED,

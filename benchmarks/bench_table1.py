@@ -15,10 +15,10 @@ Counts default small so the suite stays fast; scale with
 import pytest
 
 from benchmarks.conftest import bench_injections
-from repro.controllers.bounded import BoundedController
-from repro.controllers.heuristic import HeuristicController
-from repro.controllers.most_likely import MostLikelyController
-from repro.controllers.oracle import OracleController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.heuristic import HeuristicPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.sim.campaign import run_campaign
 from repro.systems.emn import MONITOR_DURATION
 from repro.systems.faults import FaultKind
@@ -26,9 +26,9 @@ from repro.systems.faults import FaultKind
 SEED = 2006
 
 
-def _campaign(controller, emn_system, injections):
+def _campaign(engine, emn_system, injections):
     return run_campaign(
-        controller,
+        engine,
         fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
         injections=injections,
         seed=SEED,
@@ -56,7 +56,7 @@ def test_table1_most_likely(benchmark, emn_system):
     injections = bench_injections(100)
     result = benchmark.pedantic(
         lambda: _campaign(
-            MostLikelyController(emn_system.model), emn_system, injections
+            MostLikelyPolicyEngine(emn_system.model), emn_system, injections
         ),
         rounds=1,
         iterations=1,
@@ -70,7 +70,7 @@ def test_table1_heuristic(benchmark, emn_system, depth):
     injections = bench_injections(60 if depth == 1 else 20)
     result = benchmark.pedantic(
         lambda: _campaign(
-            HeuristicController(emn_system.model, depth=depth),
+            HeuristicPolicyEngine(emn_system.model, depth=depth),
             emn_system,
             injections,
         ),
@@ -85,7 +85,7 @@ def test_table1_heuristic_depth3(benchmark, emn_system):
     injections = bench_injections(3)
     result = benchmark.pedantic(
         lambda: _campaign(
-            HeuristicController(emn_system.model, depth=3),
+            HeuristicPolicyEngine(emn_system.model, depth=3),
             emn_system,
             injections,
         ),
@@ -100,7 +100,7 @@ def test_table1_bounded(benchmark, emn_system, bootstrapped_bounds):
     injections = bench_injections(100)
     result = benchmark.pedantic(
         lambda: _campaign(
-            BoundedController(
+            BoundedPolicyEngine(
                 emn_system.model,
                 depth=1,
                 bound_set=bootstrapped_bounds,
@@ -120,7 +120,7 @@ def test_table1_oracle(benchmark, emn_system):
     injections = bench_injections(100)
     result = benchmark.pedantic(
         lambda: _campaign(
-            OracleController(emn_system.model), emn_system, injections
+            OraclePolicyEngine(emn_system.model), emn_system, injections
         ),
         rounds=1,
         iterations=1,
@@ -134,21 +134,19 @@ def test_table1_orderings(benchmark, emn_system, bootstrapped_bounds):
 
     def run():
         summaries = {}
-        controllers = {
-            "most_likely": MostLikelyController(emn_system.model),
-            "heuristic_d1": HeuristicController(emn_system.model, depth=1),
-            "bounded": BoundedController(
+        engines = {
+            "most_likely": MostLikelyPolicyEngine(emn_system.model),
+            "heuristic_d1": HeuristicPolicyEngine(emn_system.model, depth=1),
+            "bounded": BoundedPolicyEngine(
                 emn_system.model,
                 depth=1,
                 bound_set=bootstrapped_bounds,
                 refine_min_improvement=1.0,
             ),
-            "oracle": OracleController(emn_system.model),
+            "oracle": OraclePolicyEngine(emn_system.model),
         }
-        for name, controller in controllers.items():
-            summaries[name] = _campaign(
-                controller, emn_system, injections
-            ).summary
+        for name, engine in engines.items():
+            summaries[name] = _campaign(engine, emn_system, injections).summary
         return summaries
 
     summaries = benchmark.pedantic(run, rounds=1, iterations=1)

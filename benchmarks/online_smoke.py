@@ -44,7 +44,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.linalg import shm
 from repro.pomdp.belief import uniform_belief
 from repro.pomdp.cache import MAX_CACHE_BYTES_ENV
@@ -125,24 +125,25 @@ def run_smoke(replicas_per_tier: int) -> dict:
     build_seconds = time.perf_counter() - started
     assert model.pomdp.backend.is_sparse, "tiered build did not select sparse"
 
-    controller = BoundedController(
+    engine = BoundedPolicyEngine(
         model, depth=1, refine_online=False, preflight=True
     )
-    assert controller.preflight_report is not None
+    session = engine.session()
+    assert engine.preflight_report is not None
     assert not any(
-        d.code == "R203" for d in controller.preflight_report.findings
+        d.code == "R203" for d in engine.preflight_report.findings
     ), "sparse preflight must run every pass without size skips"
     belief = uniform_belief(model.pomdp, support=model.fault_states)
-    controller.reset(initial_belief=belief)
+    session.reset(initial_belief=belief)
     started = time.perf_counter()
-    decision = controller.decide()
+    decision = session.decide()
     uniform_seconds = time.perf_counter() - started
     assert decision.is_terminate, (
         "uniform-belief decision should escalate to the operator "
         f"(one faulty replica in {replicas_per_tier} costs less than a "
         f"restart), got action {decision.action}"
     )
-    vectors = controller.bound_set.vectors
+    vectors = engine.bound_set.vectors
     uniform_chunks = check_split_budget(model.pomdp, belief, vectors)
 
     environment = RecoveryEnvironment(model, seed=2006)
@@ -150,18 +151,18 @@ def run_smoke(replicas_per_tier: int) -> dict:
     environment.inject(int(fault_indices[0]))
     suspects = np.zeros(model.pomdp.n_states, dtype=bool)
     suspects[fault_indices[:6]] = True
-    controller.reset(initial_belief=uniform_belief(model.pomdp, support=suspects))
+    session.reset(initial_belief=uniform_belief(model.pomdp, support=suspects))
     passive = int(np.flatnonzero(model.passive_actions)[0])
-    controller.observe(passive, environment.initial_observation())
-    narrowed_chunks = check_split_budget(model.pomdp, controller.belief, vectors)
+    session.observe(passive, environment.initial_observation())
+    narrowed_chunks = check_split_budget(model.pomdp, session.belief, vectors)
     steps = 0
     for _ in range(8):
-        step = controller.decide()
+        step = session.decide()
         result = environment.execute(step.action)
         steps += 1
         if step.is_terminate:
             break
-        controller.observe(step.action, result.observation)
+        session.observe(step.action, result.observation)
 
     shm_bytes = exercise_shm_handoff(model.pomdp)
     return {

@@ -11,10 +11,10 @@ Run:  python examples/compare_controllers.py [injections]
 import sys
 
 from repro import (
-    BoundedController,
-    HeuristicController,
-    MostLikelyController,
-    OracleController,
+    BoundedPolicyEngine,
+    HeuristicPolicyEngine,
+    MostLikelyPolicyEngine,
+    OraclePolicyEngine,
     bootstrap_bounds,
     build_emn_system,
     run_campaign,
@@ -33,14 +33,14 @@ def main(injections: int = 100) -> None:
         system.model, iterations=10, depth=2, variant="average", seed=0
     )
     controllers = [
-        MostLikelyController(system.model),
-        HeuristicController(system.model, depth=1),
-        HeuristicController(system.model, depth=2),
-        BoundedController(
+        MostLikelyPolicyEngine(system.model),
+        HeuristicPolicyEngine(system.model, depth=1),
+        HeuristicPolicyEngine(system.model, depth=2),
+        BoundedPolicyEngine(
             system.model, depth=1, bound_set=bound_set,
             refine_min_improvement=1.0,
         ),
-        OracleController(system.model),
+        OraclePolicyEngine(system.model),
     ]
 
     rows = []

@@ -16,7 +16,7 @@ Run:  python examples/custom_system.py
 import numpy as np
 
 from repro import (
-    BoundedController,
+    BoundedPolicyEngine,
     RecoveryModelBuilder,
     bootstrap_bounds,
     run_campaign,
@@ -101,12 +101,12 @@ def main() -> None:
         f"belief (|B| = {len(bound_set)})"
     )
 
-    controller = BoundedController(
+    engine = BoundedPolicyEngine(
         model, depth=1, bound_set=bound_set, refine_min_improvement=0.1
     )
     faults = np.flatnonzero(model.fault_states)
     result = run_campaign(
-        controller, fault_states=faults, injections=200, seed=SEED
+        engine, fault_states=faults, injections=200, seed=SEED
     )
     summary = result.summary
 

@@ -8,7 +8,7 @@ Table 1 experiment.
 Run:  python examples/quickstart.py
 """
 
-from repro import BoundedController, bootstrap_bounds, build_emn_system, run_campaign
+from repro import BoundedPolicyEngine, bootstrap_bounds, build_emn_system, run_campaign
 from repro.systems import FaultKind
 from repro.util import render_table
 
@@ -36,11 +36,11 @@ def main() -> None:
 
     # 3. Online recovery: inject zombie faults (invisible to ping monitors)
     #    and let the bounded controller diagnose and repair them.
-    controller = BoundedController(
+    engine = BoundedPolicyEngine(
         system.model, depth=1, bound_set=bound_set, refine_min_improvement=1.0
     )
     result = run_campaign(
-        controller,
+        engine,
         fault_states=system.fault_states(FaultKind.ZOMBIE),
         injections=INJECTIONS,
         seed=SEED,

@@ -12,7 +12,7 @@ the same episodes driven by upper+lower bounds, with pruning statistics.
 Run:  python examples/traced_recovery.py
 """
 
-from repro import BranchAndBoundController, BoundedController, bootstrap_bounds
+from repro import BranchAndBoundPolicyEngine, BoundedPolicyEngine, bootstrap_bounds
 from repro import build_emn_system
 from repro.obs.telemetry import Telemetry, activated
 from repro.sim import RecoveryEnvironment, trace_episode
@@ -28,15 +28,15 @@ def main() -> None:
     )
 
     for fault_label in ("zombie(DB)", "zombie(S1)", "zombie(HG)"):
-        controller = BoundedController(
+        session = BoundedPolicyEngine(
             system.model, depth=1, bound_set=bound_set,
             refine_min_improvement=1.0,
-        )
+        ).session()
         environment = RecoveryEnvironment(
             system.model, seed=SEED, monitor_tail=5.0
         )
         trace = trace_episode(
-            controller, environment, pomdp.state_index(fault_label)
+            session, environment, pomdp.state_index(fault_label)
         )
         print(trace.render())
         print()
@@ -44,14 +44,14 @@ def main() -> None:
     # The branch-and-bound extension prunes provably suboptimal actions
     # using the sawtooth upper bound before expanding their subtrees; it
     # counts its expansions and prunes in the active telemetry registry.
-    controller = BranchAndBoundController(
+    session = BranchAndBoundPolicyEngine(
         system.model, depth=2, refine_min_improvement=1.0
-    )
+    ).session()
     environment = RecoveryEnvironment(system.model, seed=SEED, monitor_tail=5.0)
     telemetry = Telemetry()
     with activated(telemetry):
         trace = trace_episode(
-            controller, environment, pomdp.state_index("zombie(S2)")
+            session, environment, pomdp.state_index("zombie(S2)")
         )
     print(trace.render())
     pruned = telemetry.counters["controller.pruned_actions"]

@@ -9,13 +9,13 @@ case-study system, and the fault-injection experiment harness.
 
 Quick start::
 
-    from repro import build_emn_system, BoundedController, run_campaign
+    from repro import build_emn_system, BoundedPolicyEngine, run_campaign
     from repro.systems import FaultKind
 
     system = build_emn_system()
-    controller = BoundedController(system.model, depth=1)
+    engine = BoundedPolicyEngine(system.model, depth=1)
     result = run_campaign(
-        controller,
+        engine,
         fault_states=system.fault_states(FaultKind.ZOMBIE),
         injections=100,
         seed=0,
@@ -33,12 +33,12 @@ from repro.bounds import (
     refine_at,
 )
 from repro.controllers import (
-    BoundedController,
-    BranchAndBoundController,
-    HeuristicController,
-    MostLikelyController,
-    OracleController,
-    RandomController,
+    BoundedPolicyEngine,
+    BranchAndBoundPolicyEngine,
+    HeuristicPolicyEngine,
+    MostLikelyPolicyEngine,
+    OraclePolicyEngine,
+    RandomPolicyEngine,
     bootstrap_bounds,
 )
 from repro.io import (
@@ -79,21 +79,21 @@ __all__ = [
     "AnalysisReport",
     "BeliefError",
     "BoundVectorSet",
-    "BoundedController",
-    "BranchAndBoundController",
+    "BoundedPolicyEngine",
+    "BranchAndBoundPolicyEngine",
     "ConditionViolation",
     "ControllerError",
     "Diagnostic",
     "DivergenceError",
-    "HeuristicController",
+    "HeuristicPolicyEngine",
     "MDP",
     "ModelError",
     "ModelView",
-    "MostLikelyController",
+    "MostLikelyPolicyEngine",
     "NotConvergedError",
-    "OracleController",
+    "OraclePolicyEngine",
     "POMDP",
-    "RandomController",
+    "RandomPolicyEngine",
     "RecoveryEnvironment",
     "RecoveryModel",
     "RecoveryModelBuilder",

@@ -4,12 +4,11 @@ One contract: every policy is a
 :class:`~repro.controllers.engine.PolicyEngine` subclass — shared,
 immutable-after-warmup state (bound sets, Q-tables, fixing-action maps)
 that spawns lightweight per-episode
-:class:`~repro.controllers.engine.RecoverySession` objects.  The
-``*Controller`` classes are thin campaign-facing adapters binding one
-engine to one live session; :class:`~repro.controllers.base.RecoveryController`
-rejects anything that is not an engine.  Diagnostic counts (decisions,
-tie-breaks, branch-and-bound expansions and prunes) are telemetry counters
-(:mod:`repro.obs.telemetry`), merged across campaign chunks in chunk order.
+:class:`~repro.controllers.engine.RecoverySession` objects.  Campaigns take
+the engine; episode drivers and the policy service drive its sessions.
+Diagnostic counts (decisions, tie-breaks, branch-and-bound expansions and
+prunes) are telemetry counters (:mod:`repro.obs.telemetry`), merged across
+campaign chunks in chunk order.
 
 * :mod:`repro.controllers.bounded` — the paper's controller: finite-depth
   lookahead with the piecewise-linear lower bound at the leaves, online
@@ -32,51 +31,34 @@ tie-breaks, branch-and-bound expansions and prunes) are telemetry counters
   Figures 5(a) and 5(b).
 """
 
-from repro.controllers.base import NO_ACTION, Decision, RecoveryController
 from repro.controllers.bootstrap import BootstrapResult, bootstrap_bounds
-from repro.controllers.bounded import BoundedController, BoundedPolicyEngine
-from repro.controllers.branch_and_bound import (
-    BranchAndBoundController,
-    BranchAndBoundPolicyEngine,
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
+from repro.controllers.engine import (
+    NO_ACTION,
+    Decision,
+    PolicyEngine,
+    RecoverySession,
 )
-from repro.controllers.engine import PolicyEngine, RecoverySession
-from repro.controllers.heuristic import (
-    HeuristicController,
-    HeuristicLeaf,
-    HeuristicPolicyEngine,
-)
-from repro.controllers.most_likely import (
-    MostLikelyController,
-    MostLikelyPolicyEngine,
-)
-from repro.controllers.oracle import OracleController, OraclePolicyEngine
-from repro.controllers.qmdp import QMDPController, QMDPPolicyEngine
-from repro.controllers.random_controller import (
-    RandomController,
-    RandomPolicyEngine,
-)
+from repro.controllers.heuristic import HeuristicLeaf, HeuristicPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
+from repro.controllers.qmdp import QMDPPolicyEngine
+from repro.controllers.random_controller import RandomPolicyEngine
 
 __all__ = [
     "NO_ACTION",
     "BootstrapResult",
-    "BoundedController",
     "BoundedPolicyEngine",
-    "BranchAndBoundController",
     "BranchAndBoundPolicyEngine",
     "Decision",
-    "HeuristicController",
     "HeuristicLeaf",
     "HeuristicPolicyEngine",
-    "MostLikelyController",
     "MostLikelyPolicyEngine",
-    "OracleController",
     "OraclePolicyEngine",
     "PolicyEngine",
-    "QMDPController",
     "QMDPPolicyEngine",
-    "RandomController",
     "RandomPolicyEngine",
-    "RecoveryController",
     "RecoverySession",
     "bootstrap_bounds",
 ]

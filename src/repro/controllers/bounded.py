@@ -19,8 +19,8 @@ sparse backend the posteriors are skipped entirely and the whole decision is
 a handful of CSR × dense-block products.
 
 All of that is shared, warm state, so it lives in
-:class:`BoundedPolicyEngine`; :class:`BoundedController` is the thin
-campaign-facing adapter over one engine plus one live session.
+:class:`BoundedPolicyEngine`; each recovery drives it through its own
+:class:`~repro.controllers.engine.RecoverySession`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.obs.telemetry import active as telemetry_active
 from repro.obs.telemetry import span
@@ -161,49 +160,3 @@ class BoundedPolicyEngine(PolicyEngine):
             is_terminate=action == terminate,
             value=decision.value,
         )
-
-
-class BoundedController(RecoveryController):
-    """Campaign-facing adapter over a :class:`BoundedPolicyEngine`.
-
-    Accepts the engine's arguments (see there) and exposes the engine's
-    shared state under the historical attribute names.
-    """
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        depth: int = 1,
-        bound_set: BoundVectorSet | None = None,
-        refine_online: bool = True,
-        refine_min_improvement: float = 0.0,
-        max_vectors: int | None = None,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=BoundedPolicyEngine(
-                model,
-                depth=depth,
-                bound_set=bound_set,
-                refine_online=refine_online,
-                refine_min_improvement=refine_min_improvement,
-                max_vectors=max_vectors,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def depth(self) -> int:
-        return self.engine.depth
-
-    @property
-    def refine_online(self) -> bool:
-        return self.engine.refine_online
-
-    @property
-    def refine_min_improvement(self) -> float:
-        return self.engine.refine_min_improvement
-
-    @property
-    def bound_set(self) -> BoundVectorSet:
-        return self.engine.bound_set

@@ -15,8 +15,7 @@ computational.  The engine counts ``controller.expanded_actions``,
 ``controller.pruned_actions`` and ``controller.withheld_terminations`` in
 the active telemetry registry, so the benefit is measurable (see
 ``benchmarks/bench_ablations.py``); campaigns merge them across chunks
-like every other telemetry counter.  :class:`BranchAndBoundController` is
-the thin adapter over one :class:`BranchAndBoundPolicyEngine`.
+like every other telemetry counter.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.sawtooth import SawtoothUpperBound, reachable_successors
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.base import RecoveryController
 from repro.controllers.bounded import NOTIFICATION_CERTAINTY, TIE_EPSILON
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.obs.telemetry import Telemetry
@@ -216,47 +214,3 @@ class BranchAndBoundPolicyEngine(PolicyEngine):
             is_terminate=best_action == terminate,
             value=best_value,
         )
-
-
-class BranchAndBoundController(RecoveryController):
-    """Campaign-facing adapter over a :class:`BranchAndBoundPolicyEngine`.
-
-    Accepts the engine's arguments (see there) and exposes the engine's
-    depth and bounds under the historical attribute names.
-    """
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        depth: int = 1,
-        lower: BoundVectorSet | None = None,
-        upper: SawtoothUpperBound | None = None,
-        refine_online: bool = True,
-        refine_min_improvement: float = 0.0,
-        certified_termination: bool = False,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=BranchAndBoundPolicyEngine(
-                model,
-                depth=depth,
-                lower=lower,
-                upper=upper,
-                refine_online=refine_online,
-                refine_min_improvement=refine_min_improvement,
-                certified_termination=certified_termination,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def depth(self) -> int:
-        return self.engine.depth
-
-    @property
-    def lower(self) -> BoundVectorSet:
-        return self.engine.lower
-
-    @property
-    def upper(self) -> SawtoothUpperBound:
-        return self.engine.upper

@@ -18,9 +18,7 @@ different lifetimes:
 One engine multiplexes any number of sessions: the batch campaign drivers
 (:mod:`repro.sim`) open one session per isolation chunk and reset it per
 episode, while the persistent policy service (:mod:`repro.serve`) keeps
-many sessions open concurrently against a single warm engine.  The
-classic :class:`~repro.controllers.base.RecoveryController` API survives
-as a thin adapter over one engine plus one live session.
+many sessions open concurrently against a single warm engine.
 
 The one deliberately *shared mutable* object is the bound set: Section
 4.1's refinements accumulate across episodes ("bounds improve along

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.linalg.ops import reward_row, rewards_max_value
 from repro.pomdp.tree import expand_tree
 from repro.recovery.model import RecoveryModel
+from repro.util.validation import check_termination_probability
 
 
 class HeuristicLeaf:
@@ -95,13 +95,10 @@ class HeuristicPolicyEngine(PolicyEngine):
         super().__init__(model, preflight=preflight)
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        if not 0.0 < termination_probability <= 1.0:
-            raise ValueError(
-                "termination_probability must be in (0, 1], got "
-                f"{termination_probability}"
-            )
         self.depth = depth
-        self.termination_probability = termination_probability
+        self.termination_probability = check_termination_probability(
+            termination_probability
+        )
         self.leaf = HeuristicLeaf(model, literal_max=literal_max)
         self._allowed = np.ones(model.pomdp.n_actions, dtype=bool)
         if model.terminate_action is not None:
@@ -121,37 +118,3 @@ class HeuristicPolicyEngine(PolicyEngine):
             allowed_actions=self._allowed,
         )
         return Decision(action=decision.action, value=decision.value)
-
-
-class HeuristicController(RecoveryController):
-    """Campaign-facing adapter over a :class:`HeuristicPolicyEngine`."""
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        depth: int = 1,
-        termination_probability: float = 0.9999,
-        literal_max: bool = False,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=HeuristicPolicyEngine(
-                model,
-                depth=depth,
-                termination_probability=termination_probability,
-                literal_max=literal_max,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def depth(self) -> int:
-        return self.engine.depth
-
-    @property
-    def termination_probability(self) -> float:
-        return self.engine.termination_probability
-
-    @property
-    def leaf(self) -> HeuristicLeaf:
-        return self.engine.leaf

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.exceptions import ModelError
 from repro.recovery.model import RecoveryModel
+from repro.util.validation import check_termination_probability
 
 #: Transition mass into S_phi needed to count an action as "recovering" a state.
 FIX_PROBABILITY = 1.0 - 1e-9
@@ -77,12 +77,9 @@ class MostLikelyPolicyEngine(PolicyEngine):
         preflight: bool = False,
     ):
         super().__init__(model, preflight=preflight)
-        if not 0.0 < termination_probability <= 1.0:
-            raise ValueError(
-                "termination_probability must be in (0, 1], got "
-                f"{termination_probability}"
-            )
-        self.termination_probability = termination_probability
+        self.termination_probability = check_termination_probability(
+            termination_probability
+        )
         self._fixing_action = cheapest_fixing_actions(model)
         self._fault_indices = np.flatnonzero(model.fault_states)
         self.name = "most likely"
@@ -95,25 +92,3 @@ class MostLikelyPolicyEngine(PolicyEngine):
         fault_mass = belief[self._fault_indices]
         most_likely = int(self._fault_indices[np.argmax(fault_mass)])
         return Decision(action=self._fixing_action[most_likely])
-
-
-class MostLikelyController(RecoveryController):
-    """Campaign-facing adapter over a :class:`MostLikelyPolicyEngine`."""
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        termination_probability: float = 0.9999,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=MostLikelyPolicyEngine(
-                model,
-                termination_probability=termination_probability,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def termination_probability(self) -> float:
-        return self.engine.termination_probability

@@ -11,7 +11,6 @@ at all (``uses_monitors`` is False), matching the zeros in its Table 1 row.
 
 from __future__ import annotations
 
-from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.controllers.most_likely import cheapest_fixing_actions
 from repro.exceptions import ControllerError
@@ -39,10 +38,3 @@ class OraclePolicyEngine(PolicyEngine):
         if self.model.is_recovered(true_state):
             return self.terminate_decision()
         return Decision(action=self._fixing_action[true_state])
-
-
-class OracleController(RecoveryController):
-    """Campaign-facing adapter over an :class:`OraclePolicyEngine`."""
-
-    def __init__(self, model: RecoveryModel, preflight: bool = False):
-        super().__init__(engine=OraclePolicyEngine(model, preflight=preflight))

@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bounds.upper import QMDPBound
-from repro.controllers.base import RecoveryController
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.recovery.model import RecoveryModel
+from repro.util.validation import check_termination_probability
 
 
 class QMDPPolicyEngine(PolicyEngine):
@@ -49,12 +49,9 @@ class QMDPPolicyEngine(PolicyEngine):
         preflight: bool = False,
     ):
         super().__init__(model, preflight=preflight)
-        if not 0.0 < termination_probability <= 1.0:
-            raise ValueError(
-                "termination_probability must be in (0, 1], got "
-                f"{termination_probability}"
-            )
-        self.termination_probability = termination_probability
+        self.termination_probability = check_termination_probability(
+            termination_probability
+        )
         self.q_values = QMDPBound(model.pomdp).q_values  # (|A|, |S|)
         self._allowed = np.ones(model.pomdp.n_actions, dtype=bool)
         if not allow_terminate_action and model.terminate_action is not None:
@@ -74,31 +71,3 @@ class QMDPPolicyEngine(PolicyEngine):
             is_terminate=action == self.model.terminate_action,
             value=float(scores[action]),
         )
-
-
-class QMDPController(RecoveryController):
-    """Campaign-facing adapter over a :class:`QMDPPolicyEngine`."""
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        termination_probability: float = 0.9999,
-        allow_terminate_action: bool = True,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=QMDPPolicyEngine(
-                model,
-                termination_probability=termination_probability,
-                allow_terminate_action=allow_terminate_action,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def termination_probability(self) -> float:
-        return self.engine.termination_probability
-
-    @property
-    def q_values(self) -> np.ndarray:
-        return self.engine.q_values

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.controllers.base import RecoveryController
 from repro.controllers.bounded import NOTIFICATION_CERTAINTY
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.recovery.model import RecoveryModel
 from repro.util.rng import as_generator
+from repro.util.validation import check_termination_probability
 
 
 class RandomPolicyEngine(PolicyEngine):
@@ -55,7 +55,9 @@ class RandomPolicyEngine(PolicyEngine):
         else:
             self._choices = np.flatnonzero(model.recovery_actions)
         self.include_all_actions = include_all_actions
-        self.termination_probability = termination_probability
+        self.termination_probability = check_termination_probability(
+            termination_probability
+        )
         self.name = "random"
 
     def decide(self, session: RecoverySession) -> Decision:
@@ -72,33 +74,3 @@ class RandomPolicyEngine(PolicyEngine):
         ):
             is_terminate = True
         return Decision(action=action, is_terminate=is_terminate)
-
-
-class RandomController(RecoveryController):
-    """Campaign-facing adapter over a :class:`RandomPolicyEngine`."""
-
-    def __init__(
-        self,
-        model: RecoveryModel,
-        include_all_actions: bool = True,
-        termination_probability: float = 0.9999,
-        seed=None,
-        preflight: bool = False,
-    ):
-        super().__init__(
-            engine=RandomPolicyEngine(
-                model,
-                include_all_actions=include_all_actions,
-                termination_probability=termination_probability,
-                seed=seed,
-                preflight=preflight,
-            )
-        )
-
-    @property
-    def include_all_actions(self) -> bool:
-        return self.engine.include_all_actions
-
-    @property
-    def termination_probability(self) -> float:
-        return self.engine.termination_probability

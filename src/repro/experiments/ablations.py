@@ -29,7 +29,7 @@ from repro.bounds.incremental import refine_at, sample_reachable_beliefs
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.exceptions import DivergenceError
 from repro.sim.campaign import run_campaign
 from repro.sim.metrics import MetricSummary
@@ -136,9 +136,9 @@ def operator_response_sweep(
         bound_set, _ = bootstrap_bounds(
             system.model, iterations=10, depth=2, variant="average", seed=0
         )
-        controller = BoundedController(system.model, depth=1, bound_set=bound_set)
+        engine = BoundedPolicyEngine(system.model, depth=1, bound_set=bound_set)
         campaign = run_campaign(
-            controller,
+            engine,
             fault_states=system.fault_states(FaultKind.ZOMBIE),
             injections=injections,
             seed=seed,
@@ -160,11 +160,11 @@ def depth_sweep(
         bound_set, _ = bootstrap_bounds(
             system.model, iterations=10, depth=2, variant="average", seed=0
         )
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             system.model, depth=depth, bound_set=bound_set
         )
         campaign = run_campaign(
-            controller,
+            engine,
             fault_states=system.fault_states(FaultKind.ZOMBIE),
             injections=injections,
             seed=seed,
@@ -186,9 +186,9 @@ def monitor_quality_sweep(
         bound_set, _ = bootstrap_bounds(
             system.model, iterations=10, depth=2, variant="average", seed=0
         )
-        controller = BoundedController(system.model, depth=1, bound_set=bound_set)
+        engine = BoundedPolicyEngine(system.model, depth=1, bound_set=bound_set)
         campaign = run_campaign(
-            controller,
+            engine,
             fault_states=system.fault_states(FaultKind.ZOMBIE),
             injections=injections,
             seed=seed,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.experiments.store import GRID_SCHEMA, ResultsStore
 from repro.io import save_bound_set
 from repro.obs.telemetry import active as telemetry_active
@@ -252,11 +252,11 @@ def _run_table1_cell(cell: GridCell, parallel: int | None) -> CellOutcome:
 
     system = build_emn_system()
     model = convert_backend(system.model, cell.backend)
-    controller = make_controller(cell.variant, system, model=model)
+    engine = make_controller(cell.variant, system, model=model)
     stopwatch = Stopwatch()
     with stopwatch:
         campaign = run_campaign(
-            controller,
+            engine,
             fault_states=system.fault_states(FaultKind.ZOMBIE),
             injections=cell.injections,
             seed=cell.seed,
@@ -268,7 +268,7 @@ def _run_table1_cell(cell: GridCell, parallel: int | None) -> CellOutcome:
         cell=cell,
         fingerprint=campaign_fingerprint(campaign.episodes),
         metrics=_campaign_metrics(campaign.summary),
-        bound_set=controller.refinement_state(),
+        bound_set=engine.refinement_state(),
         wall_seconds=stopwatch.total_seconds,
     )
 
@@ -282,7 +282,7 @@ def _run_robustness_cell(cell: GridCell, parallel: int | None) -> CellOutcome:
     bound_set, _ = bootstrap_bounds(
         controller_model, iterations=10, depth=2, variant="average", seed=0
     )
-    controller = BoundedController(
+    engine = BoundedPolicyEngine(
         controller_model,
         depth=1,
         bound_set=bound_set,
@@ -291,7 +291,7 @@ def _run_robustness_cell(cell: GridCell, parallel: int | None) -> CellOutcome:
     stopwatch = Stopwatch()
     with stopwatch:
         campaign = run_campaign(
-            controller,
+            engine,
             fault_states=environment_system.fault_states(FaultKind.ZOMBIE),
             injections=cell.injections,
             seed=cell.seed,
@@ -304,7 +304,7 @@ def _run_robustness_cell(cell: GridCell, parallel: int | None) -> CellOutcome:
         cell=cell,
         fingerprint=campaign_fingerprint(campaign.episodes),
         metrics=_campaign_metrics(campaign.summary),
-        bound_set=controller.refinement_state(),
+        bound_set=engine.refinement_state(),
         wall_seconds=stopwatch.total_seconds,
     )
 

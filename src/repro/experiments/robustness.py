@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.sim.campaign import run_campaign
 from repro.sim.metrics import MetricSummary
 from repro.systems.emn import MONITOR_DURATION, build_emn_system
@@ -54,8 +54,9 @@ def run_mismatch_sweep(
     campaign against an environment whose path monitors actually achieve
     ``environment_coverage``.  Observations the controller's model deems
     impossible trigger its re-diagnosis fallback
-    (:meth:`RecoveryController.observe`), so the sweep also exercises that
-    path when the model says coverage is perfect but probes miss.
+    (:meth:`~repro.controllers.engine.RecoverySession.observe`), so the
+    sweep also exercises that path when the model says coverage is perfect
+    but probes miss.
     ``parallel`` shards each campaign across worker processes without
     changing any deterministic metric (see :mod:`repro.sim.parallel`).
     """
@@ -67,14 +68,14 @@ def run_mismatch_sweep(
     points = []
     for coverage in environment_coverages:
         environment_system = build_emn_system(path_monitor_coverage=coverage)
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             controller_system.model,
             depth=1,
             bound_set=bound_set,
             refine_min_improvement=1.0,
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=environment_system.fault_states(FaultKind.ZOMBIE),
             injections=injections,
             seed=seed,

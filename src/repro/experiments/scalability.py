@@ -185,7 +185,7 @@ def run_online(
     action, which is exactly the per-decision cost the fused depth-1
     expansion avoids; the RA-Bound seed alone is a valid lower bound.
     """
-    from repro.controllers.bounded import BoundedController
+    from repro.controllers.bounded import BoundedPolicyEngine
     from repro.pomdp.belief import uniform_belief
     from repro.sim.environment import RecoveryEnvironment
 
@@ -195,15 +195,15 @@ def run_online(
     build_seconds = time.perf_counter() - started  # codelint: ignore[R903]
 
     started = time.perf_counter()  # codelint: ignore[R903]
-    controller = BoundedController(
+    session = BoundedPolicyEngine(
         model, depth=depth, refine_online=False, preflight=True
-    )
+    ).session()
     controller_init_seconds = time.perf_counter() - started  # codelint: ignore[R903]
 
     belief = uniform_belief(model.pomdp, support=model.fault_states)
-    controller.reset(initial_belief=belief)
+    session.reset(initial_belief=belief)
     started = time.perf_counter()  # codelint: ignore[R903]
-    decision = controller.decide()
+    decision = session.decide()
     uniform_decision_seconds = time.perf_counter() - started  # codelint: ignore[R903]
     uniform_action_label = model.pomdp.action_labels[decision.action]
 
@@ -214,20 +214,20 @@ def run_online(
     # Narrowed diagnosis: the true fault plus a few siblings are suspects.
     suspects = np.zeros(model.pomdp.n_states, dtype=bool)
     suspects[fault_indices[: min(6, fault_indices.size)]] = True
-    controller.reset(initial_belief=uniform_belief(model.pomdp, support=suspects))
+    session.reset(initial_belief=uniform_belief(model.pomdp, support=suspects))
     passive = int(np.flatnonzero(model.passive_actions)[0])
-    controller.observe(passive, environment.initial_observation())
+    session.observe(passive, environment.initial_observation())
     decision_seconds: list[float] = []
     terminated = False
     for _ in range(8):
         started = time.perf_counter()  # codelint: ignore[R903]
-        step = controller.decide()
+        step = session.decide()
         decision_seconds.append(time.perf_counter() - started)  # codelint: ignore[R903]
         result = environment.execute(step.action)
         if step.is_terminate:
             terminated = True
             break
-        controller.observe(step.action, result.observation)
+        session.observe(step.action, result.observation)
 
     return OnlineScalabilityResult(
         n_states=model.pomdp.n_states,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.controllers.base import RecoveryController
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
-from repro.controllers.heuristic import HeuristicController
-from repro.controllers.most_likely import MostLikelyController
-from repro.controllers.oracle import OracleController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.engine import PolicyEngine
+from repro.controllers.heuristic import HeuristicPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.recovery.model import RecoveryModel
 from repro.sim.campaign import CampaignResult, run_campaign
 from repro.systems.emn import MONITOR_DURATION, EMNSystem, build_emn_system
@@ -76,8 +76,8 @@ def make_controller(
     system: EMNSystem,
     termination_probability: float = 0.9999,
     model: RecoveryModel | None = None,
-) -> RecoveryController:
-    """Instantiate a Table 1 controller by row name.
+) -> PolicyEngine:
+    """The policy engine of a Table 1 controller row, by row name.
 
     The bounded controller is bootstrapped with the paper's configuration
     (10 simulated runs at depth 2) before being returned.  ``model``
@@ -88,12 +88,12 @@ def make_controller(
     if model is None:
         model = system.model
     if name == "most likely":
-        return MostLikelyController(
+        return MostLikelyPolicyEngine(
             model, termination_probability=termination_probability
         )
     if name.startswith("heuristic"):
         depth = int(name.split("depth")[1].strip(" )"))
-        return HeuristicController(
+        return HeuristicPolicyEngine(
             model, depth=depth, termination_probability=termination_probability
         )
     if name.startswith("bounded"):
@@ -108,11 +108,11 @@ def make_controller(
         # Accept online refinements worth at least one dropped request so
         # the bound set stays compact over a 10,000-fault campaign
         # (Section 4.3's finite-storage advice, scaled to the EMN costs).
-        return BoundedController(
+        return BoundedPolicyEngine(
             model, depth=depth, bound_set=bound_set, refine_min_improvement=1.0
         )
     if name == "oracle":
-        return OracleController(model)
+        return OraclePolicyEngine(model)
     raise KeyError(f"unknown controller {name!r}")
 
 
@@ -138,12 +138,12 @@ def run_table1(
     zombies = system.fault_states(FaultKind.ZOMBIE)
     campaigns = []
     for name in controllers:
-        controller = make_controller(
+        engine = make_controller(
             name, system, termination_probability=termination_probability
         )
         campaigns.append(
             run_campaign(
-                controller,
+                engine,
                 fault_states=zombies,
                 injections=injections,
                 seed=seed,

@@ -370,19 +370,8 @@ def bellman_backup_envelope(
     one ``(|A|,|S|,|S|) @ (|S|,)`` product.  Bound sets are only ever
     certified against models small enough to have been solved, so this
     stays off the 300k-state analyzer budget.
-
-    ``values`` may also be a ``(k, |S|)`` stack, in which case the result
-    is the ``(k, |S|)`` stack of per-row envelopes: the sparse path backs
-    every row through the shared base/override products at once (one CSR x
-    dense-block product instead of ``k`` matvecs).  The 1-D form keeps its
-    original arithmetic bit for bit — the R302 soundness certificate
-    (:mod:`repro.analysis.certify`) depends on it.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim == 2:
-        return _bellman_backup_envelope_batch(
-            transitions, rewards, values, discount
-        )
     if isinstance(transitions, SparseTransitions):
         base_backed = np.asarray(transitions.base @ values).ravel()
         rows_backed = np.asarray(transitions.rows @ values).ravel()
@@ -399,32 +388,6 @@ def bellman_backup_envelope(
         return envelope
     dense = np.asarray(transitions, dtype=float)
     backed_all = np.asarray(rewards, dtype=float) + discount * (dense @ values)
-    return backed_all.max(axis=0)
-
-
-def _bellman_backup_envelope_batch(
-    transitions, rewards, values: np.ndarray, discount: float
-) -> np.ndarray:
-    """The ``(k, |S|)`` stacked form of :func:`bellman_backup_envelope`."""
-    if isinstance(transitions, SparseTransitions):
-        base_backed = np.asarray(transitions.base @ values.T).T  # (k, |S|)
-        rows_backed = np.asarray(transitions.rows @ values.T).T  # (k, R)
-        envelope = np.full(values.shape, -np.inf)
-        for action in range(transitions.n_actions):
-            backed = reward_row(rewards, action)[None, :] + discount * base_backed
-            block = transitions._override_slice(action)
-            if block.start != block.stop:
-                states = transitions.row_state[block]
-                backed[:, states] += discount * (
-                    rows_backed[:, block] - base_backed[:, states]
-                )
-            np.maximum(envelope, backed, out=envelope)
-        return envelope
-    dense = np.asarray(transitions, dtype=float)
-    # backed[a, k, s] = r[a, s] + discount * (T_a @ values.T).T[k, s]
-    backed_all = np.asarray(rewards, dtype=float)[:, None, :] + discount * (
-        np.einsum("aij,kj->aki", dense, values)
-    )
     return backed_all.max(axis=0)
 
 

@@ -94,7 +94,7 @@ EVENT_FIELDS: dict[str, frozenset[str]] = {
     # Bound maintenance (repro.bounds.incremental / vector_set).
     "refine": frozenset({"action", "added", "improvement", "set_size"}),
     "bound_evict": frozenset({"set_size"}),
-    # Belief tracking (repro.controllers.base).
+    # Belief tracking (repro.controllers.engine).
     "belief_update_failure": frozenset(
         {"action", "observation", "fallback_recovered"}
     ),

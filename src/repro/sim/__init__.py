@@ -5,7 +5,7 @@
   dropped-request cost, and samples monitor outputs.
 * :mod:`repro.sim.metrics` — per-fault metrics (Table 1's columns) and
   their aggregation.
-* :mod:`repro.sim.campaign` — drives controller-vs-environment episodes
+* :mod:`repro.sim.campaign` — drives session-vs-environment episodes
   and whole injection campaigns.
 * :mod:`repro.sim.parallel` — the campaign engine: deterministic
   per-episode seeding, chunked dispatch across a worker pool, and

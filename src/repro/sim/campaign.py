@@ -1,9 +1,11 @@
 """Episode and campaign drivers.
 
-An *episode* injects one fault and runs one controller against the
-environment until the controller terminates recovery (or a safety cap
-trips).  A *campaign* runs many episodes — Section 5 injects 10,000 faults —
-and aggregates per-fault averages into a Table 1 row.
+An *episode* injects one fault and runs one
+:class:`~repro.controllers.engine.RecoverySession` against the environment
+until the session terminates recovery (or a safety cap trips).  A
+*campaign* runs many episodes of one
+:class:`~repro.controllers.engine.PolicyEngine` — Section 5 injects 10,000
+faults — and aggregates per-fault averages into a Table 1 row.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.controllers.base import RecoveryController
-from repro.controllers.engine import Decision, RecoverySession
+from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.obs.telemetry import active as telemetry_active
 from repro.obs.telemetry import span
 from repro.recovery.model import RecoveryModel
@@ -37,29 +38,23 @@ class CampaignResult:
 
 
 def run_episode(
-    controller: RecoveryController | RecoverySession,
+    session: RecoverySession,
     environment: RecoveryEnvironment,
     fault_state: int,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> EpisodeMetrics:
-    """Inject ``fault_state`` and drive ``controller`` until it terminates.
-
-    ``controller`` is anything speaking the session protocol — a
-    :class:`~repro.controllers.engine.RecoverySession` spawned from a
-    warm :class:`~repro.controllers.engine.PolicyEngine` (what the chunk
-    runner passes), or a classic :class:`RecoveryController` adapter,
-    which forwards to its live session.
+    """Inject ``fault_state`` and drive ``session`` until it terminates.
 
     Loop structure, following Section 4's controller description: the
     session starts from the all-faults-equally-likely belief, folds in
     the detection-time monitor outputs, then repeatedly decides, executes,
     and observes until it chooses to terminate.
     """
-    return _drive_episode(controller, environment, fault_state, max_steps)
+    return _drive_episode(session, environment, fault_state, max_steps)
 
 
 def _drive_episode(
-    controller: RecoveryController | RecoverySession,
+    session: RecoverySession,
     environment: RecoveryEnvironment,
     fault_state: int,
     max_steps: int,
@@ -68,26 +63,26 @@ def _drive_episode(
     """The loop of :func:`run_episode`, shared with ``trace_episode``.
 
     ``record(decision, result, observation)`` runs after every executed
-    action, ``a_T`` included; ``observation`` is what the controller was
-    fed (``NO_OBSERVATION`` when no monitors ran).
+    action, ``a_T`` included; ``observation`` is what the session was fed
+    (``NO_OBSERVATION`` when no monitors ran).
     """
-    model = controller.model
-    uses_monitors = controller.uses_monitors
+    model = session.model
+    uses_monitors = session.uses_monitors
     environment.inject(fault_state)
-    controller.reset()
-    controller.stopwatch.reset()
-    controller.sync_true_state(environment.state)
+    session.reset()
+    session.stopwatch.reset()
+    session.sync_true_state(environment.state)
 
     passive = np.flatnonzero(model.passive_actions)
     if uses_monitors and passive.size:
-        controller.observe(int(passive[0]), environment.initial_observation())
+        session.observe(int(passive[0]), environment.initial_observation())
 
     actions = 0
     monitor_calls = 0
     steps = 0
     terminated = False
     for _ in range(max_steps):
-        decision = controller.decide()
+        decision = session.decide()
         if decision.is_terminate:
             terminated = True
             # Execute a_T where the decision carries it so the model's
@@ -106,8 +101,8 @@ def _drive_episode(
         if uses_monitors:
             monitor_calls += 1
             observation = result.observation
-            controller.observe(decision.action, observation)
-        controller.sync_true_state(environment.state)
+            session.observe(decision.action, observation)
+        session.sync_true_state(environment.state)
         if record is not None:
             record(decision, result, observation)
 
@@ -127,7 +122,7 @@ def _drive_episode(
         cost=environment.cost,
         recovery_time=environment.time,
         residual_time=environment.residual_time(),
-        algorithm_time=controller.stopwatch.total_seconds,
+        algorithm_time=session.stopwatch.total_seconds,
         actions=actions,
         monitor_calls=monitor_calls,
         recovered=environment.recovered,
@@ -137,7 +132,7 @@ def _drive_episode(
 
 
 def run_campaign(
-    controller: RecoveryController,
+    engine: PolicyEngine,
     fault_states: np.ndarray,
     injections: int,
     seed=None,
@@ -154,35 +149,35 @@ def run_campaign(
     Episodes are scheduled by the campaign engine of
     :mod:`repro.sim.parallel`: faults and per-episode environment streams
     are derived up front from ``seed`` via ``SeedSequence`` spawning, and
-    episodes run in fixed-size chunks against clones of ``controller``
-    whose bound refinements are merged back on completion.  The metrics are
+    episodes run in fixed-size chunks against clones of ``engine`` whose
+    bound refinements are merged back on completion.  The metrics are
     therefore a function of ``(seed, injections, chunk_size)`` alone —
     serial and parallel runs of the same campaign agree episode for episode
     (``algorithm_time`` excepted: it is a wall-clock measurement).
 
     Args:
-        controller: the controller under test.  It is never driven
-            directly — chunks run clones — but it receives every refinement
-            the clones produce (deduplicated and dominance-pruned), so its
-            bound set ends the campaign as a long-lived controller
-            process's would.
+        engine: the policy under test.  It is never driven directly —
+            chunks run sessions of clones — but it receives every
+            refinement the clones produce (deduplicated and
+            dominance-pruned), so its bound set ends the campaign as a
+            long-lived controller process's would.
         fault_states: candidate fault-state indices; Section 5 draws only
             zombie faults.
         injections: number of episodes (the paper uses 10,000).
         seed: seed for both fault draws and environment sampling.
         max_steps: per-episode step cap.
         monitor_tail: see :class:`RecoveryEnvironment`.
-        model: environment-side model; defaults to the controller's own
+        model: environment-side model; defaults to the engine's own
             (the paper's setting — pass a different one to study model
             mismatch).
         fault_probabilities: draw weights aligned with ``fault_states``;
             uniform (the paper's fault load) when None.  Use for
             criticality-weighted fault loads.
         parallel: worker-process count; ``None``, 0, or 1 runs in-process.
-        chunk_size: episodes per controller-isolation chunk (default
-            :data:`repro.sim.parallel.DEFAULT_CHUNK_SIZE`).  Changing it
-            changes refinement visibility and hence, potentially, metrics;
-            worker count never does.
+        chunk_size: episodes per engine-isolation chunk, an integer >= 1
+            (default :data:`repro.sim.parallel.DEFAULT_CHUNK_SIZE`).
+            Changing it changes refinement visibility and hence,
+            potentially, metrics; worker count never does.
         on_chunk: per-chunk scheduling hook forwarded to
             :func:`repro.sim.parallel.execute_plan` — called in chunk
             order at join time, which is what the grid runner uses for
@@ -206,7 +201,7 @@ def run_campaign(
         ):
             raise ValueError("fault_probabilities must be a distribution")
     plan = plan_campaign(
-        controller,
+        engine,
         fault_states=fault_states,
         injections=injections,
         seed=seed,
@@ -221,23 +216,23 @@ def run_campaign(
         telemetry.count("sim.campaigns")
         telemetry.event(
             "campaign_start",
-            controller=controller.name,
+            controller=engine.name,
             injections=injections,
             chunk_size=plan.chunk_size,
             workers=parallel,
         )
     # The campaign span stays open while execute_plan absorbs chunk
     # snapshots, so chunk-side episode spans are re-parented under it.
-    with span("campaign", category="sim", controller=controller.name):
+    with span("campaign", category="sim", controller=engine.name):
         episodes = execute_plan(plan, workers=parallel, on_chunk=on_chunk)
     if telemetry is not None:
         telemetry.event(
             "campaign_end",
-            controller=controller.name,
+            controller=engine.name,
             episodes=len(episodes),
         )
     return CampaignResult(
-        controller_name=controller.name,
+        controller_name=engine.name,
         episodes=episodes,
         summary=summarize(episodes),
     )

@@ -23,7 +23,7 @@ from repro.util.rng import as_generator
 #: Observation sentinel for executions that sample no monitors (the
 #: terminate action is a controller decision, not a physical action).  It
 #: must never be fed back into a belief update; see
-#: :meth:`repro.controllers.base.RecoveryController.observe`, which rejects
+#: :meth:`repro.controllers.engine.RecoverySession.observe`, which rejects
 #: it loudly.
 NO_OBSERVATION = -1
 

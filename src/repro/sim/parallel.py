@@ -2,10 +2,10 @@
 
 Table 1's 10,000 injections are embarrassingly parallel: episodes share no
 simulated state, only (a) the random streams that drive fault draws and
-monitor sampling and (b) the controller's bound set, which refinement grows
-as a side effect.  This module shards a campaign's episode loop across a
-process pool while keeping the results *bit-identical* to the in-process
-run, whatever the worker count.  Three design rules make that possible:
+monitor sampling and (b) the policy engine's bound set, which refinement
+grows as a side effect.  This module shards a campaign's episode loop
+across a process pool while keeping the results *bit-identical* to the
+in-process run, whatever the worker count.  Three design rules make that possible:
 
 **Per-episode random streams.**  A campaign plan draws every fault up front
 from one child of the root :class:`~numpy.random.SeedSequence` and spawns
@@ -13,21 +13,21 @@ one further child per episode for environment sampling.  Episode ``i``'s
 randomness therefore depends only on ``(seed, i)`` — never on which worker
 ran it, or what ran before it.
 
-**Chunked dispatch with per-chunk controller isolation.**  Episodes are
+**Chunked dispatch with per-chunk engine isolation.**  Episodes are
 grouped into fixed-size chunks whose layout depends only on the injection
-count (never on the worker count).  Each chunk runs against a fresh clone
-of the pristine controller, so cross-episode controller state (online bound
+count (never on the worker count).  Each chunk runs one session of a fresh
+clone of the pristine engine, so cross-episode engine state (online bound
 refinement) is visible within a chunk but never across chunks.  Any worker
 may run any chunk and the metrics cannot change.
 
 **Deterministic bound-set merge on join.**  Clones refine their bound sets
 locally; after all chunks complete, the new hyperplanes are folded back
-into the caller's controller in chunk order through
+into the caller's engine in chunk order through
 :meth:`~repro.bounds.vector_set.BoundVectorSet.merge`, which rejects
 duplicates and pointwise-dominated vectors and prunes vectors that later
-arrivals dominate.  The caller's controller ends the campaign with the
-union of every worker's refinements, exactly as a long-lived controller
-process would accumulate them.
+arrivals dominate.  The caller's engine ends the campaign with the union
+of every worker's refinements, exactly as a long-lived controller process
+would accumulate them.
 
 **Shared-memory model handoff.**  The plan is pickled exactly once per
 campaign.  For sparse models the pickling happens inside
@@ -58,9 +58,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.controllers.engine import PolicyEngine
+from repro.exceptions import ControllerError
 from repro.linalg import shm
-
-from repro.controllers.base import RecoveryController
 from repro.obs.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -87,10 +87,10 @@ class CampaignPlan:
     """Everything needed to run (or re-run) a campaign deterministically.
 
     Attributes:
-        controller: the pristine controller template; never mutated by the
-            engine (chunks run on clones).
-        model: environment-side model (the controller's own unless the
-            caller studies model mismatch).
+        engine: the pristine policy engine; never mutated while chunks
+            run (they run on clones), then merged into at the join.
+        model: environment-side model (the engine's own unless the caller
+            studies model mismatch).
         faults: per-episode injected fault states, drawn up front.
         env_seeds: one spawned :class:`~numpy.random.SeedSequence` per
             episode for environment sampling.
@@ -111,7 +111,7 @@ class CampaignPlan:
             ``trace_enabled``.
     """
 
-    controller: RecoveryController
+    engine: PolicyEngine
     model: RecoveryModel
     faults: np.ndarray
     env_seeds: tuple
@@ -150,7 +150,7 @@ def seed_to_sequence(seed) -> np.random.SeedSequence:
 
 
 def plan_campaign(
-    controller: RecoveryController,
+    engine: PolicyEngine,
     fault_states: np.ndarray,
     injections: int,
     seed=None,
@@ -166,7 +166,19 @@ def plan_campaign(
     ``collect_telemetry`` defaults to whether telemetry is active in the
     planning process, so ``repro.obs.session`` around ``run_campaign`` is
     all it takes to capture per-chunk instrumentation.
+
+    Raises:
+        ControllerError: ``engine`` is not a :class:`PolicyEngine`.
+        ValueError: ``chunk_size`` is neither ``None`` nor an integer >= 1.
     """
+    if not isinstance(engine, PolicyEngine):
+        raise ControllerError(
+            f"campaigns run a PolicyEngine, got {type(engine).__name__}"
+        )
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_SIZE
+    elif not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     root = seed_to_sequence(seed)
     fault_sequence, environment_sequence = root.spawn(2)
     faults = np.asarray(
@@ -185,30 +197,28 @@ def plan_campaign(
         and active_telemetry.trace_enabled
     )
     return CampaignPlan(
-        controller=controller,
-        model=model or controller.model,
+        engine=engine,
+        model=model or engine.model,
         faults=faults,
         env_seeds=env_seeds,
         max_steps=max_steps,
         monitor_tail=monitor_tail,
-        chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
+        chunk_size=int(chunk_size),
         collect_telemetry=collect_telemetry,
         collect_trace=collect_trace,
     )
 
 
-def _clone_controller(plan: CampaignPlan) -> RecoveryController:
-    """Deep-copy the template controller, sharing the immutable model."""
-    memo = {
-        id(plan.controller.model): plan.controller.model,
-        id(plan.controller.model.pomdp): plan.controller.model.pomdp,
-    }
-    return copy.deepcopy(plan.controller, memo)
+def _clone_engine(plan: CampaignPlan) -> PolicyEngine:
+    """Deep-copy the template engine, sharing the immutable model."""
+    model = plan.engine.model
+    memo = {id(model): model, id(model.pomdp): model.pomdp}
+    return copy.deepcopy(plan.engine, memo)
 
 
-def _bound_vectors(controller: RecoveryController) -> np.ndarray | None:
-    """The controller's refinable bound-vector stack, when it has one."""
-    bound_set = controller.refinement_state()
+def _bound_vectors(engine: PolicyEngine) -> np.ndarray | None:
+    """The engine's refinable bound-vector stack, when it has one."""
+    bound_set = engine.refinement_state()
     if bound_set is None or not hasattr(bound_set, "vectors"):
         return None
     return np.array(bound_set.vectors, copy=True)
@@ -221,7 +231,7 @@ class ChunkResult:
     Attributes:
         episodes: per-episode metrics, in injection order.
         new_vectors: hyperplanes the clone's bound set gained during the
-            chunk (``None`` for controllers without bound sets).
+            chunk (``None`` for engines without bound sets).
         telemetry: snapshot of the chunk's private telemetry registry, when
             the plan collects telemetry (``None`` otherwise).  Snapshots are
             picklable so they survive the process-pool hop, and they carry
@@ -234,7 +244,7 @@ class ChunkResult:
 
 
 def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
-    """Run episodes ``[start, stop)`` on a fresh controller clone.
+    """Run episodes ``[start, stop)`` on one session of a fresh engine clone.
 
     When the plan collects telemetry the chunk runs against a *private*
     buffering :class:`Telemetry` — always swapped in, even in-process, so
@@ -245,11 +255,9 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
     """
     from repro.sim.campaign import run_episode
 
-    controller = _clone_controller(plan)
-    # Drive the adapter's live session directly: one fewer delegation
-    # layer per step, and the code path the policy service uses.
-    session = controller.session
-    baseline = _bound_vectors(controller)
+    engine = _clone_engine(plan)
+    session = engine.session()
+    baseline = _bound_vectors(engine)
     chunk_telemetry = (
         Telemetry(trace=plan.collect_trace) if plan.collect_telemetry else None
     )
@@ -289,7 +297,7 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
         # Diff by exact content rather than position: eviction may have
         # shifted rows, and baseline rows surviving eviction are not "new".
         known = {row.tobytes() for row in baseline}
-        refined = _bound_vectors(controller)
+        refined = _bound_vectors(engine)
         new_rows = [row for row in refined if row.tobytes() not in known]
         if new_rows:
             new_vectors = np.array(new_rows)
@@ -336,7 +344,7 @@ def _pool_context():
 def _plan_uses_sparse_model(plan: CampaignPlan) -> bool:
     """True when any model a worker needs stores sparse containers."""
     models = {id(plan.model): plan.model}
-    models.setdefault(id(plan.controller.model), plan.controller.model)
+    models.setdefault(id(plan.engine.model), plan.engine.model)
     return any(model.pomdp.backend.is_sparse for model in models.values())
 
 
@@ -392,8 +400,8 @@ def execute_plan(
 
     Returns:
         Episode metrics in injection order.  As a side effect the *caller's*
-        controller (the plan's template) receives the merged refinement
-        vectors, deduplicated and dominance-pruned.
+        engine (the plan's template) receives the merged refinement vectors,
+        deduplicated and dominance-pruned.
     """
     chunks = plan.chunks()
     telemetry = telemetry_active()
@@ -419,7 +427,7 @@ def execute_plan(
         results = [run_chunk(plan, start, stop) for start, stop in chunks]
 
     episodes: list[EpisodeMetrics] = []
-    bound_set = plan.controller.refinement_state()
+    bound_set = plan.engine.refinement_state()
     for chunk_index, result in enumerate(results):
         episodes.extend(result.episodes)
         if on_chunk is not None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.controllers.base import RecoveryController
-from repro.controllers.engine import Decision
+from repro.controllers.engine import Decision, RecoverySession
 from repro.sim.campaign import _drive_episode
 from repro.sim.environment import NO_OBSERVATION, ExecutionResult, RecoveryEnvironment
 from repro.sim.metrics import EpisodeMetrics
@@ -88,18 +87,18 @@ class EpisodeTrace:
 
 
 def trace_episode(
-    controller: RecoveryController,
+    session: RecoverySession,
     environment: RecoveryEnvironment,
     fault_state: int,
     max_steps: int = 200,
 ) -> EpisodeTrace:
-    """Run one instrumented episode (the loop behind ``run_episode``).
+    """Run one instrumented episode of ``session`` (``run_episode``'s loop).
 
     The metrics in the result are exactly what ``run_episode`` would have
     produced for the same seed; the trace adds one :class:`TraceStep` per
     executed action, the terminating ``a_T`` included.
     """
-    model = controller.model
+    model = session.model
     pomdp = model.pomdp
     steps: list[TraceStep] = []
 
@@ -119,14 +118,14 @@ def trace_episode(
                 reward=result.reward,
                 time_after=environment.time,
                 recovered_probability=model.recovered_probability(
-                    controller.belief
+                    session.belief
                 ),
                 tree_value=decision.value,
             )
         )
 
     metrics = _drive_episode(
-        controller, environment, fault_state, max_steps, record=record
+        session, environment, fault_state, max_steps, record=record
     )
     return EpisodeTrace(
         fault_label=pomdp.state_labels[fault_state],

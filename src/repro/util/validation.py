@@ -4,7 +4,9 @@ The model classes (:class:`repro.mdp.MDP`, :class:`repro.pomdp.POMDP`) call
 these at construction time, so every solver and controller downstream can
 assume well-formed inputs instead of re-checking them.
 :func:`int_setting` resolves the integer limits a caller or the
-environment may override (cache budget, span ring capacity).
+environment may override (cache budget, span ring capacity), and
+:func:`check_termination_probability` checks the threshold of the
+policies that stop on recovered probability.
 """
 
 from __future__ import annotations
@@ -72,6 +74,18 @@ def check_nonpositive(array: np.ndarray, name: str = "rewards") -> np.ndarray:
             f"{name} must be non-positive (Condition 2), max={values.max():.3g}"
         )
     return np.minimum(values, 0.0)
+
+
+def check_termination_probability(value: float) -> float:
+    """Validate a recovered-probability termination threshold.
+
+    Returns ``value`` so calls can be inlined into constructors.  Raises
+    :class:`ValueError` unless it lies in ``(0, 1]``: at 0 a policy quits on
+    every belief, and above 1 it never quits.
+    """
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"termination_probability must be in (0, 1], got {value}")
+    return value
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from repro.analysis import (
     Severity,
     analyze,
 )
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.exceptions import AnalysisError, ConditionViolation, ModelError
 from repro.pomdp.model import POMDP
 from repro.recovery.builder import RecoveryModelBuilder
@@ -399,13 +399,13 @@ class TestStrictAdapters:
 
 class TestPreflight:
     def test_clean_model_stores_report(self, simple_system):
-        controller = BoundedController(simple_system.model, preflight=True)
-        assert controller.preflight_report is not None
-        assert controller.preflight_report.exit_code == 0
+        engine = BoundedPolicyEngine(simple_system.model, preflight=True)
+        assert engine.preflight_report is not None
+        assert engine.preflight_report.exit_code == 0
 
     def test_default_skips_analysis(self, simple_system):
-        controller = BoundedController(simple_system.model)
-        assert controller.preflight_report is None
+        engine = BoundedPolicyEngine(simple_system.model)
+        assert engine.preflight_report is None
 
     def test_broken_model_raises(self, simple_system):
         model = simple_system.model
@@ -436,7 +436,7 @@ class TestPreflight:
             operator_response_time=model.operator_response_time,
         )
         with pytest.raises(AnalysisError):
-            BoundedController(broken, preflight=True)
+            BoundedPolicyEngine(broken, preflight=True)
 
 
 class TestBuilderReportMode:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.upper import FIBBound, QMDPBound, TrivialUpperBound, fib_vectors
-from repro.controllers import BranchAndBoundController, QMDPController
+from repro.controllers import BranchAndBoundPolicyEngine, QMDPPolicyEngine
 from repro.exceptions import ModelError
 from repro.pomdp.exact import solve_exact
 from repro.systems.simple import build_simple_system
@@ -126,13 +126,13 @@ class TestFIB:
     [
         lambda model: QMDPBound(model.pomdp),
         lambda model: FIBBound(model.pomdp),
-        QMDPController,
-        BranchAndBoundController,
+        QMDPPolicyEngine,
+        BranchAndBoundPolicyEngine,
     ],
-    ids=["QMDPBound", "FIBBound", "QMDPController", "BranchAndBoundController"],
+    ids=["QMDPBound", "FIBBound", "QMDPPolicyEngine", "BranchAndBoundPolicyEngine"],
 )
 def test_sparse_models_rejected(build):
-    """The informed bounds, and the controllers built on them, are
+    """The informed bounds, and the policy engines built on them, are
     dense-only and say so instead of failing inside numpy."""
     model = build_tiered_system((2, 2), backend="sparse").model
     with pytest.raises(ModelError, match="requires the dense backend"):

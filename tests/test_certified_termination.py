@@ -3,7 +3,7 @@
 "Several ways to extend the approach in the paper are possible, and
 include providing of guarantees against early termination of the recovery
 process" — implemented as
-``BranchAndBoundController(certified_termination=True)``: ``a_T`` is chosen
+``BranchAndBoundPolicyEngine(certified_termination=True)``: ``a_T`` is chosen
 only when the termination reward dominates every alternative's *upper
 bound*, so the model can never prove that continuing would have been
 better.
@@ -11,8 +11,8 @@ better.
 
 import numpy as np
 
-from repro.controllers.bounded import BoundedController
-from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
 from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
@@ -34,11 +34,11 @@ def _impatient_system():
 class TestCertificateBlocksPrematureQuits:
     def test_plain_bounded_quits_early_with_loose_bounds(self):
         system = _impatient_system()
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             system.model, depth=1, refine_online=False
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array([system.fault_a, system.fault_b]),
             injections=60,
             seed=2,
@@ -48,7 +48,7 @@ class TestCertificateBlocksPrematureQuits:
 
     def test_certified_controller_never_quits_early(self):
         system = _impatient_system()
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             system.model,
             depth=1,
             refine_online=False,
@@ -57,7 +57,7 @@ class TestCertificateBlocksPrematureQuits:
         telemetry = Telemetry()
         with activated(telemetry):
             result = run_campaign(
-                controller,
+                engine,
                 fault_states=np.array([system.fault_a, system.fault_b]),
                 injections=60,
                 seed=2,
@@ -70,11 +70,11 @@ class TestCertificateBlocksPrematureQuits:
         """Once recovery genuinely completes, the certificate must allow
         a_T (episodes still terminate, in bounded time)."""
         system = _impatient_system()
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             system.model, depth=1, certified_termination=True
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array([system.fault_a, system.fault_b]),
             injections=40,
             seed=5,
@@ -83,14 +83,14 @@ class TestCertificateBlocksPrematureQuits:
         assert all(episode.terminated for episode in result.episodes)
 
     def test_certified_on_emn(self, emn_system):
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             emn_system.model,
             depth=1,
             refine_min_improvement=1.0,
             certified_termination=True,
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
             injections=15,
             seed=4,

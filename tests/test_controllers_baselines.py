@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.controllers.heuristic import HeuristicController, HeuristicLeaf
+from repro.controllers.heuristic import HeuristicLeaf, HeuristicPolicyEngine
 from repro.controllers.most_likely import (
-    MostLikelyController,
+    MostLikelyPolicyEngine,
     cheapest_fixing_actions,
 )
-from repro.controllers.oracle import OracleController
-from repro.controllers.random_controller import RandomController
+from repro.controllers.oracle import OraclePolicyEngine
+from repro.controllers.random_controller import RandomPolicyEngine
 from repro.exceptions import ControllerError, ModelError
 from repro.recovery import convert_backend
 from repro.sim.campaign import run_campaign, run_episode
@@ -36,7 +36,10 @@ class TestCheapestFixingActions:
 
 @pytest.mark.parametrize(
     "build, policy",
-    [(MostLikelyController, "the most-likely baseline"), (OracleController, "the oracle")],
+    [
+        (MostLikelyPolicyEngine, "the most-likely baseline"),
+        (OraclePolicyEngine, "the oracle"),
+    ],
     ids=["most_likely", "oracle"],
 )
 def test_sparse_model_rejected_with_working_hint(build, policy):
@@ -50,43 +53,43 @@ def test_sparse_model_rejected_with_working_hint(build, policy):
     ):
         build(model)
     dense = convert_backend(model, "dense")
-    repairs = build(dense).engine._fixing_action
+    repairs = build(dense)._fixing_action
     assert set(repairs) == set(np.flatnonzero(dense.fault_states).tolist())
 
 
 class TestMostLikely:
     def test_acts_on_belief_mode(self, simple_system):
-        controller = MostLikelyController(simple_system.model)
+        session = MostLikelyPolicyEngine(simple_system.model).session()
         pomdp = simple_system.model.pomdp
         n = pomdp.n_states
         belief = np.zeros(n)
         belief[simple_system.fault_b] = 0.7
         belief[simple_system.fault_a] = 0.3
-        controller.reset(initial_belief=belief)
-        decision = controller.decide()
+        session.reset(initial_belief=belief)
+        decision = session.decide()
         assert decision.action == pomdp.action_index("restart(b)")
 
     def test_terminates_at_threshold(self, simple_system):
-        controller = MostLikelyController(
+        session = MostLikelyPolicyEngine(
             simple_system.model, termination_probability=0.9
-        )
+        ).session()
         n = simple_system.model.pomdp.n_states
         belief = np.zeros(n)
         belief[simple_system.null_state] = 0.95
         belief[simple_system.fault_a] = 0.05
-        controller.reset(initial_belief=belief)
-        assert controller.decide().is_terminate
+        session.reset(initial_belief=belief)
+        assert session.decide().is_terminate
 
     def test_invalid_threshold_rejected(self, simple_system):
         with pytest.raises(ValueError):
-            MostLikelyController(simple_system.model, termination_probability=0.0)
+            MostLikelyPolicyEngine(simple_system.model, termination_probability=0.0)
 
     def test_recovers_all_faults(self, simple_system):
-        controller = MostLikelyController(
+        engine = MostLikelyPolicyEngine(
             simple_system.model, termination_probability=0.999
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array(
                 [simple_system.fault_a, simple_system.fault_b]
             ),
@@ -99,61 +102,73 @@ class TestMostLikely:
 
 class TestOracle:
     def test_requires_true_state(self, simple_system):
-        controller = OracleController(simple_system.model)
-        controller.reset()
+        session = OraclePolicyEngine(simple_system.model).session()
+        session.reset()
         with pytest.raises(ControllerError, match="true state"):
-            controller.decide()
+            session.decide()
 
     def test_fixes_known_fault_in_one_action(self, simple_system):
-        controller = OracleController(simple_system.model)
+        session = OraclePolicyEngine(simple_system.model).session()
         environment = RecoveryEnvironment(simple_system.model, seed=0)
-        metrics = run_episode(controller, environment, simple_system.fault_b)
+        metrics = run_episode(session, environment, simple_system.fault_b)
         assert metrics.actions == 1
         assert metrics.recovered
 
     def test_terminates_immediately_when_recovered(self, simple_system):
-        controller = OracleController(simple_system.model)
-        controller.reset()
-        controller.sync_true_state(simple_system.null_state)
-        assert controller.decide().is_terminate
+        session = OraclePolicyEngine(simple_system.model).session()
+        session.reset()
+        session.sync_true_state(simple_system.null_state)
+        assert session.decide().is_terminate
 
 
 class TestRandomController:
     def test_draws_cover_action_space(self, simple_system):
-        controller = RandomController(simple_system.model, seed=0)
-        controller.reset()
+        session = RandomPolicyEngine(simple_system.model, seed=0).session()
+        session.reset()
         seen = set()
         for _ in range(200):
-            decision = controller.decide()
+            decision = session.decide()
             seen.add(decision.action)
             if decision.is_terminate:
-                controller.reset()
+                session.reset()
         assert seen == set(range(simple_system.model.pomdp.n_actions))
 
     def test_terminate_action_ends_episode(self, simple_system):
-        controller = RandomController(simple_system.model, seed=0)
-        controller.reset()
+        session = RandomPolicyEngine(simple_system.model, seed=0).session()
+        session.reset()
         a_t = simple_system.model.terminate_action
         while True:
-            decision = controller.decide()
+            decision = session.decide()
             if decision.action == a_t:
                 assert decision.is_terminate
                 break
-            controller.reset() if decision.is_terminate else None
-        assert controller.done
+            session.reset() if decision.is_terminate else None
+        assert session.done
 
     def test_restricted_draw_excludes_passive_and_terminate(self, simple_system):
-        controller = RandomController(
+        session = RandomPolicyEngine(
             simple_system.model, include_all_actions=False, seed=1
-        )
-        controller.reset()
+        ).session()
+        session.reset()
         recovery = set(np.flatnonzero(simple_system.model.recovery_actions))
         for _ in range(100):
-            decision = controller.decide()
+            decision = session.decide()
             if decision.is_terminate:
-                controller.reset()
+                session.reset()
                 continue
             assert decision.action in recovery
+
+    def test_invalid_threshold_rejected(self, simple_system):
+        """The restricted draw quits on the recovered-probability threshold,
+        so it must lie in (0, 1] like every threshold policy's: at 0 the
+        engine would quit on every belief."""
+        for threshold in (0.0, 1.5, -1.0):
+            with pytest.raises(ValueError, match="termination_probability"):
+                RandomPolicyEngine(
+                    simple_system.model,
+                    include_all_actions=False,
+                    termination_probability=threshold,
+                )
 
 
 class TestHeuristicLeaf:
@@ -190,11 +205,11 @@ class TestHeuristicLeaf:
 
 class TestHeuristicController:
     def test_never_chooses_terminate_action(self, simple_system):
-        controller = HeuristicController(simple_system.model, depth=1)
-        controller.reset()
+        session = HeuristicPolicyEngine(simple_system.model, depth=1).session()
+        session.reset()
         a_t = simple_system.model.terminate_action
         for _ in range(10):
-            decision = controller.decide()
+            decision = session.decide()
             if decision.is_terminate:
                 break
             assert decision.action != a_t
@@ -203,11 +218,11 @@ class TestHeuristicController:
         # 0.999 rather than 0.99: with a looser threshold the heuristic can
         # legitimately quit while the fault is live (~1% of episodes), which
         # would make this assertion seed-dependent.
-        controller = HeuristicController(
+        engine = HeuristicPolicyEngine(
             simple_system.model, depth=1, termination_probability=0.999
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array(
                 [simple_system.fault_a, simple_system.fault_b]
             ),
@@ -218,8 +233,8 @@ class TestHeuristicController:
 
     def test_invalid_parameters_rejected(self, simple_system):
         with pytest.raises(ValueError):
-            HeuristicController(simple_system.model, depth=0)
+            HeuristicPolicyEngine(simple_system.model, depth=0)
         with pytest.raises(ValueError):
-            HeuristicController(
+            HeuristicPolicyEngine(
                 simple_system.model, termination_probability=1.5
             )

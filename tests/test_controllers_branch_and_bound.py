@@ -5,11 +5,8 @@ import pytest
 
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
-from repro.controllers.branch_and_bound import (
-    BranchAndBoundController,
-    BranchAndBoundPolicyEngine,
-)
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
 from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
@@ -17,13 +14,13 @@ from repro.systems.faults import FaultKind
 
 class TestConstruction:
     def test_default_bounds_seeded(self, simple_system):
-        controller = BranchAndBoundController(simple_system.model)
-        assert len(controller.lower) == 1
-        assert len(controller.upper) == 0
+        engine = BranchAndBoundPolicyEngine(simple_system.model)
+        assert len(engine.lower) == 1
+        assert len(engine.upper) == 0
 
     def test_invalid_depth_rejected(self, simple_system):
         with pytest.raises(ValueError):
-            BranchAndBoundController(simple_system.model, depth=0)
+            BranchAndBoundPolicyEngine(simple_system.model, depth=0)
 
 
 class TestDecisionSoundness:
@@ -31,12 +28,12 @@ class TestDecisionSoundness:
         """Pruning must not change the selected action (up to value ties)."""
         pomdp = simple_system.model.pomdp
         shared = BoundVectorSet(ra_bound_vector(pomdp))
-        bounded = BoundedController(
+        bounded = BoundedPolicyEngine(
             simple_system.model, depth=1, bound_set=shared, refine_online=False
-        )
-        pruned = BranchAndBoundController(
+        ).session()
+        pruned = BranchAndBoundPolicyEngine(
             simple_system.model, depth=1, lower=shared, refine_online=False
-        )
+        ).session()
         rng = np.random.default_rng(0)
         for belief in rng.dirichlet(np.ones(pomdp.n_states), size=40):
             bounded.reset(initial_belief=belief)
@@ -47,16 +44,16 @@ class TestDecisionSoundness:
             assert np.isclose(a.value, b.value, atol=1e-9)
 
     def test_prunes_something(self, simple_system):
-        controller = BranchAndBoundController(
+        session = BranchAndBoundPolicyEngine(
             simple_system.model, depth=2, refine_online=False
-        )
+        ).session()
         n = simple_system.model.pomdp.n_states
         belief = np.zeros(n)
         belief[simple_system.fault_a] = 1.0
-        controller.reset(initial_belief=belief)
+        session.reset(initial_belief=belief)
         telemetry = Telemetry()
         with activated(telemetry):
-            controller.decide()
+            session.decide()
         assert telemetry.counters["controller.pruned_actions"] > 0
         assert telemetry.counters["controller.expanded_actions"] > 0
 
@@ -82,19 +79,19 @@ class TestDecisionSoundness:
         assert len(engine.lower) > lower.shape[0]
 
     def test_terminates_on_recovered_belief(self, simple_system):
-        controller = BranchAndBoundController(simple_system.model, depth=1)
+        session = BranchAndBoundPolicyEngine(simple_system.model, depth=1).session()
         n = simple_system.model.pomdp.n_states
         belief = np.zeros(n)
         belief[simple_system.null_state] = 1.0
-        controller.reset(initial_belief=belief)
-        assert controller.decide().is_terminate
+        session.reset(initial_belief=belief)
+        assert session.decide().is_terminate
 
 
 class TestEndToEnd:
     def test_recovers_on_simple_system(self, simple_system):
-        controller = BranchAndBoundController(simple_system.model, depth=1)
+        engine = BranchAndBoundPolicyEngine(simple_system.model, depth=1)
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array(
                 [simple_system.fault_a, simple_system.fault_b]
             ),
@@ -105,13 +102,13 @@ class TestEndToEnd:
         assert result.summary.early_terminations == 0
 
     def test_recovers_on_emn(self, emn_system):
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             emn_system.model, depth=1, refine_min_improvement=1.0
         )
         telemetry = Telemetry()
         with activated(telemetry):
             result = run_campaign(
-                controller,
+                engine,
                 fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
                 injections=15,
                 seed=13,
@@ -121,11 +118,11 @@ class TestEndToEnd:
         assert telemetry.counters["controller.pruned_actions"] > 0
 
     def test_notified_model_supported(self, simple_notified_system):
-        controller = BranchAndBoundController(
+        engine = BranchAndBoundPolicyEngine(
             simple_notified_system.model, depth=1
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=np.array(
                 [
                     simple_notified_system.fault_a,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
-from repro.controllers.branch_and_bound import BranchAndBoundController
-from repro.controllers.heuristic import HeuristicController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
+from repro.controllers.heuristic import HeuristicPolicyEngine
 from repro.exceptions import ModelError
 from repro.io import load_recovery_model, save_bound_set
 from repro.sim.campaign import run_campaign
@@ -58,11 +58,11 @@ class TestMixedFaultCampaign:
     def test_bounded_controller_handles_all_13_fault_types(self, emn_system):
         """Table 1 injects only zombies; the controller must be just as
         sound on the full fault mix (crashes diagnose trivially)."""
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             emn_system.model, depth=1, refine_min_improvement=1.0
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=emn_system.fault_states(),  # all 13
             injections=40,
             seed=23,
@@ -80,11 +80,11 @@ class TestLiteralMaxHeuristic:
         ``max r(s,a)`` is 0, the lookahead degenerates to immediate-cost
         minimisation, and the controller observes forever instead of
         repairing — it cannot reproduce the paper's heuristic rows."""
-        controller = HeuristicController(
+        engine = HeuristicPolicyEngine(
             emn_system.model, depth=1, literal_max=True
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
             injections=5,
             seed=2,
@@ -97,9 +97,9 @@ class TestLiteralMaxHeuristic:
 
 class TestTraceWithBranchAndBound:
     def test_trace_records_terminate_step(self, simple_system):
-        controller = BranchAndBoundController(simple_system.model, depth=1)
+        session = BranchAndBoundPolicyEngine(simple_system.model, depth=1).session()
         environment = RecoveryEnvironment(simple_system.model, seed=4)
-        trace = trace_episode(controller, environment, simple_system.fault_b)
+        trace = trace_episode(session, environment, simple_system.fault_b)
         assert trace.metrics.recovered
         assert trace.steps[-1].action_label == "terminate"
         assert trace.steps[-1].reward == 0.0  # terminated after recovery

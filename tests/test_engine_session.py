@@ -1,37 +1,32 @@
-"""Engine/session refactor parity: the controller stack split must be invisible.
+"""Engine/session parity: the controller stack split must be invisible.
 
-PR 9 split every controller into a shared :class:`PolicyEngine` and a
-per-episode :class:`RecoverySession`.  These tests pin the campaign
+Every policy is a shared :class:`PolicyEngine` driven through per-episode
+:class:`RecoverySession` objects.  These tests pin the campaign
 fingerprints captured on the pre-refactor stack (same models, seeds, and
-injection counts) and assert the refactored stack still produces them —
-serial and ``parallel=4``, dense and sparse — plus property-based checks
-that an engine-spawned session and the classic controller adapter are
-decision-for-decision identical.
+injection counts) and assert the engine/session stack still produces
+them — serial and ``parallel=4``, dense and sparse — plus the
+branch-and-bound pruning totals and the sessions' isolation from each
+other.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.controllers import (
-    BoundedController,
     BoundedPolicyEngine,
-    BranchAndBoundController,
-    HeuristicController,
-    MostLikelyController,
-    OracleController,
-    QMDPController,
-    RandomController,
-    RecoveryController,
+    BranchAndBoundPolicyEngine,
+    HeuristicPolicyEngine,
+    MostLikelyPolicyEngine,
+    OraclePolicyEngine,
+    QMDPPolicyEngine,
+    RandomPolicyEngine,
 )
 from repro.experiments.table1 import make_controller
 from repro.obs.telemetry import Telemetry, activated
-from repro.sim.campaign import run_campaign, run_episode
-from repro.sim.environment import RecoveryEnvironment
-from repro.sim.metrics import campaign_fingerprint, episode_fingerprint_bytes
+from repro.sim.campaign import run_campaign
+from repro.sim.metrics import campaign_fingerprint
 from repro.systems.emn import MONITOR_DURATION
 from repro.systems.faults import FaultKind
 from repro.systems.simple import build_simple_system
@@ -82,23 +77,23 @@ BRANCH_AND_BOUND_COUNTS = {
 }
 
 SIMPLE_FACTORIES = {
-    "bounded": lambda model: BoundedController(model),
-    "heuristic": lambda model: HeuristicController(model),
-    "most_likely": lambda model: MostLikelyController(model),
-    "qmdp": lambda model: QMDPController(model),
-    "oracle": lambda model: OracleController(model),
-    "random": lambda model: RandomController(model, seed=7),
-    "branch_and_bound": lambda model: BranchAndBoundController(model),
-    "bounded_depth2": lambda model: BoundedController(model, depth=2),
-    "bounded_depth3": lambda model: BoundedController(model, depth=3),
+    "bounded": lambda model: BoundedPolicyEngine(model),
+    "heuristic": lambda model: HeuristicPolicyEngine(model),
+    "most_likely": lambda model: MostLikelyPolicyEngine(model),
+    "qmdp": lambda model: QMDPPolicyEngine(model),
+    "oracle": lambda model: OraclePolicyEngine(model),
+    "random": lambda model: RandomPolicyEngine(model, seed=7),
+    "branch_and_bound": lambda model: BranchAndBoundPolicyEngine(model),
+    "bounded_depth2": lambda model: BoundedPolicyEngine(model, depth=2),
+    "bounded_depth3": lambda model: BoundedPolicyEngine(model, depth=3),
 }
 
 
 def _simple_campaign(system, name, parallel=None):
-    controller = SIMPLE_FACTORIES[name](system.model)
+    engine = SIMPLE_FACTORIES[name](system.model)
     faults = np.array([system.fault_a, system.fault_b])
     return run_campaign(
-        controller,
+        engine,
         fault_states=faults,
         injections=SIMPLE_INJECTIONS,
         seed=SEED,
@@ -131,7 +126,7 @@ class TestPinnedFingerprints:
         system = build_tiered_system((2, 2), backend=backend)
         faults = np.flatnonzero(system.model.fault_states)
         serial = run_campaign(
-            BoundedController(system.model),
+            BoundedPolicyEngine(system.model),
             fault_states=faults,
             injections=TIERED_INJECTIONS,
             seed=SEED,
@@ -141,7 +136,7 @@ class TestPinnedFingerprints:
             == PRE_REFACTOR_FINGERPRINTS[f"tiered_{backend}.bounded"]
         )
         sharded = run_campaign(
-            BoundedController(system.model),
+            BoundedPolicyEngine(system.model),
             fault_states=faults,
             injections=TIERED_INJECTIONS,
             seed=SEED,
@@ -175,7 +170,7 @@ class TestEmnPinnedFingerprints:
         )
 
     def test_heuristic_depth2(self, emn_system):
-        controller = HeuristicController(emn_system.model, depth=2)
+        controller = HeuristicPolicyEngine(emn_system.model, depth=2)
         result = self._zombie_campaign(emn_system, controller, 10)
         assert (
             campaign_fingerprint(result.episodes)
@@ -185,7 +180,7 @@ class TestEmnPinnedFingerprints:
     def test_heuristic_depth3(self, emn_system):
         """Table 1's heuristic depth-3 row, whose trees repeat beliefs most."""
         result = run_campaign(
-            HeuristicController(emn_system.model, depth=3),
+            HeuristicPolicyEngine(emn_system.model, depth=3),
             fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
             injections=3,
             seed=SEED,
@@ -231,7 +226,7 @@ class TestBranchAndBoundPins:
     def test_simple_depth2(self, simple_system):
         self._pinned(
             "simple.branch_and_bound_depth2",
-            BranchAndBoundController(simple_system.model, depth=2),
+            BranchAndBoundPolicyEngine(simple_system.model, depth=2),
             fault_states=np.array([simple_system.fault_a, simple_system.fault_b]),
             injections=12,
             seed=SEED,
@@ -243,7 +238,7 @@ class TestBranchAndBoundPins:
         )
         self._pinned(
             "impatient.branch_and_bound_certified",
-            BranchAndBoundController(
+            BranchAndBoundPolicyEngine(
                 system.model,
                 depth=1,
                 refine_online=False,
@@ -257,7 +252,7 @@ class TestBranchAndBoundPins:
     def test_emn_depth2(self, emn_system):
         self._pinned(
             "emn.branch_and_bound_depth2",
-            BranchAndBoundController(
+            BranchAndBoundPolicyEngine(
                 emn_system.model, depth=2, refine_min_improvement=1.0
             ),
             fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
@@ -268,41 +263,24 @@ class TestBranchAndBoundPins:
 
 
 class TestEngineDrivenEpisodes:
-    """Raw engine sessions and the controller adapter are interchangeable."""
-
-    def test_session_speaks_episode_protocol(self, simple_system):
-        """run_episode driven by an engine-spawned session matches the
-        classic controller adapter on every deterministic metric."""
-        model = simple_system.model
-        engine = BoundedPolicyEngine(model, refine_online=False)
-        session = engine.session()
-        controller = BoundedController(model, refine_online=False)
-        for fault in (simple_system.fault_a, simple_system.fault_b):
-            left = run_episode(
-                session, RecoveryEnvironment(model, seed=99), fault
-            )
-            right = run_episode(
-                controller, RecoveryEnvironment(model, seed=99), fault
-            )
-            assert episode_fingerprint_bytes(left) == episode_fingerprint_bytes(
-                right
-            )
+    """Campaigns and sessions share one engine's state."""
 
     def test_adapter_over_shared_engine(self, simple_system):
-        """Campaigns accept an adapter wrapping an externally built engine,
-        and refinements land in that engine's bound set."""
-        model = simple_system.model
-        engine = BoundedPolicyEngine(model)
-        controller = RecoveryController(engine=engine)
+        """Campaigns take an externally built engine, and refinements land
+        in that engine's own bound set."""
+        engine = BoundedPolicyEngine(simple_system.model)
+        bound_set = engine.bound_set
+        before = len(bound_set)
         faults = np.array([simple_system.fault_a, simple_system.fault_b])
         result = run_campaign(
-            controller, fault_states=faults, injections=SIMPLE_INJECTIONS, seed=SEED
+            engine, fault_states=faults, injections=SIMPLE_INJECTIONS, seed=SEED
         )
         assert (
             campaign_fingerprint(result.episodes)
             == PRE_REFACTOR_FINGERPRINTS["simple.bounded"]
         )
-        assert controller.refinement_state() is engine.bound_set
+        assert engine.refinement_state() is bound_set
+        assert len(bound_set) > before
 
     def test_sessions_isolate_beliefs(self, simple_system):
         """Two sessions of one engine never see each other's beliefs."""
@@ -328,63 +306,3 @@ class TestEngineDrivenEpisodes:
         frozen.decide()
         assert engine.bound_set.vectors.shape[0] == before
 
-
-@st.composite
-def interaction_seeds(draw):
-    fault_pick = draw(st.integers(min_value=0, max_value=1))
-    env_seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    return fault_pick, env_seed
-
-
-class TestPropertyParity:
-    """Property-based: session/adapter parity over arbitrary episodes."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(interaction_seeds())
-    def test_episode_parity_any_seed(self, simple_system, seeds):
-        fault_pick, env_seed = seeds
-        model = simple_system.model
-        fault = (simple_system.fault_a, simple_system.fault_b)[fault_pick]
-        engine = BoundedPolicyEngine(model, refine_online=False)
-        left = run_episode(
-            engine.session(), RecoveryEnvironment(model, seed=env_seed), fault
-        )
-        right = run_episode(
-            BoundedController(model, refine_online=False),
-            RecoveryEnvironment(model, seed=env_seed),
-            fault,
-        )
-        assert episode_fingerprint_bytes(left) == episode_fingerprint_bytes(right)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_belief_trajectory_parity(self, simple_system, env_seed):
-        """Step-for-step: identical decisions and identical belief evolution
-        between a raw session and the adapter, on the same episode."""
-        model = simple_system.model
-        engine = BoundedPolicyEngine(model, refine_online=False)
-        session = engine.session()
-        adapter = BoundedController(model, refine_online=False)
-        env_a = RecoveryEnvironment(model, seed=env_seed)
-        env_b = RecoveryEnvironment(model, seed=env_seed)
-        env_a.inject(simple_system.fault_a)
-        env_b.inject(simple_system.fault_a)
-        session.reset()
-        adapter.reset()
-        session.observe(simple_system.observe_action, env_a.initial_observation())
-        adapter.observe(simple_system.observe_action, env_b.initial_observation())
-        for _ in range(30):
-            np.testing.assert_array_equal(session.belief, adapter.belief)
-            left, right = session.decide(), adapter.decide()
-            assert (left.action, left.is_terminate) == (
-                right.action,
-                right.is_terminate,
-            )
-            if left.is_terminate:
-                assert session.done and adapter.done
-                break
-            result_a = env_a.execute(left.action)
-            result_b = env_b.execute(right.action)
-            assert result_a.observation == result_b.observation
-            session.observe(left.action, result_a.observation)
-            adapter.observe(right.action, result_b.observation)

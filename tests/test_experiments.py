@@ -141,17 +141,18 @@ EARLY_QUITS = {
 def _replay_early_quit(system, name):
     """Replay one early quit of the 10,000-injection Table 1 run.
 
-    A campaign runs its episodes in chunks, each on a clone of the freshly
-    built controller, so the quitting episode's controller has seen only
-    the episodes before it in its chunk; those run first.  Faults and
+    A campaign runs its episodes in chunks, each on one session of a clone
+    of the freshly built engine, so the quitting episode's engine has seen
+    only the episodes before it in its chunk; those run first.  Faults and
     environment streams are drawn per episode up front, so a plan that
     stops after the episode reproduces the campaign's.  Returns the
-    controller, holding its belief at the quit, and the injected fault.
+    session, holding its belief at the quit, and the injected fault.
     """
     episode, digest = EARLY_QUITS[name]
-    controller = make_controller(name, system)
+    engine = make_controller(name, system)
+    session = engine.session()
     plan = plan_campaign(
-        controller,
+        engine,
         system.fault_states(FaultKind.ZOMBIE),
         episode + 1,
         seed=2006,
@@ -163,10 +164,10 @@ def _replay_early_quit(system, name):
             seed=np.random.default_rng(plan.env_seeds[index]),
             monitor_tail=plan.monitor_tail,
         )
-        metrics = run_episode(controller.session, environment, int(plan.faults[index]))
+        metrics = run_episode(session, environment, int(plan.faults[index]))
     assert hashlib.sha256(episode_fingerprint_bytes(metrics)).hexdigest() == digest
     assert metrics.terminated and not metrics.recovered
-    return controller, int(plan.faults[episode])
+    return session, int(plan.faults[episode])
 
 
 @pytest.mark.slow
@@ -176,25 +177,25 @@ class TestTable1EarlyQuits:
     are specified to do, not defects."""
 
     def test_heuristic_depth2_quit_clears_its_threshold(self, emn_system):
-        controller, fault = _replay_early_quit(emn_system, "heuristic (depth 2)")
-        belief = controller.belief
+        session, fault = _replay_early_quit(emn_system, "heuristic (depth 2)")
+        belief = session.belief
         recovered = emn_system.model.recovered_probability(belief)
         assert emn_system.model.pomdp.state_labels[fault] == "zombie(S2)"
         # Four clean monitor readings left the live fault 6.1e-5 of the
         # belief: a false quit that the 0.9999 threshold permits.
-        assert recovered >= controller.engine.termination_probability == 0.9999
+        assert recovered >= session.engine.termination_probability == 0.9999
         assert 0.0 < belief[fault] < 1e-4
 
     def test_bounded_quit_is_the_optimal_action(self, emn_system):
-        controller, fault = _replay_early_quit(emn_system, "bounded (depth 1)")
+        session, fault = _replay_early_quit(emn_system, "bounded (depth 1)")
         model = emn_system.model
         pomdp, terminate = model.pomdp, model.terminate_action
-        belief = controller.belief
+        belief = session.belief
         assert pomdp.state_labels[fault] == "zombie(S2)"
         assert model.recovered_probability(belief) < 0.9999
         # The termination rule fired, with a_T the strict maximum of the
         # lookahead rather than a tie broken toward it.
-        decision = expand_tree(pomdp, belief, 1, controller.bound_set)
+        decision = expand_tree(pomdp, belief, 1, session.engine.bound_set)
         assert decision.action_values[terminate] >= decision.value - TIE_EPSILON
         assert decision.action == terminate
         # Zero bounds V* from above (Condition 2), so a depth-2 tree with

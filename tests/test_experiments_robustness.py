@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.controllers.oracle import OracleController
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.experiments.robustness import format_mismatch, run_mismatch_sweep
 from repro.sim.campaign import run_campaign
 
@@ -51,10 +51,10 @@ class TestMismatchSweep:
 
 class TestWeightedFaultLoad:
     def test_weights_respected(self, simple_system):
-        controller = OracleController(simple_system.model)
+        engine = OraclePolicyEngine(simple_system.model)
         faults = np.array([simple_system.fault_a, simple_system.fault_b])
         result = run_campaign(
-            controller,
+            engine,
             fault_states=faults,
             injections=300,
             seed=0,
@@ -68,20 +68,20 @@ class TestWeightedFaultLoad:
         assert 240 <= drawn_a <= 295  # ~270 expected
 
     def test_mismatched_weight_shape_rejected(self, simple_system):
-        controller = OracleController(simple_system.model)
+        engine = OraclePolicyEngine(simple_system.model)
         with pytest.raises(ValueError, match="align"):
             run_campaign(
-                controller,
+                engine,
                 fault_states=np.array([simple_system.fault_a]),
                 injections=1,
                 fault_probabilities=np.array([0.5, 0.5]),
             )
 
     def test_non_distribution_weights_rejected(self, simple_system):
-        controller = OracleController(simple_system.model)
+        engine = OraclePolicyEngine(simple_system.model)
         with pytest.raises(ValueError, match="distribution"):
             run_campaign(
-                controller,
+                engine,
                 fault_states=np.array(
                     [simple_system.fault_a, simple_system.fault_b]
                 ),

@@ -8,10 +8,10 @@ from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.upper import FIBBound, QMDPBound
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bootstrap import bootstrap_bounds
-from repro.controllers.bounded import BoundedController
-from repro.controllers.heuristic import HeuristicController
-from repro.controllers.most_likely import MostLikelyController
-from repro.controllers.oracle import OracleController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.heuristic import HeuristicPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.pomdp.exact import solve_exact
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
@@ -44,15 +44,15 @@ class TestBoundedNearOptimalOnDiscountedModel:
     def test_bounded_controller_agrees_with_exact_greedy(self, setup):
         system, exact, bound_set = setup
         pomdp = system.model.pomdp
-        controller = BoundedController(
+        session = BoundedPolicyEngine(
             system.model, depth=1, bound_set=bound_set
-        )
+        ).session()
         agreements = 0
         probes = 0
         rng = np.random.default_rng(0)
         for belief in rng.dirichlet(np.ones(pomdp.n_states) * 2, size=30):
-            controller.reset(initial_belief=belief)
-            chosen = controller.decide().action
+            session.reset(initial_belief=belief)
+            chosen = session.decide().action
             optimal = exact.greedy_action(pomdp, belief)
             probes += 1
             agreements += int(chosen == optimal or chosen < 0)
@@ -63,12 +63,12 @@ class TestFullStackOnEMN:
     def test_all_controllers_recover_all_zombie_faults(self, emn_system):
         zombies = emn_system.fault_states(FaultKind.ZOMBIE)
         controllers = [
-            MostLikelyController(emn_system.model),
-            HeuristicController(emn_system.model, depth=1),
-            BoundedController(
+            MostLikelyPolicyEngine(emn_system.model),
+            HeuristicPolicyEngine(emn_system.model, depth=1),
+            BoundedPolicyEngine(
                 emn_system.model, depth=1, refine_min_improvement=1.0
             ),
-            OracleController(emn_system.model),
+            OraclePolicyEngine(emn_system.model),
         ]
         costs = {}
         for controller in controllers:
@@ -86,9 +86,9 @@ class TestFullStackOnEMN:
         crash(DB) / host_crash(hostC) pair, which share an observation
         signature (hostC hosts only DB) and may need a second action."""
         crashes = emn_system.fault_states(FaultKind.CRASH, FaultKind.HOST_CRASH)
-        controller = MostLikelyController(emn_system.model)
+        engine = MostLikelyPolicyEngine(emn_system.model)
         result = run_campaign(
-            controller, crashes, injections=30, seed=3, monitor_tail=5.0
+            engine, crashes, injections=30, seed=3, monitor_tail=5.0
         )
         assert result.summary.unrecovered == 0
         assert all(episode.actions <= 2 for episode in result.episodes)
@@ -120,14 +120,14 @@ class TestFullStackOnEMN:
         bound_set, _ = bootstrap_bounds(
             emn_system.model, iterations=5, depth=1, seed=0
         )
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             emn_system.model,
             depth=1,
             bound_set=bound_set,
             refine_min_improvement=1.0,
         )
         run_campaign(
-            controller,
+            engine,
             emn_system.fault_states(FaultKind.ZOMBIE),
             injections=10,
             seed=2,
@@ -154,10 +154,10 @@ class TestNotifiedVsUnnotifiedEconomy:
         unnotified = build_simple_system(recovery_notification=False)
         results = {}
         for label, system in (("yes", notified), ("no", unnotified)):
-            controller = BoundedController(system.model, depth=1)
+            engine = BoundedPolicyEngine(system.model, depth=1)
             faults = np.array([system.fault_a, system.fault_b])
             results[label] = run_campaign(
-                controller, faults, injections=40, seed=21
+                engine, faults, injections=40, seed=21
             ).summary
         assert results["yes"].monitor_calls <= results["no"].monitor_calls
         assert results["yes"].cost <= results["no"].cost + 1e-9

@@ -25,7 +25,7 @@ from repro.bounds.incremental import (
 )
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.exceptions import ModelError
 from repro.linalg.backends import (
     densify_observations,
@@ -329,14 +329,15 @@ class TestShippedSystems:
             model = build_tiered_system(
                 replicas=(replicas_per_tier,) * 3, backend=backend
             ).model
-            controller = BoundedController(model, depth=1, refine_online=False)
-            controller.reset(
+            engine = BoundedPolicyEngine(model, depth=1, refine_online=False)
+            recovery = engine.session()
+            recovery.reset(
                 initial_belief=uniform_belief(
                     model.pomdp, support=model.fault_states
                 )
             )
             with session() as telemetry:
-                decision = controller.decide()
+                decision = recovery.decide()
             return decision, telemetry.counters
 
         dense, _ = decide("dense")

@@ -175,22 +175,6 @@ class TestBeliefUpdateBatch:
 
 
 class TestBellmanBackupEnvelopeBatch:
-    def test_rows_match_one_dimensional_calls(self, pomdp):
-        rng = np.random.default_rng(17)
-        values = -rng.uniform(0.0, 3.0, size=(4, pomdp.n_states))
-        batched = bellman_backup_envelope(
-            pomdp.transitions, pomdp.rewards, values, pomdp.discount
-        )
-        assert batched.shape == values.shape
-        for j in range(values.shape[0]):
-            np.testing.assert_allclose(
-                batched[j],
-                bellman_backup_envelope(
-                    pomdp.transitions, pomdp.rewards, values[j], pomdp.discount
-                ),
-                atol=1e-12,
-            )
-
     def test_one_dimensional_shape_is_preserved(self, pomdp):
         values = np.zeros(pomdp.n_states)
         backed = bellman_backup_envelope(

@@ -171,13 +171,13 @@ class TestContainerRoundTrip:
 
 class TestPlanExport:
     def _plan(self, backend):
-        from repro.controllers.bounded import BoundedController
+        from repro.controllers.bounded import BoundedPolicyEngine
         from repro.sim.parallel import plan_campaign
 
         system = build_tiered_system(replicas=(2, 2, 2), backend=backend)
-        controller = BoundedController(system.model, depth=1)
+        engine = BoundedPolicyEngine(system.model, depth=1)
         faults = system.zombie_states()[:2]
-        return plan_campaign(controller, faults, injections=4, seed=3)
+        return plan_campaign(engine, faults, injections=4, seed=3)
 
     def test_sparse_plan_exports_an_arena(self):
         from repro.sim.parallel import export_plan

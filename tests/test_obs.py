@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.controllers.bounded import BoundedController
-from repro.controllers.most_likely import MostLikelyController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
 from repro.obs import (
     SCHEMA_VERSION,
     Telemetry,
@@ -212,11 +212,11 @@ class TestCampaignIntegration:
     SEED = 11
 
     def _campaign(self, system, parallel):
-        controller = BoundedController(system.model, depth=1)
+        engine = BoundedPolicyEngine(system.model, depth=1)
         faults = np.array([system.fault_a, system.fault_b])
         with session() as telemetry:
             run_campaign(
-                controller,
+                engine,
                 fault_states=faults,
                 injections=self.INJECTIONS,
                 seed=self.SEED,
@@ -242,32 +242,32 @@ class TestCampaignIntegration:
 
     def test_stream_from_campaign_is_schema_valid(self, simple_system, tmp_path):
         path = tmp_path / "run.jsonl"
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         faults = np.array([simple_system.fault_a, simple_system.fault_b])
         with session(path):
             run_campaign(
-                controller, fault_states=faults, injections=8, seed=3, parallel=2
+                engine, fault_states=faults, injections=8, seed=3, parallel=2
             )
         assert validate_stream(path) == []
 
     def test_no_telemetry_outside_session(self, simple_system):
         """Off by default: running a campaign without a session must not
         activate or accumulate anything."""
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         faults = np.array([simple_system.fault_a])
-        run_campaign(controller, fault_states=faults, injections=4, seed=0)
+        run_campaign(engine, fault_states=faults, injections=4, seed=0)
         assert active() is None
 
     def test_decision_events_never_label_the_sentinel(self, simple_notified_system):
         """Notification models terminate with the NO_ACTION sentinel; the
         decision event carries it as data but no executable action."""
-        controller = BoundedController(simple_notified_system.model, depth=1)
+        engine = BoundedPolicyEngine(simple_notified_system.model, depth=1)
         faults = np.array(
             [simple_notified_system.fault_a, simple_notified_system.fault_b]
         )
         with session() as telemetry:
             run_campaign(
-                controller, fault_states=faults, injections=6, seed=1
+                engine, fault_states=faults, injections=6, seed=1
             )
         events = telemetry.snapshot().events
         decisions = [r for r in events if r["event"] == "decision"]

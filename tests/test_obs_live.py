@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.obs.live import (
     SnapshotRing,
     format_watch,
@@ -162,11 +162,11 @@ class TestCampaignHistograms:
     SEED = 7
 
     def _campaign(self, system, parallel, telemetry_on=True):
-        controller = BoundedController(system.model, depth=1)
+        engine = BoundedPolicyEngine(system.model, depth=1)
         faults = np.array([system.fault_a, system.fault_b])
         if not telemetry_on:
             return run_campaign(
-                controller,
+                engine,
                 fault_states=faults,
                 injections=self.INJECTIONS,
                 seed=self.SEED,
@@ -174,7 +174,7 @@ class TestCampaignHistograms:
             )
         with session() as telemetry:
             result = run_campaign(
-                controller,
+                engine,
                 fault_states=faults,
                 injections=self.INJECTIONS,
                 seed=self.SEED,

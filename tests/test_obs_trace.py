@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.obs import session
 from repro.obs.telemetry import (
     SPANS_DROPPED_COUNTER,
@@ -269,11 +269,11 @@ class TestCampaignTraceDeterminism:
     SEED = 11
 
     def _traced_campaign(self, system, parallel):
-        controller = BoundedController(system.model, depth=1)
+        engine = BoundedPolicyEngine(system.model, depth=1)
         faults = np.array([system.fault_a, system.fault_b])
         with session(trace=True) as telemetry:
             run_campaign(
-                controller,
+                engine,
                 fault_states=faults,
                 injections=self.INJECTIONS,
                 seed=self.SEED,
@@ -354,9 +354,9 @@ class TestOneWindowOneName:
 
         def run():
             # Built inside the session so its RA-Bound solve is recorded.
-            controller = BoundedController(system.model, depth=1)
+            engine = BoundedPolicyEngine(system.model, depth=1)
             return run_campaign(
-                controller,
+                engine,
                 fault_states=faults,
                 injections=self.INJECTIONS,
                 seed=self.SEED,

@@ -13,7 +13,7 @@ import pytest
 from repro.bounds.incremental import refine_at, sample_reachable_beliefs
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.pomdp.belief import belief_bellman_backup
 from repro.pomdp.belief_mdp import expand_belief_mdp
 from repro.pomdp.exact import solve_exact
@@ -123,11 +123,11 @@ class TestProperty1:
         """'The recovery controller always terminates after executing a
         finite number of actions' — every episode ends by choice of a_T,
         well inside the safety cap."""
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             emn_system.model, depth=1, refine_min_improvement=1.0
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=emn_system.fault_states(FaultKind.ZOMBIE),
             injections=50,
             seed=31,

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bounds.vector_set import BoundVectorSet
-from repro.controllers.bounded import BoundedController
-from repro.controllers.branch_and_bound import BranchAndBoundController
-from repro.controllers.heuristic import HeuristicController
-from repro.controllers.most_likely import MostLikelyController
-from repro.controllers.oracle import OracleController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.branch_and_bound import BranchAndBoundPolicyEngine
+from repro.controllers.heuristic import HeuristicPolicyEngine
+from repro.controllers.most_likely import MostLikelyPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.exceptions import ModelError
 from repro.obs.telemetry import Telemetry, activated
 from repro.sim.campaign import run_campaign
@@ -30,15 +30,15 @@ INJECTIONS = 24
 SEED = 11
 
 
-def _controllers(system):
-    """One instance of every controller archetype (fresh per call)."""
+def _engines(system):
+    """One engine of every controller archetype (fresh per call)."""
     model = system.model
     return {
-        "most_likely": MostLikelyController(model),
-        "heuristic_d1": HeuristicController(model, depth=1),
-        "bounded_d1": BoundedController(model, depth=1),
-        "branch_and_bound": BranchAndBoundController(model, depth=1),
-        "oracle": OracleController(model),
+        "most_likely": MostLikelyPolicyEngine(model),
+        "heuristic_d1": HeuristicPolicyEngine(model, depth=1),
+        "bounded_d1": BoundedPolicyEngine(model, depth=1),
+        "branch_and_bound": BranchAndBoundPolicyEngine(model, depth=1),
+        "oracle": OraclePolicyEngine(model),
     }
 
 
@@ -47,16 +47,16 @@ def _faults(system):
 
 
 def _run(system, name, parallel, chunk_size=None):
-    controller = _controllers(system)[name]
+    engine = _engines(system)[name]
     result = run_campaign(
-        controller,
+        engine,
         fault_states=_faults(system),
         injections=INJECTIONS,
         seed=SEED,
         parallel=parallel,
         chunk_size=chunk_size,
     )
-    return controller, result
+    return engine, result
 
 
 class TestDeterminismContract:
@@ -111,29 +111,29 @@ class TestDeterminismContract:
 
 class TestPlan:
     def test_chunk_layout_is_worker_independent(self, simple_system):
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         plan = plan_campaign(
-            controller, _faults(simple_system), injections=70, seed=3,
+            engine, _faults(simple_system), injections=70, seed=3,
             chunk_size=32,
         )
         assert plan.chunks() == [(0, 32), (32, 64), (64, 70)]
         assert plan.injections == 70
 
     def test_default_chunk_size(self, simple_system):
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         plan = plan_campaign(
-            controller, _faults(simple_system), injections=100, seed=3
+            engine, _faults(simple_system), injections=100, seed=3
         )
         assert plan.chunk_size == DEFAULT_CHUNK_SIZE
 
     def test_seed_forms_agree(self, simple_system):
         """SeedSequence and int seeds give identical plans."""
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         by_int = plan_campaign(
-            controller, _faults(simple_system), injections=10, seed=5
+            engine, _faults(simple_system), injections=10, seed=5
         )
         by_sequence = plan_campaign(
-            controller,
+            engine,
             _faults(simple_system),
             injections=10,
             seed=np.random.SeedSequence(5),
@@ -172,9 +172,9 @@ class TestPlan:
         assert seed_to_sequence(sequence) is sequence
 
     def test_negative_workers_rejected(self, simple_system):
-        controller = MostLikelyController(simple_system.model)
+        engine = MostLikelyPolicyEngine(simple_system.model)
         plan = plan_campaign(
-            controller, _faults(simple_system), injections=4, seed=0
+            engine, _faults(simple_system), injections=4, seed=0
         )
         with pytest.raises(ValueError):
             execute_plan(plan, workers=-1)
@@ -182,16 +182,16 @@ class TestPlan:
 
 class TestRefinementMerge:
     def test_caller_controller_receives_refinements(self, simple_system):
-        """After a parallel campaign the template controller's bound set has
+        """After a parallel campaign the template engine's bound set has
         grown — clones' refinements were folded back."""
-        controller, _ = _run(simple_system, "bounded_d1", parallel=2)
-        assert controller.bound_set.vectors.shape[0] > 1
+        engine, _ = _run(simple_system, "bounded_d1", parallel=2)
+        assert engine.bound_set.vectors.shape[0] > 1
 
     def test_merged_vectors_match_serial_budget(self, simple_system):
         """Parallel merge never admits duplicate hyperplanes: every vector in
         the merged set is unique."""
-        controller, _ = _run(simple_system, "bounded_d1", parallel=3)
-        vectors = controller.bound_set.vectors
+        engine, _ = _run(simple_system, "bounded_d1", parallel=3)
+        vectors = engine.bound_set.vectors
         unique = {row.tobytes() for row in vectors}
         assert len(unique) == vectors.shape[0]
 
@@ -214,9 +214,9 @@ class TestRefinementMerge:
     def test_template_controller_not_consumed(self, simple_system):
         """The engine runs episodes on clones; the template is never mid-
         episode afterwards and can immediately run another campaign."""
-        controller, _ = _run(simple_system, "bounded_d1", parallel=2)
+        engine, _ = _run(simple_system, "bounded_d1", parallel=2)
         again = run_campaign(
-            controller,
+            engine,
             fault_states=_faults(simple_system),
             injections=4,
             seed=1,
@@ -260,9 +260,9 @@ class TestSharedMemoryHandoff:
         from repro.systems.tiered import build_tiered_system
 
         system = build_tiered_system(replicas=(2, 2, 2), backend="sparse")
-        controller = BoundedController(system.model, depth=1)
+        engine = BoundedPolicyEngine(system.model, depth=1)
         result = run_campaign(
-            controller,
+            engine,
             fault_states=system.zombie_states()[:2],
             injections=INJECTIONS,
             seed=SEED,

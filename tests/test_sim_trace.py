@@ -1,7 +1,7 @@
 """Tests for episode tracing."""
 
-from repro.controllers.bounded import BoundedController
-from repro.controllers.oracle import OracleController
+from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.oracle import OraclePolicyEngine
 from repro.sim.campaign import run_episode
 from repro.sim.environment import RecoveryEnvironment
 from repro.sim.metrics import episode_fingerprint_bytes
@@ -12,12 +12,12 @@ class TestTraceEpisode:
     def test_trace_matches_untraced_metrics(
         self, simple_system, simple_notified_system
     ):
-        """Same controller, same seed: trace metrics == run_episode metrics
+        """Same policy, same seed: trace metrics == run_episode metrics
         on every deterministic field — with and without a_T, whose
         terminate step the trace shows but does not count as a step."""
         factories = (
-            lambda model: BoundedController(model, depth=1),
-            OracleController,
+            lambda model: BoundedPolicyEngine(model, depth=1).session(),
+            lambda model: OraclePolicyEngine(model).session(),
         )
         for system in (simple_system, simple_notified_system):
             for factory in factories:
@@ -37,7 +37,7 @@ class TestTraceEpisode:
 
     def test_steps_carry_labels_and_beliefs(self, simple_system):
         trace = trace_episode(
-            BoundedController(simple_system.model, depth=1),
+            BoundedPolicyEngine(simple_system.model, depth=1).session(),
             RecoveryEnvironment(simple_system.model, seed=5),
             simple_system.fault_a,
         )
@@ -54,7 +54,7 @@ class TestTraceEpisode:
 
     def test_time_is_monotone(self, simple_system):
         trace = trace_episode(
-            BoundedController(simple_system.model, depth=1),
+            BoundedPolicyEngine(simple_system.model, depth=1).session(),
             RecoveryEnvironment(simple_system.model, seed=7),
             simple_system.fault_b,
         )
@@ -63,7 +63,7 @@ class TestTraceEpisode:
 
     def test_oracle_trace_has_no_observations(self, simple_system):
         trace = trace_episode(
-            OracleController(simple_system.model),
+            OraclePolicyEngine(simple_system.model).session(),
             RecoveryEnvironment(simple_system.model, seed=1),
             simple_system.fault_a,
         )
@@ -72,7 +72,7 @@ class TestTraceEpisode:
 
     def test_render_contains_actions_and_outcome(self, simple_system):
         trace = trace_episode(
-            BoundedController(simple_system.model, depth=1),
+            BoundedPolicyEngine(simple_system.model, depth=1).session(),
             RecoveryEnvironment(simple_system.model, seed=3),
             simple_system.fault_a,
         )
@@ -84,9 +84,9 @@ class TestTraceEpisode:
     def test_emn_trace(self, emn_system):
         pomdp = emn_system.model.pomdp
         trace = trace_episode(
-            BoundedController(
+            BoundedPolicyEngine(
                 emn_system.model, depth=1, refine_min_improvement=1.0
-            ),
+            ).session(),
             RecoveryEnvironment(emn_system.model, seed=2, monitor_tail=5.0),
             pomdp.state_index("zombie(DB)"),
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bounds.ra_bound import ra_bound_vector
-from repro.controllers.bounded import BoundedController
+from repro.controllers.bounded import BoundedPolicyEngine
 from repro.exceptions import ModelError
 from repro.sim.campaign import run_campaign
 from repro.systems.tiered import (
@@ -88,11 +88,11 @@ class TestSemantics:
         assert not small_tiered.model.recovery_notification
 
     def test_bounded_controller_recovers(self, small_tiered):
-        controller = BoundedController(
+        engine = BoundedPolicyEngine(
             small_tiered.model, depth=1, refine_min_improvement=0.5
         )
         result = run_campaign(
-            controller,
+            engine,
             fault_states=small_tiered.zombie_states(),
             injections=20,
             seed=3,
