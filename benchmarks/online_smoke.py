@@ -17,13 +17,9 @@ chunk when only a few are touched), and the run fails unless the action,
 leaf count, action values and bound-set usage are bit-identical to the
 default-budget decision.
 
-The smoke also exercises the shared-memory model handoff
-(:mod:`repro.linalg.shm`): the sparse containers are exported into an
-arena, rebuilt from the handle payload, and verified to reference the
-same buffers.  The arena's segment bytes are *added* to the RSS ceiling
-(mapped shared pages count toward RSS while attached) and the run fails
-if any ``/dev/shm`` segment survives the export — a leaked segment would
-outlive the process and silently eat host memory.
+The smoke also runs a read-only bounded depth-1 campaign on the same
+model, serially and on two worker processes that inherit the campaign
+plan, and fails unless both campaign fingerprints are equal.
 
 Usage::
 
@@ -34,9 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import gc
 import os
-import pickle
 import resource
 import time
 from contextlib import contextmanager
@@ -45,11 +39,12 @@ import numpy as np
 
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import BoundedPolicyEngine
-from repro.linalg import shm
 from repro.pomdp.belief import uniform_belief
 from repro.pomdp.cache import MAX_CACHE_BYTES_ENV
 from repro.pomdp.tree import depth1_action_bytes, expand_tree
+from repro.sim.campaign import run_campaign
 from repro.sim.environment import RecoveryEnvironment
+from repro.sim.metrics import campaign_fingerprint
 from repro.systems.tiered import build_tiered_system
 
 #: Replicas per tier: 3 tiers -> 2 + 2 * 3 * 2000 = 12,002 states.
@@ -63,6 +58,9 @@ DEFAULT_MAX_RSS_MB = 1_024
 
 #: Chunks the split-budget re-decision cuts the touched actions into.
 SPLIT_CHUNKS = 40
+
+#: Injections of the serial-versus-parallel campaign check.
+CAMPAIGN_INJECTIONS = 64
 
 
 @contextmanager
@@ -116,7 +114,8 @@ def peak_rss_mb() -> float:
 
 
 def run_smoke(replicas_per_tier: int) -> dict:
-    """Build sparse, decide from uniform and narrowed beliefs, run an episode."""
+    """Build sparse, decide from uniform and narrowed beliefs, run an episode,
+    then compare a serial and a two-worker campaign."""
     started = time.perf_counter()
     system = build_tiered_system(
         replicas=(replicas_per_tier,) * 3, backend="sparse"
@@ -164,7 +163,7 @@ def run_smoke(replicas_per_tier: int) -> dict:
             break
         session.observe(step.action, result.observation)
 
-    shm_bytes = exercise_shm_handoff(model.pomdp)
+    fingerprint = check_parallel_campaign(engine, system.zombie_states())
     return {
         "n_states": model.pomdp.n_states,
         "n_actions": model.pomdp.n_actions,
@@ -172,38 +171,32 @@ def run_smoke(replicas_per_tier: int) -> dict:
         "uniform_decision_seconds": uniform_seconds,
         "episode_steps": steps,
         "episode_cost": environment.cost,
-        "shm_bytes": shm_bytes,
+        "campaign_fingerprint": fingerprint,
         "split_chunks": (uniform_chunks, narrowed_chunks),
     }
 
 
-def exercise_shm_handoff(pomdp) -> int:
-    """Export the sparse model into shared memory and rebuild it.
-
-    Returns the arena's segment bytes (they count toward RSS while
-    attached) and raises if any segment leaks past the export.
-    """
-    arena = shm.SharedArena()
-    try:
-        with shm.exporting(arena):
-            payload = pickle.dumps(
-                (pomdp.transitions, pomdp.observations, pomdp.rewards)
-            )
-        shm_bytes = arena.total_bytes
-        assert shm_bytes > 0, "sparse export produced no shared segments"
-        assert len(payload) < shm_bytes, (
-            "handle payload should be far smaller than the model buffers"
+def check_parallel_campaign(engine, fault_states) -> str:
+    """Run a :data:`CAMPAIGN_INJECTIONS`-episode campaign of the read-only
+    ``engine`` serially and on two workers; fail unless the campaign
+    fingerprints are equal.  Returns the fingerprint."""
+    serial, parallel = (
+        campaign_fingerprint(
+            run_campaign(
+                engine,
+                fault_states,
+                injections=CAMPAIGN_INJECTIONS,
+                seed=2006,
+                parallel=workers,
+            ).episodes
         )
-        transitions, _, _ = pickle.loads(payload)
-        assert transitions.base.nnz == pomdp.transitions.base.nnz
-        del transitions
-    finally:
-        gc.collect()
-        shm.detach_all()
-        arena.close()
-    leaked = shm.leaked_segments()
-    assert not leaked, f"leaked /dev/shm segments: {leaked}"
-    return shm_bytes
+        for workers in (None, 2)
+    )
+    assert parallel == serial, (
+        f"parallel campaign fingerprint {parallel[:12]} differs from the "
+        f"serial {serial[:12]}"
+    )
+    return serial
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -222,21 +215,17 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run_smoke(args.replicas)
     rss = peak_rss_mb()
-    shm_mb = report["shm_bytes"] / (1024.0 * 1024.0)
-    ceiling = args.max_rss_mb + shm_mb
     print(
         f"sparse online smoke: |S|={report['n_states']:,} "
         f"|A|={report['n_actions']:,}, build {report['build_seconds']:.1f}s, "
         f"uniform decision {report['uniform_decision_seconds']:.1f}s, "
         f"episode {report['episode_steps']} decisions "
-        f"(cost {report['episode_cost']:.3f}), peak RSS {rss:.0f} MB "
-        f"(+{shm_mb:.0f} MB shm exported and released)"
+        f"(cost {report['episode_cost']:.3f}), peak RSS {rss:.0f} MB"
     )
-    if rss > ceiling:
+    if rss > args.max_rss_mb:
         raise SystemExit(
-            f"peak RSS {rss:.0f} MB exceeded the {ceiling:.0f} MB ceiling "
-            f"({args.max_rss_mb:.0f} MB + {shm_mb:.0f} MB shm) — a "
-            "decision-path operation is densifying the model"
+            f"peak RSS {rss:.0f} MB exceeded the {args.max_rss_mb:.0f} MB "
+            "ceiling — a decision-path operation is densifying the model"
         )
     print(
         "chunked re-decisions bit-identical to the default budget "
@@ -245,10 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
     print(
-        f"peak RSS within the {ceiling:.0f} MB ceiling "
-        f"({args.max_rss_mb:.0f} MB + {shm_mb:.0f} MB shm), "
-        "no leaked shared-memory segments"
+        f"{CAMPAIGN_INJECTIONS}-injection campaign fingerprint "
+        f"{report['campaign_fingerprint'][:12]}… identical serially and on "
+        "2 workers"
     )
+    print(f"peak RSS within the {args.max_rss_mb:.0f} MB ceiling")
     return 0
 
 

@@ -16,7 +16,6 @@ determinism hazards (R9xx; ``python -m repro.analysis.codelint src/``).
 """
 
 from repro.analysis.certify import certify_bound_set
-from repro.analysis.codelint import lint_paths, lint_source
 from repro.analysis.diagnostics import (
     CODES,
     AnalysisReport,
@@ -58,8 +57,6 @@ __all__ = [
     "condition_2_diagnostics",
     "dead_observation_diagnostics",
     "duplicate_action_diagnostics",
-    "lint_paths",
-    "lint_source",
     "null_rewiring_diagnostics",
     "ra_finiteness_diagnostics",
     "slow_absorption_diagnostics",

@@ -61,7 +61,7 @@ class BoundVectorSet:
         self.evictions = 0
 
     def __getstate__(self) -> dict:
-        # Campaign chunks deep-copy the set and workers receive it pickled;
+        # Campaign chunks deep-copy the set and spawned workers unpickle it;
         # a lock can be neither, so each copy gets a fresh one.
         state = self.__dict__.copy()
         del state["_usage_lock"]

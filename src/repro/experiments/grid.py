@@ -18,8 +18,8 @@ A *cell* is one deterministic unit of evaluation:
 
 Every cell re-derives all of its randomness from ``(experiment, variant,
 seed)`` alone, and each campaign runs through the deterministic engine of
-:mod:`repro.sim.parallel` (per-cell chunk scheduling, shared-memory model
-handoff for sparse backends), so a cell's fingerprint is independent of
+:mod:`repro.sim.parallel` (per-cell chunk scheduling, workers that
+inherit the campaign plan), so a cell's fingerprint is independent of
 worker count, of which other cells ran before it, and of how many times
 the sweep was interrupted and resumed.  Refined bound sets are persisted
 per cell through the crash-safe :mod:`repro.io` writer, so bootstrap
@@ -420,8 +420,8 @@ def run_grid(
         spec: the sweep matrix.
         store: a :class:`ResultsStore` or its directory path.
         parallel: worker count for each cell's campaign (the deterministic
-            chunked engine of :mod:`repro.sim.parallel`; sparse cells hand
-            the model to workers through shared memory).
+            chunked engine of :mod:`repro.sim.parallel`; forked workers
+            inherit the cell's model rather than copying it).
         on_cell: progress hook, called as ``on_cell(kind, cell, record)``
             with ``kind`` one of ``"skip"`` / ``"run"`` — ``"skip"``
             receives the checkpointed record, ``"run"`` the fresh one.

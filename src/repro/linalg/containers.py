@@ -38,18 +38,6 @@ from repro.exceptions import ModelError
 from repro.util.validation import NEGATIVITY_ATOL, SUM_ATOL
 
 
-def _rebuild_from_state(cls, state):
-    """Default-pickling reconstructor for the frozen containers.
-
-    Restores the instance ``__dict__`` directly (bypassing the frozen
-    ``__setattr__``), exactly like protocol-2 pickling did before the
-    containers grew shared-memory-aware ``__reduce__`` hooks.
-    """
-    self = object.__new__(cls)
-    self.__dict__.update(state)
-    return self
-
-
 def _as_csr(matrix, shape=None) -> sp.csr_matrix:
     """Coerce ``matrix`` to canonical CSR (sorted indices, no duplicates)."""
     csr = sp.csr_matrix(matrix, shape=shape)
@@ -383,22 +371,6 @@ class SparseTransitions:
         stacked = (collapsed @ self.rows).tocsr()
         return _as_csr(self.base.maximum(stacked))
 
-    # -- pickling -------------------------------------------------------
-    def __reduce__(self):
-        """Default pickling, or a shared-memory handle during plan export.
-
-        Inside :func:`repro.linalg.shm.exporting` the CSR buffers are moved
-        into shared-memory segments and only a lightweight handle is
-        pickled, so campaign workers attach the same pages instead of each
-        receiving (and unpickling) a full copy of the model.
-        """
-        from repro.linalg import shm
-
-        handle = shm.export_handle(self)
-        if handle is not None:
-            return (shm.rebuild, (handle,))
-        return (_rebuild_from_state, (type(self), self.__dict__.copy()))
-
     # -- validation -----------------------------------------------------
     def validate(self, name: str = "transitions") -> None:
         """Check every *effective* row is stochastic.
@@ -481,15 +453,6 @@ class SparseObservations:
                 best, np.asarray(matrix.max(axis=0).todense()).ravel()
             )
         return best
-
-    def __reduce__(self):
-        """Default pickling, or a shared-memory handle during plan export."""
-        from repro.linalg import shm
-
-        handle = shm.export_handle(self)
-        if handle is not None:
-            return (shm.rebuild, (handle,))
-        return (_rebuild_from_state, (type(self), self.__dict__.copy()))
 
     def validate(self, name: str = "observations") -> None:
         _check_rows_stochastic(
@@ -643,15 +606,6 @@ class StructuredRewards:
         coo = self.override.tocoo()
         values[coo.row, coo.col] = coo.data
         return values
-
-    def __reduce__(self):
-        """Default pickling, or a shared-memory handle during plan export."""
-        from repro.linalg import shm
-
-        handle = shm.export_handle(self)
-        if handle is not None:
-            return (shm.rebuild, (handle,))
-        return (_rebuild_from_state, (type(self), self.__dict__.copy()))
 
     def validate(self, name: str = "rewards") -> None:
         for label, array in (

@@ -163,7 +163,8 @@ def run_campaign(
             long-lived controller process's would.
         fault_states: candidate fault-state indices; Section 5 draws only
             zombie faults.
-        injections: number of episodes (the paper uses 10,000).
+        injections: number of episodes, an integer >= 1 (the paper uses
+            10,000).
         seed: seed for both fault draws and environment sampling.
         max_steps: per-episode step cap.
         monitor_tail: see :class:`RecoveryEnvironment`.
@@ -185,8 +186,6 @@ def run_campaign(
     """
     from repro.sim.parallel import execute_plan, plan_campaign
 
-    if injections <= 0:
-        raise ValueError(f"injections must be positive, got {injections}")
     fault_states = np.asarray(fault_states, dtype=int)
     if fault_states.size == 0:
         raise ValueError("fault_states must not be empty")
@@ -217,7 +216,7 @@ def run_campaign(
         telemetry.event(
             "campaign_start",
             controller=engine.name,
-            injections=injections,
+            injections=plan.injections,
             chunk_size=plan.chunk_size,
             workers=parallel,
         )

@@ -29,17 +29,11 @@ arrivals dominate.  The caller's engine ends the campaign with the union
 of every worker's refinements, exactly as a long-lived controller process
 would accumulate them.
 
-**Shared-memory model handoff.**  The plan is pickled exactly once per
-campaign.  For sparse models the pickling happens inside
-:func:`repro.linalg.shm.exporting`, which moves the model's CSR buffers
-into ``multiprocessing.shared_memory`` segments and replaces them in the
-pickle stream with lightweight handles; workers attach the segments and
-rebuild zero-copy container views.  The handoff payload shrinks from the
-full model to kilobytes (``model_handoff_bytes``), workers share the
-model's pages instead of copying them, and — because the rebuilt
-containers are value-identical views — campaign fingerprints stay
-bit-identical for any worker count.  Segments are unlinked in a
-``finally`` block, so none outlive the campaign.
+**Workers inherit the plan.**  The pool initializer receives the plan
+object itself.  Under ``fork`` (used wherever the platform has it) each
+worker inherits the caller's model, engine and caches in copy-on-write
+pages and nothing is pickled; only a ``spawn`` platform pickles the plan,
+once per worker.
 
 The one metric outside the determinism contract is ``algorithm_time`` — it
 is a wall-clock measurement and varies run to run even serially; use
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -60,7 +53,6 @@ import numpy as np
 
 from repro.controllers.engine import PolicyEngine
 from repro.exceptions import ControllerError
-from repro.linalg import shm
 from repro.obs.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -86,6 +78,9 @@ DEFAULT_CHUNK_SIZE = 32
 class CampaignPlan:
     """Everything needed to run (or re-run) a campaign deterministically.
 
+    Pool workers receive this object as is: forked workers inherit it, and
+    spawned ones unpickle one copy each.
+
     Attributes:
         engine: the pristine policy engine; never mutated while chunks
             run (they run on clones), then merged into at the join.
@@ -100,7 +95,7 @@ class CampaignPlan:
         collect_telemetry: run each chunk against a private buffering
             :class:`~repro.obs.telemetry.Telemetry` and hand its snapshot
             back for the deterministic chunk-order merge.  Resolved at plan
-            time from :func:`repro.obs.telemetry.active` so worker processes
+            time from :func:`repro.obs.telemetry.active` so spawned workers
             need no telemetry state of their own.
         collect_trace: additionally record hierarchical trace spans in each
             chunk's private registry (episode → decision → tree expansion
@@ -149,6 +144,16 @@ def seed_to_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _require_positive_int(name: str, value) -> None:
+    """Reject anything but an integer >= 1 (``bool`` included)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def plan_campaign(
     engine: PolicyEngine,
     fault_states: np.ndarray,
@@ -159,26 +164,27 @@ def plan_campaign(
     model: RecoveryModel | None = None,
     fault_probabilities: np.ndarray | None = None,
     chunk_size: int | None = None,
-    collect_telemetry: bool | None = None,
 ) -> CampaignPlan:
     """Draw all faults and spawn all per-episode streams up front.
 
-    ``collect_telemetry`` defaults to whether telemetry is active in the
-    planning process, so ``repro.obs.session`` around ``run_campaign`` is
-    all it takes to capture per-chunk instrumentation.
+    The plan collects telemetry when telemetry is active in the planning
+    process, so ``repro.obs.session`` around ``run_campaign`` is all it
+    takes to capture per-chunk instrumentation.
 
     Raises:
         ControllerError: ``engine`` is not a :class:`PolicyEngine`.
-        ValueError: ``chunk_size`` is neither ``None`` nor an integer >= 1.
+        ValueError: ``injections`` is not an integer >= 1, or
+            ``chunk_size`` is neither ``None`` nor an integer >= 1.
     """
     if not isinstance(engine, PolicyEngine):
         raise ControllerError(
             f"campaigns run a PolicyEngine, got {type(engine).__name__}"
         )
+    _require_positive_int("injections", injections)
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
-    elif not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+    else:
+        _require_positive_int("chunk_size", chunk_size)
     root = seed_to_sequence(seed)
     fault_sequence, environment_sequence = root.spawn(2)
     faults = np.asarray(
@@ -189,13 +195,6 @@ def plan_campaign(
     )
     env_seeds = tuple(environment_sequence.spawn(injections))
     active_telemetry = telemetry_active()
-    if collect_telemetry is None:
-        collect_telemetry = active_telemetry is not None
-    collect_trace = (
-        collect_telemetry
-        and active_telemetry is not None
-        and active_telemetry.trace_enabled
-    )
     return CampaignPlan(
         engine=engine,
         model=model or engine.model,
@@ -204,8 +203,10 @@ def plan_campaign(
         max_steps=max_steps,
         monitor_tail=monitor_tail,
         chunk_size=int(chunk_size),
-        collect_telemetry=collect_telemetry,
-        collect_trace=collect_trace,
+        collect_telemetry=active_telemetry is not None,
+        collect_trace=(
+            active_telemetry is not None and active_telemetry.trace_enabled
+        ),
     )
 
 
@@ -315,15 +316,10 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
 _WORKER_PLAN: CampaignPlan | None = None
 
 
-def _init_worker(payload: bytes) -> None:
-    """Install the worker's plan from the once-pickled campaign payload.
-
-    The payload is produced by :func:`export_plan`; for sparse models,
-    unpickling it attaches the parent's shared-memory segments instead of
-    copying the model buffers.
-    """
+def _init_worker(plan: CampaignPlan) -> None:
+    """Install the worker's plan (inherited under fork, unpickled under spawn)."""
     global _WORKER_PLAN
-    _WORKER_PLAN = pickle.loads(payload)
+    _WORKER_PLAN = plan
 
 
 def _worker_chunk(bounds: tuple[int, int]) -> ChunkResult:
@@ -339,46 +335,6 @@ def _pool_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-def _plan_uses_sparse_model(plan: CampaignPlan) -> bool:
-    """True when any model a worker needs stores sparse containers."""
-    models = {id(plan.model): plan.model}
-    models.setdefault(id(plan.engine.model), plan.engine.model)
-    return any(model.pomdp.backend.is_sparse for model in models.values())
-
-
-def export_plan(plan: CampaignPlan) -> tuple[shm.SharedArena | None, bytes]:
-    """Pickle ``plan`` once, moving sparse model buffers into shared memory.
-
-    Returns ``(arena, payload)``.  For sparse models the payload carries
-    shared-memory handles instead of CSR buffers and ``arena`` owns the
-    segments — the caller must :meth:`~repro.linalg.shm.SharedArena.close`
-    it once every worker has shut down.  Dense models pickle as before and
-    ``arena`` is ``None``.
-    """
-    if not _plan_uses_sparse_model(plan):
-        return None, pickle.dumps(plan)
-    arena = shm.SharedArena()
-    try:
-        with shm.exporting(arena):
-            payload = pickle.dumps(plan)
-    except BaseException:
-        arena.close()
-        raise
-    return arena, payload
-
-
-def model_handoff_bytes(plan: CampaignPlan) -> int:
-    """Bytes of the per-worker campaign payload (the pickled plan).
-
-    With the shared-memory handoff this is the size of the *handles*, not
-    of the model.
-    """
-    arena, payload = export_plan(plan)
-    if arena is not None:
-        arena.close()
-    return len(payload)
 
 
 def execute_plan(
@@ -408,21 +364,13 @@ def execute_plan(
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     if workers and workers > 1:
-        arena, payload = export_plan(plan)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)),
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(payload,),
-            ) as pool:
-                results = list(pool.map(_worker_chunk, chunks, chunksize=1))
-        finally:
-            # Segments must not outlive the campaign: workers have exited
-            # (the executor context joined them), so unlinking here leaves
-            # no /dev/shm entry behind.
-            if arena is not None:
-                arena.close()
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+            initargs=(plan,),
+        ) as pool:
+            results = list(pool.map(_worker_chunk, chunks, chunksize=1))
     else:
         results = [run_chunk(plan, start, stop) for start, stop in chunks]
 

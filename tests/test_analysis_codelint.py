@@ -1,5 +1,8 @@
 """Determinism lint (R9xx): rule positives/negatives, suppressions, CLI."""
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -248,6 +251,32 @@ class TestCLI:
         main([str(tmp_path)])
         out = capsys.readouterr().out
         assert out.index("a.py") < out.index("b.py") < out.index("c.py")
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        """``python -m repro.analysis.codelint`` must not find the module
+        already imported by its package (runpy warns, and CI runs it with
+        RuntimeWarnings as errors)."""
+        (tmp_path / "ok.py").write_text("x = sorted({1, 2})\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.analysis.codelint",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRealTreeIsClean:

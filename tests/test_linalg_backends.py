@@ -12,6 +12,9 @@ hash.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +163,44 @@ class TestContainerAlgebra:
         assert resolve_backend("auto", 500_000, density=1e-5).is_sparse is True
         with pytest.raises(ModelError):
             resolve_backend("ragged", 10, density=0.5)
+
+
+#: The three sparse containers and the densifier that checks each.
+CONTAINER_DENSIFIERS = {
+    "transitions": densify_transitions,
+    "observations": densify_observations,
+    "rewards": densify_rewards,
+}
+
+
+class TestContainerCopies:
+    """Default pickling and ``deepcopy`` rebuild value-identical containers.
+
+    Campaign chunks deep-copy engines, and spawned campaign workers
+    unpickle the model, so both must reproduce every entry.
+    """
+
+    @pytest.fixture(scope="class")
+    def pomdp(self):
+        return build_tiered_system(replicas=(2, 2, 2), backend="sparse").model.pomdp
+
+    @staticmethod
+    def _assert_same_values(name, clone, original):
+        assert type(clone) is type(original) and clone is not original
+        densify = CONTAINER_DENSIFIERS[name]
+        np.testing.assert_array_equal(densify(clone), densify(original))
+
+    @pytest.mark.parametrize("name", sorted(CONTAINER_DENSIFIERS))
+    def test_pickle_round_trip(self, pomdp, name):
+        original = getattr(pomdp, name)
+        self._assert_same_values(
+            name, pickle.loads(pickle.dumps(original)), original
+        )
+
+    @pytest.mark.parametrize("name", sorted(CONTAINER_DENSIFIERS))
+    def test_deepcopy_round_trip(self, pomdp, name):
+        original = getattr(pomdp, name)
+        self._assert_same_values(name, copy.deepcopy(original), original)
 
 
 class TestRandomModelAgreement:

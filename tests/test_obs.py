@@ -250,6 +250,18 @@ class TestCampaignIntegration:
             )
         assert validate_stream(path) == []
 
+    def test_numpy_integer_injections_stream_is_schema_valid(
+        self, simple_system, tmp_path
+    ):
+        """A NumPy integer is a valid ``injections``; the JSONL stream must
+        still encode the ``campaign_start`` event."""
+        path = tmp_path / "run.jsonl"
+        engine = MostLikelyPolicyEngine(simple_system.model)
+        faults = np.array([simple_system.fault_a])
+        with session(path):
+            run_campaign(engine, fault_states=faults, injections=np.int64(4))
+        assert validate_stream(path) == []
+
     def test_no_telemetry_outside_session(self, simple_system):
         """Off by default: running a campaign without a session must not
         activate or accumulate anything."""

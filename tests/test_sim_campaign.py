@@ -8,6 +8,7 @@ from repro.controllers.most_likely import MostLikelyPolicyEngine
 from repro.controllers.oracle import OraclePolicyEngine
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
+from repro.sim.parallel import plan_campaign
 
 
 class ImmediateTerminator(PolicyEngine):
@@ -152,3 +153,9 @@ class TestRunCampaign:
         for chunk_size in (-1, 0, 2.5):
             with pytest.raises(ValueError, match="chunk_size"):
                 run_campaign(engine, faults, injections=4, chunk_size=chunk_size)
+        for injections in (2.5, True):
+            with pytest.raises(ValueError, match="injections"):
+                run_campaign(engine, faults, injections=injections)
+        for injections in (-2, 0):
+            with pytest.raises(ValueError, match="injections"):
+                plan_campaign(engine, faults, injections=injections)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.controllers.most_likely import MostLikelyPolicyEngine
 from repro.controllers.oracle import OraclePolicyEngine
 from repro.exceptions import ModelError
 from repro.obs.telemetry import Telemetry, activated
+from repro.sim import parallel as parallel_module
 from repro.sim.campaign import run_campaign
 from repro.sim.metrics import (
     NONDETERMINISTIC_FIELDS,
@@ -21,6 +24,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.parallel import (
     DEFAULT_CHUNK_SIZE,
+    CampaignPlan,
     execute_plan,
     plan_campaign,
     seed_to_sequence,
@@ -252,14 +256,14 @@ class TestMergeSemantics:
             base.merge(np.array([[1.0, 2.0, 3.0]]))
 
 
-class TestSharedMemoryHandoff:
-    """The shm model handoff: bit-identical fingerprints, no leaks."""
+class TestWorkerHandoff:
+    """Pool workers run on the caller's plan: bit-identical fingerprints."""
 
     @staticmethod
-    def _sparse_fingerprint(parallel):
+    def _tiered_fingerprint(parallel, backend="sparse"):
         from repro.systems.tiered import build_tiered_system
 
-        system = build_tiered_system(replicas=(2, 2, 2), backend="sparse")
+        system = build_tiered_system(replicas=(2, 2, 2), backend=backend)
         engine = BoundedPolicyEngine(system.model, depth=1)
         result = run_campaign(
             engine,
@@ -271,18 +275,30 @@ class TestSharedMemoryHandoff:
         return campaign_fingerprint(result.episodes)
 
     def test_serial_and_four_workers_bit_identical(self):
-        """The acceptance criterion: the sparse model travels to workers
-        through shared memory and the campaign fingerprint is unchanged
-        for any worker count."""
-        from repro.linalg import shm
+        serial = self._tiered_fingerprint(None)
+        assert self._tiered_fingerprint(4) == serial
+        assert self._tiered_fingerprint(2) == serial
 
-        serial = self._sparse_fingerprint(None)
-        assert self._sparse_fingerprint(4) == serial
-        assert self._sparse_fingerprint(2) == serial
-        assert shm.leaked_segments() == []
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the plan only under fork",
+    )
+    def test_workers_never_pickle_the_plan(self, monkeypatch):
+        serial = self._tiered_fingerprint(None)
 
-    def test_no_segments_leak_when_a_worker_count_is_one(self):
-        from repro.linalg import shm
+        def refuse(self, protocol):
+            raise AssertionError("campaign plan was pickled")
 
-        self._sparse_fingerprint(1)  # in-process path: no export at all
-        assert shm.leaked_segments() == []
+        monkeypatch.setattr(CampaignPlan, "__reduce_ex__", refuse)
+        assert self._tiered_fingerprint(2) == serial
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_spawn_context_matches_serial(self, monkeypatch, backend):
+        """Platforms without fork pickle the plan once per worker."""
+        monkeypatch.setattr(
+            parallel_module,
+            "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        serial = self._tiered_fingerprint(None, backend)
+        assert self._tiered_fingerprint(2, backend) == serial
