@@ -38,6 +38,15 @@ from repro.experiments.table1 import format_table1, ordering_checks, run_table1
 from repro.obs import session as telemetry_session
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else is a usage error)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _render_checks(checks: dict[str, bool]) -> str:
     lines = ["", "Claim checks:"]
     for claim, passed in checks.items():
@@ -121,15 +130,18 @@ def _cmd_scalability(args) -> None:
         run_scalability,
         verify_against_dense,
     )
+    from repro.systems.tiered import build_tiered_system
 
     if args.online:
         replicas = (
-            tuple([args.replicas] * 3) if args.replicas else ONLINE_REPLICAS
+            ONLINE_REPLICAS if args.replicas is None else (args.replicas,) * 3
         )
         print(format_online(run_online(replicas=replicas, seed=args.seed)))
         return
-    discrepancy = verify_against_dense((2, 2, 2))
-    print(f"Sparse-vs-dense RA-Bound check (62 states): "
+    checked = (2, 2, 2)
+    n_states = build_tiered_system(checked).model.pomdp.n_states
+    discrepancy = verify_against_dense(checked)
+    print(f"Sparse-vs-dense RA-Bound check ({n_states} states): "
           f"max discrepancy {discrepancy:.2e}")
     print()
     print(format_scalability(run_scalability()))
@@ -238,7 +250,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     scalability.add_argument(
         "--replicas",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="R",
         help="replicas per tier for --online (default 50000; smaller values "

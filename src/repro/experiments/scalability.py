@@ -4,13 +4,15 @@
 (S) and, with the appropriate sparse structure, can be solved using
 standard, numerically stable linear system solvers for models with up to
 hundreds of thousands of states."  This experiment measures exactly that:
-RA-Bound solve time on the tiered model family
+the time of the RA-Bound call the controllers make,
+:func:`repro.bounds.ra_bound.ra_bound_vector`, on the tiered model family
 (:mod:`repro.systems.tiered`) as the state count grows from tens to
-hundreds of thousands.  Every solve goes through the shared sparse backend
-(:func:`repro.mdp.linear_solvers.solve_sparse`); the chain is built
-directly in CSR form (~3 non-zeros per row), so the largest default point
-(50,000 replicas per tier, 300,002 states) never materialises a dense
-matrix anywhere.
+hundreds of thousands.  Each point builds the real recovery model on the
+sparse backend; its uniform-action chain is CSR (~3 non-zeros per row) and
+the solve goes through the shared sparse backend
+(:func:`repro.mdp.linear_solvers.solve_sparse`), so the largest default
+point (50,000 replicas per tier, 300,002 states) never materialises a
+dense matrix anywhere.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bounds.ra_bound import ra_bound_vector
-from repro.mdp.linear_solvers import chain_density
-from repro.systems.tiered import (
-    build_tiered_system,
-    solve_tiered_ra_bound,
-    tiered_ra_chain,
-)
+from repro.systems.tiered import build_tiered_system
 from repro.util.tables import render_table
 
 #: Default replica counts per tier for the sweep (3 tiers each).  The
@@ -55,24 +52,26 @@ def run_scalability(
 ) -> list[ScalabilityPoint]:
     """Time the RA-Bound solve across model sizes.
 
-    Each point is a 3-tier system with ``r`` replicas per tier, i.e.
-    ``2 + 2 * n_tiers * r`` states.  Small instances are cross-checked
-    against the dense solver elsewhere (:func:`verify_against_dense` and
-    the test suite); here we record wall-clock time, the chain's non-zero
-    count, and a sample value for sanity.
+    Each point is an ``n_tiers``-tier system with ``r`` replicas per tier,
+    i.e. ``2 + 2 * n_tiers * r`` states, built on the sparse backend.  The
+    timed call is ``ra_bound_vector(pomdp, method=method)``, the one the
+    controllers make.  Small instances are cross-checked against the
+    dense backend elsewhere (:func:`verify_against_dense` and the test
+    suite); here we record wall-clock time, the uniform-action chain's
+    non-zero count, and a sample value for sanity.
     """
     points = []
     for r in sizes:
-        replicas = tuple([r] * n_tiers)
-        chain, _ = tiered_ra_chain(replicas)
+        pomdp = build_tiered_system((r,) * n_tiers, backend="sparse").model.pomdp
+        nnz = int(pomdp.to_mdp().uniform_chain()[0].nnz)
         started = time.perf_counter()  # codelint: ignore[R903]
-        values = solve_tiered_ra_bound(replicas, method=method)
+        values = ra_bound_vector(pomdp, method=method)
         elapsed = time.perf_counter() - started  # codelint: ignore[R903]
         points.append(
             ScalabilityPoint(
                 replicas_per_tier=r,
                 n_states=values.shape[0],
-                nnz=int(chain.nnz),
+                nnz=nnz,
                 backend=method,
                 solve_seconds=elapsed,
                 sample_value=float(values[1]),
@@ -84,19 +83,22 @@ def run_scalability(
 def verify_against_dense(
     replicas: tuple[int, ...], methods: tuple[str, ...] = ("sparse",)
 ) -> float:
-    """Max RA-Bound discrepancy between the sparse path and the dense model.
+    """Max RA-Bound discrepancy between the sparse and the dense backend.
 
-    The direct sparse construction must agree with the RA-Bound computed
-    from the fully-materialised recovery model (the default Gauss-Seidel
-    path of :func:`ra_bound_vector`), for every requested sparse-side
+    Builds the instance on both backends and makes the same
+    ``ra_bound_vector(pomdp, method=m)`` call on each, for every requested
     ``method``.  Returns the worst absolute discrepancy across methods.
     """
-    system = build_tiered_system(replicas=replicas)
-    dense = ra_bound_vector(system.model.pomdp, method="gauss-seidel")
-    return max(
-        float(np.max(np.abs(dense - solve_tiered_ra_bound(replicas, method=m))))
-        for m in methods
-    )
+    dense = build_tiered_system(replicas, backend="dense").model.pomdp
+    sparse = build_tiered_system(replicas, backend="sparse").model.pomdp
+
+    def discrepancy(method: str) -> float:
+        gap = ra_bound_vector(dense, method=method) - ra_bound_vector(
+            sparse, method=method
+        )
+        return float(np.max(np.abs(gap)))
+
+    return max(discrepancy(m) for m in methods)
 
 
 def format_scalability(points: list[ScalabilityPoint]) -> str:
@@ -281,7 +283,6 @@ __all__ = [
     "ONLINE_REPLICAS",
     "OnlineScalabilityResult",
     "ScalabilityPoint",
-    "chain_density",
     "format_online",
     "format_scalability",
     "run_online",

@@ -290,10 +290,10 @@ def solve_sparse(
     :class:`~repro.exceptions.NotConvergedError` rather than returning a
     silently wrong vector.
 
-    Accepts ``chain`` as a dense array or any scipy.sparse matrix; the
-    caller that builds its chain sparsely (e.g.
-    :func:`repro.systems.tiered.tiered_ra_chain`) never materialises a
-    dense ``n x n`` array anywhere on this path.
+    Accepts ``chain`` as a dense array or any scipy.sparse matrix; a
+    caller that holds its chain sparsely (e.g. the uniform-action chain
+    of a sparse model, :meth:`repro.mdp.model.MDP.uniform_chain`) never
+    materialises a dense ``n x n`` array anywhere on this path.
     """
     matrix, rhs, mask = _transient_system(
         chain, reward, discount, transient_states

@@ -15,12 +15,7 @@ from repro.systems.emn import EMNSystem, build_emn_system
 from repro.systems.faults import Fault, FaultKind, unavailable_components
 from repro.systems.monitors import ComponentMonitor, PathMonitor, observation_matrix
 from repro.systems.simple import build_simple_system
-from repro.systems.tiered import (
-    TieredSystem,
-    build_tiered_system,
-    solve_tiered_ra_bound,
-    tiered_ra_chain,
-)
+from repro.systems.tiered import TieredSystem, build_tiered_system
 from repro.systems.workload import RequestPath, drop_fraction
 
 __all__ = [
@@ -37,8 +32,6 @@ __all__ = [
     "build_emn_system",
     "build_simple_system",
     "build_tiered_system",
-    "solve_tiered_ra_bound",
-    "tiered_ra_chain",
     "drop_fraction",
     "observation_matrix",
     "unavailable_components",

@@ -10,22 +10,21 @@ zombies, localises poorly).  The observation space is therefore
 ``2^(T+1)`` regardless of the replica counts, so the model family scales
 in the *state* dimension while staying controller-tractable.
 
-Two entry points:
-
-* :func:`build_tiered_system` — a full :class:`RecoveryModel` for moderate
-  sizes, usable with every controller in the library;
-* :func:`tiered_ra_chain` — the RA-Bound Markov chain of the same family
-  constructed *directly in sparse form*, scaling to hundreds of thousands
-  of states.  This backs the scalability experiment for Section 4.3's
-  claim that the RA-Bound linear system "can be solved using standard,
-  numerically stable linear system solvers for models with up to hundreds
-  of thousands of states".
+:func:`build_tiered_system` is the family's one construction.  It fills the
+sparse containers directly, without materialising any ``|A| x |S| x |S|``
+tensor, so it reaches hundreds of thousands of states; the dense backend
+is the lossless conversion of that same model
+(:func:`repro.recovery.model.convert_backend`).  The scalability experiment
+(:mod:`repro.experiments.scalability`) solves the RA-Bound of these models
+for Section 4.3's claim that the linear system "can be solved using
+standard, numerically stable linear system solvers for models with up to
+hundreds of thousands of states".
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +36,12 @@ from repro.linalg.containers import (
     SparseTransitions,
     StructuredRewards,
 )
-from repro.mdp.linear_solvers import solve_markov_reward
 from repro.pomdp.model import POMDP
-from repro.recovery.builder import RecoveryModelBuilder
-from repro.recovery.model import RecoveryModel, with_termination_action
+from repro.recovery.model import (
+    RecoveryModel,
+    convert_backend,
+    with_termination_action,
+)
 
 #: Default per-replica restart time and monitor-suite execution time (s).
 RESTART_DURATION = 30.0
@@ -104,9 +105,8 @@ def _tiered_observation_matrix(
 
     ``all_state_bits[s, b]`` is the marginal probability that monitor bit
     ``b`` alarms in state ``s``; bits are independent, so each of the
-    ``2**n_bits`` joint outcomes is a product.  Shared by the declarative
-    (dense) and the direct sparse construction paths so both emit the same
-    observation model.
+    ``2**n_bits`` joint outcomes is a product.  Every action observes
+    through this one matrix.
     """
     matrix = np.ones((all_state_bits.shape[0], 2**n_bits))
     for column, outcome in enumerate(itertools.product((0, 1), repeat=n_bits)):
@@ -140,12 +140,35 @@ def build_tiered_system(
             routed-around probe).
         probe_cost: requests consumed per monitor execution.
         include_crash_faults: drop the crash states for a zombie-only model.
-        backend: ``"dense"`` (the original path, via the declarative
-            builder), ``"sparse"`` (direct container construction — the
-            only feasible path past a few thousand states), or ``"auto"``.
+        backend: ``"sparse"`` (the direct container construction — the
+            only feasible one past a few thousand states), ``"dense"`` (the
+            same model converted losslessly to dense tensors), or
+            ``"auto"``.
+
+    Raises:
+        ModelError: a replica count is not an integer >= 1, a duration or
+            cost is negative or not finite, or ``tier_names`` does not
+            name every tier.
     """
-    if not replicas or any(count < 1 for count in replicas):
-        raise ModelError(f"replicas must be positive per tier, got {replicas}")
+    replicas = tuple(replicas)
+    if not replicas or any(
+        isinstance(count, bool)
+        or not isinstance(count, (int, np.integer))
+        or count < 1
+        for count in replicas
+    ):
+        raise ModelError(
+            f"replicas must be integers >= 1 per tier, got {replicas!r}"
+        )
+    replicas = tuple(int(count) for count in replicas)
+    for name, value in (
+        ("restart_duration", restart_duration),
+        ("monitor_duration", monitor_duration),
+        ("operator_response_time", operator_response_time),
+        ("probe_cost", probe_cost),
+    ):
+        if not np.isfinite(value) or value < 0:
+            raise ModelError(f"{name} must be finite and >= 0, got {value!r}")
     n_tiers = len(replicas)
     if tier_names is None:
         tier_names = tuple(f"tier{i}" for i in range(n_tiers))
@@ -153,106 +176,26 @@ def build_tiered_system(
         raise ModelError(
             f"{len(tier_names)} tier names for {n_tiers} tiers"
         )
-    components = _component_names(tuple(tier_names), tuple(replicas))
+    components = _component_names(tuple(tier_names), replicas)
 
     n_kinds = 2 if include_crash_faults else 1
     n_states = 1 + n_kinds * len(components)
     resolved = resolve_backend(
         backend, n_states, density=min(1.0, 3.0 / max(n_states, 1))
     )
-    if resolved.is_sparse:
-        return _build_tiered_sparse(
-            replicas=tuple(replicas),
-            tier_names=tuple(tier_names),
-            components=components,
-            restart_duration=restart_duration,
-            monitor_duration=monitor_duration,
-            operator_response_time=operator_response_time,
-            probe_cost=probe_cost,
-            include_crash_faults=include_crash_faults,
-        )
-
-    def fault_rate(tier_index: int) -> float:
-        """Fraction of requests dropped by one faulty replica in the tier."""
-        return 1.0 / replicas[tier_index]
-
-    builder = RecoveryModelBuilder()
-    builder.add_state("null", rate_cost=0.0, null=True)
-    kinds = ("crash", "zombie") if include_crash_faults else ("zombie",)
-    state_tier: dict[str, int] = {}
-    for name, tier_index in components:
-        for kind in kinds:
-            label = f"{kind}({name})"
-            builder.add_state(label, rate_cost=fault_rate(tier_index))
-            state_tier[label] = tier_index
-
-    all_states = ["null"] + list(state_tier)
-
-    def action_cost(state: str, duration: float) -> float:
-        rate = 0.0 if state == "null" else fault_rate(state_tier[state])
-        return rate * duration + probe_cost
-
-    for name, tier_index in components:
-        repaired = {f"{kind}({name})" for kind in kinds}
-        transitions = {label: {"null": 1.0} for label in repaired}
-        costs = {}
-        for state in all_states:
-            if state in repaired:
-                # The fault's rate applies while the restart runs, then the
-                # system is healthy for the trailing monitor execution.
-                costs[state] = (
-                    fault_rate(tier_index) * restart_duration + probe_cost
-                )
-            else:
-                costs[state] = action_cost(
-                    state, restart_duration + monitor_duration
-                )
-        builder.add_action(
-            f"restart({name})",
-            duration=restart_duration + monitor_duration,
-            transitions=transitions,
-            costs=costs,
-        )
-    builder.add_action(
-        "observe",
-        duration=monitor_duration,
-        costs={
-            state: action_cost(state, monitor_duration) for state in all_states
-        },
-        passive=True,
-    )
-
-    # Observation model: T tier-ping bits + 1 end-to-end probe bit.
-    def alarm_probabilities(state: str) -> np.ndarray:
-        probabilities = np.zeros(n_tiers + 1)
-        if state == "null":
-            return probabilities
-        tier_index = state_tier[state]
-        if state.startswith("crash("):
-            probabilities[tier_index] = 1.0  # tier ping sees the crash
-            probabilities[n_tiers] = fault_rate(tier_index)
-        else:  # zombie: invisible to pings, probabilistically probed
-            probabilities[n_tiers] = fault_rate(tier_index)
-        return probabilities
-
-    n_bits = n_tiers + 1
-    per_state = np.array([alarm_probabilities(state) for state in all_states])
-    matrix = _tiered_observation_matrix(per_state, n_bits)
-    builder.set_observation_matrix(
-        _tiered_outcome_labels(tuple(tier_names), n_tiers), matrix
-    )
-
-    model = builder.build(
-        recovery_notification=False,
-        operator_response_time=operator_response_time,
-    )
-    return TieredSystem(
-        model=model,
+    system = _build_tiered_sparse(
+        replicas=replicas,
         tier_names=tuple(tier_names),
-        replicas=tuple(replicas),
-        components=tuple(name for name, _ in components),
-        observe_action=model.pomdp.action_index("observe"),
+        components=components,
+        restart_duration=restart_duration,
+        monitor_duration=monitor_duration,
+        operator_response_time=operator_response_time,
+        probe_cost=probe_cost,
+        include_crash_faults=include_crash_faults,
     )
+    if resolved.is_sparse:
+        return system
+    return replace(system, model=convert_backend(system.model, "dense"))
 
 
 def _tiered_outcome_labels(
@@ -281,10 +224,9 @@ def _build_tiered_sparse(
 ) -> TieredSystem:
     """Direct sparse-container construction of the tiered model.
 
-    Identical semantics to the declarative path — same state/action/
-    observation ordering and labels, same reward composition — but built
-    as base + overrides without ever materialising the ``|A| x |S| x |S|``
-    tensors: every action is the identity except that ``restart(c)``
+    Built as base + overrides without ever materialising the
+    ``|A| x |S| x |S|`` tensors: every action is the identity except that
+    ``restart(c)``
     replaces the two (or one) fault rows of component ``c``, every action
     shares one observation matrix, and rewards are
     ``duration * rbar(s) - probe`` with per-repair replacement overrides.
@@ -393,101 +335,3 @@ def _build_tiered_sparse(
         observe_action=model.pomdp.action_index("observe"),
     )
 
-
-def tiered_ra_chain(
-    replicas: tuple[int, ...],
-    restart_duration: float = RESTART_DURATION,
-    monitor_duration: float = MONITOR_DURATION,
-    operator_response_time: float = OPERATOR_RESPONSE_TIME,
-    probe_cost: float = PROBE_COST,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The RA-Bound chain of the tiered family, built directly and sparsely.
-
-    States: null, then (crash, zombie) per component, then ``s_T``; actions
-    (never materialised): one restart per component, observe, ``a_T``.  The
-    uniform chain has at most three non-zeros per row — stay, jump to null
-    (the one fixing restart), jump to ``s_T`` (the terminate draw) — so the
-    construction and the solve are both linear in the state count.
-
-    Returns ``(chain, rewards)`` ready for
-    :func:`repro.mdp.linear_solvers.solve_markov_reward` (method
-    ``"direct"``) or scipy's sparse solvers.
-    """
-    if not replicas or any(count < 1 for count in replicas):
-        raise ModelError(f"replicas must be positive per tier, got {replicas}")
-    n_components = int(sum(replicas))
-    n_states = 2 + 2 * n_components  # null + 2 faults/component + s_T
-    n_actions = n_components + 2  # restarts + observe + a_T
-    terminate = n_states - 1
-
-    rates = np.zeros(n_states)
-    index = 1
-    for count in replicas:
-        for _ in range(count):
-            rates[index] = 1.0 / count  # crash
-            rates[index + 1] = 1.0 / count  # zombie
-            index += 2
-
-    rows, cols, data = [], [], []
-
-    def add(row, col, probability):
-        rows.append(row)
-        cols.append(col)
-        data.append(probability)
-
-    # Null: every action stays except a_T.
-    add(0, 0, (n_actions - 1) / n_actions)
-    add(0, terminate, 1 / n_actions)
-    # Fault states: own restart fixes, a_T terminates, the rest stay.
-    for state in range(1, terminate):
-        add(state, 0, 1 / n_actions)
-        add(state, terminate, 1 / n_actions)
-        add(state, state, (n_actions - 2) / n_actions)
-    add(terminate, terminate, 1.0)
-
-    chain = sp.csr_matrix(
-        (data, (rows, cols)), shape=(n_states, n_states)
-    )
-
-    # Mean single-step reward per state under the uniform action draw.
-    rewards = np.zeros(n_states)
-    action_time = restart_duration + monitor_duration
-    for state in range(terminate):
-        rate = rates[state]
-        restart_cost = rate * action_time + probe_cost
-        if state > 0:
-            # The one fixing restart pays the fault rate only while the
-            # restart runs (healthy trailing monitor execution).
-            fixing_cost = rate * restart_duration + probe_cost
-            restart_total = fixing_cost + (n_components - 1) * restart_cost
-        else:
-            restart_total = n_components * restart_cost
-        observe_cost = rate * monitor_duration + probe_cost
-        terminate_cost = rate * operator_response_time
-        rewards[state] = -(
-            restart_total + observe_cost + terminate_cost
-        ) / n_actions
-    return chain, rewards
-
-
-def solve_tiered_ra_bound(
-    replicas: tuple[int, ...], method: str = "sparse", **chain_kwargs
-) -> np.ndarray:
-    """RA-Bound values for a tiered family instance via the sparse backend.
-
-    The chain never exists densely: :func:`tiered_ra_chain` builds it in
-    CSR form (~3 non-zeros per row) and
-    :func:`repro.mdp.linear_solvers.solve_markov_reward` factorises the
-    transient block directly.  The terminate state is the single recurrent
-    state; it is pinned to zero by the transient mask.
-    """
-    chain, rewards = tiered_ra_chain(replicas, **chain_kwargs)
-    transient = np.ones(rewards.shape[0], dtype=bool)
-    transient[-1] = False
-    return solve_markov_reward(
-        chain,
-        rewards,
-        discount=1.0,
-        method=method,
-        transient_states=transient,
-    )

@@ -45,6 +45,32 @@ class TestCLI:
         assert "Table 1" in out
         assert "bounded (depth 1)" in out
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_scalability_replicas_must_be_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exited:
+            main(["scalability", "--online", "--replicas", value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--replicas: must be an integer >= 1" in err
+
+    def test_scalability_online_small(self, capsys):
+        main(["scalability", "--online", "--replicas", "2"])
+        out = capsys.readouterr().out
+        assert "Bounded controller online" in out
+        assert "|S|=14 " in out
+
+    def test_scalability_reports_checked_state_count(self, capsys, monkeypatch):
+        from repro.experiments import scalability
+
+        sweep = scalability.run_scalability
+        monkeypatch.setattr(
+            scalability, "run_scalability", lambda: sweep(sizes=(2,))
+        )
+        main(["scalability"])
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("Sparse-vs-dense RA-Bound check (14 states): ")
+
     def test_profile_flag_appends_stats(self, capsys):
         main(["--profile", "fig5b", "--iterations", "2", "--seed", "1"])
         out = capsys.readouterr().out

@@ -54,6 +54,7 @@ from repro.systems.emn import MONITOR_DURATION, build_emn_system
 from repro.systems.faults import FaultKind
 from repro.systems.tiered import build_tiered_system
 from tests.conftest import random_pomdp
+from tests.test_systems_tiered import reference_tiered_system
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -331,22 +332,18 @@ class TestShippedSystems:
     """The tiered and EMN builders honour the backend contract end to end."""
 
     def test_tiered_sparse_build_matches_dense(self):
-        dense = build_tiered_system(replicas=(2, 2, 2), backend="dense").model
+        """Densifying the sparse build reproduces the declarative dense
+        reference bit for bit, signed zeros included."""
+        expected = reference_tiered_system((2, 2, 2)).model.pomdp
         sparse = build_tiered_system(replicas=(2, 2, 2), backend="sparse").model
         assert sparse.pomdp.backend.is_sparse
-        np.testing.assert_allclose(
-            densify_transitions(sparse.pomdp.transitions),
-            dense.pomdp.transitions,
-            atol=TOL,
-        )
-        np.testing.assert_allclose(
-            densify_observations(sparse.pomdp.observations),
-            dense.pomdp.observations,
-            atol=TOL,
-        )
-        np.testing.assert_allclose(
-            densify_rewards(sparse.pomdp.rewards), dense.pomdp.rewards, atol=TOL
-        )
+        for actual, reference in (
+            (densify_transitions(sparse.pomdp.transitions), expected.transitions),
+            (densify_observations(sparse.pomdp.observations), expected.observations),
+            (densify_rewards(sparse.pomdp.rewards), expected.rewards),
+        ):
+            np.testing.assert_array_equal(actual, reference)
+            np.testing.assert_array_equal(np.signbit(actual), np.signbit(reference))
 
     def test_convert_backend_round_trip(self):
         dense = build_tiered_system(replicas=(2, 2, 2), backend="dense").model
