@@ -17,9 +17,13 @@ chunk when only a few are touched), and the run fails unless the action,
 leaf count, action values and bound-set usage are bit-identical to the
 default-budget decision.
 
-The smoke also runs a read-only bounded depth-1 campaign on the same
-model, serially and on two worker processes that inherit the campaign
-plan, and fails unless both campaign fingerprints are equal.
+The smoke also runs two campaigns on the same model, serially and on two
+worker processes that inherit the campaign plan, and fails unless each
+pair of campaign fingerprints is equal.  The read-only bounded depth-1
+campaign escalates every fault at its first decision, so a second
+campaign drives a seeded random policy over the repair actions for up to
+:data:`RANDOM_MAX_STEPS` steps per episode, and fails unless the workers
+executed recovery actions.
 
 Usage::
 
@@ -39,12 +43,13 @@ import numpy as np
 
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import BoundedPolicyEngine
+from repro.controllers.random_controller import RandomPolicyEngine
 from repro.pomdp.belief import uniform_belief
 from repro.pomdp.cache import MAX_CACHE_BYTES_ENV
 from repro.pomdp.tree import depth1_action_bytes, expand_tree
-from repro.sim.campaign import run_campaign
+from repro.sim.campaign import DEFAULT_MAX_STEPS, run_campaign
 from repro.sim.environment import RecoveryEnvironment
-from repro.sim.metrics import campaign_fingerprint
+from repro.sim.metrics import MetricSummary, campaign_fingerprint
 from repro.systems.tiered import build_tiered_system
 
 #: Replicas per tier: 3 tiers -> 2 + 2 * 3 * 2000 = 12,002 states.
@@ -59,8 +64,11 @@ DEFAULT_MAX_RSS_MB = 1_024
 #: Chunks the split-budget re-decision cuts the touched actions into.
 SPLIT_CHUNKS = 40
 
-#: Injections of the serial-versus-parallel campaign check.
+#: Injections of each serial-versus-parallel campaign check.
 CAMPAIGN_INJECTIONS = 64
+
+#: Step cap of the random-policy campaign's episodes.
+RANDOM_MAX_STEPS = 20
 
 
 @contextmanager
@@ -163,7 +171,15 @@ def run_smoke(replicas_per_tier: int) -> dict:
             break
         session.observe(step.action, result.observation)
 
-    fingerprint = check_parallel_campaign(engine, system.zombie_states())
+    fault_states = system.zombie_states()
+    fingerprint, _ = check_parallel_campaign(engine, fault_states)
+    random_engine = RandomPolicyEngine(model, include_all_actions=False, seed=7)
+    random_fingerprint, random_summary = check_parallel_campaign(
+        random_engine, fault_states, max_steps=RANDOM_MAX_STEPS
+    )
+    assert random_summary.actions > 0, (
+        "the random-policy campaign executed no recovery action"
+    )
     return {
         "n_states": model.pomdp.n_states,
         "n_actions": model.pomdp.n_actions,
@@ -172,31 +188,36 @@ def run_smoke(replicas_per_tier: int) -> dict:
         "episode_steps": steps,
         "episode_cost": environment.cost,
         "campaign_fingerprint": fingerprint,
+        "random_fingerprint": random_fingerprint,
+        "random_actions": random_summary.actions,
         "split_chunks": (uniform_chunks, narrowed_chunks),
     }
 
 
-def check_parallel_campaign(engine, fault_states) -> str:
-    """Run a :data:`CAMPAIGN_INJECTIONS`-episode campaign of the read-only
-    ``engine`` serially and on two workers; fail unless the campaign
-    fingerprints are equal.  Returns the fingerprint."""
+def check_parallel_campaign(
+    engine, fault_states, max_steps: int = DEFAULT_MAX_STEPS
+) -> tuple[str, MetricSummary]:
+    """Run a :data:`CAMPAIGN_INJECTIONS`-episode campaign of ``engine``
+    serially and on two workers; fail unless the campaign fingerprints are
+    equal.  Returns the fingerprint and the serial campaign's summary."""
     serial, parallel = (
-        campaign_fingerprint(
-            run_campaign(
-                engine,
-                fault_states,
-                injections=CAMPAIGN_INJECTIONS,
-                seed=2006,
-                parallel=workers,
-            ).episodes
+        run_campaign(
+            engine,
+            fault_states,
+            injections=CAMPAIGN_INJECTIONS,
+            seed=2006,
+            max_steps=max_steps,
+            parallel=workers,
         )
         for workers in (None, 2)
     )
-    assert parallel == serial, (
-        f"parallel campaign fingerprint {parallel[:12]} differs from the "
-        f"serial {serial[:12]}"
+    fingerprint = campaign_fingerprint(serial.episodes)
+    other = campaign_fingerprint(parallel.episodes)
+    assert other == fingerprint, (
+        f"{engine.name} parallel campaign fingerprint {other[:12]} differs "
+        f"from the serial {fingerprint[:12]}"
     )
-    return serial
+    return fingerprint, serial.summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -237,6 +258,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{CAMPAIGN_INJECTIONS}-injection campaign fingerprint "
         f"{report['campaign_fingerprint'][:12]}… identical serially and on "
         "2 workers"
+    )
+    print(
+        f"{CAMPAIGN_INJECTIONS}-injection random-policy campaign fingerprint "
+        f"{report['random_fingerprint'][:12]}… identical serially and on "
+        f"2 workers ({report['random_actions']:.1f} actions per episode)"
     )
     print(f"peak RSS within the {args.max_rss_mb:.0f} MB ceiling")
     return 0

@@ -41,7 +41,6 @@ from repro.linalg.ops import (
     transition_matrix_dense,
 )
 from repro.mdp.classify import (
-    EDGE_EPSILON,
     classify_chain,
     expected_absorption_time,
     reachable_set,
@@ -1008,22 +1007,16 @@ def stats_diagnostics(view: ModelView) -> list[Diagnostic]:
 def scc_diagnostics(view: ModelView) -> list[Diagnostic]:
     """R202: SCC decomposition of the union graph and the uniform chain.
 
-    Uses the vectorised label/size summary
-    (:func:`repro.mdp.classify.scc_summary`) on both backends, so no
-    per-component Python set is ever materialised — the pass runs on the
-    300k-state union graph in one ``csgraph`` sweep.
+    The union graph goes through the vectorised label/size summary
+    (:func:`repro.mdp.classify.scc_summary`), so no per-component Python
+    set is materialised for it — the pass runs on the 300k-state union
+    graph in one ``csgraph`` sweep.  The chain is classified by
+    :func:`repro.mdp.classify.classify_chain`, whose sets cover only its
+    few recurrent classes.
     """
     union_summary = scc_summary(view.union_graph())
-    chain = view.mean_chain()
-    chain_summary = scc_summary(chain)
-    if view.is_sparse:
-        diagonal = np.asarray(chain.diagonal()).ravel()
-    else:
-        diagonal = np.diag(chain)
-    absorbing = int((diagonal >= 1.0 - EDGE_EPSILON).sum())
+    chain = classify_chain(view.mean_chain())
     sizes = sorted(union_summary.sizes.tolist(), reverse=True)
-    recurrent_classes = int(chain_summary.closed.sum())
-    recurrent_states = int(chain_summary.sizes[chain_summary.closed].sum())
     return [
         Diagnostic(
             code="R202",
@@ -1031,9 +1024,9 @@ def scc_diagnostics(view: ModelView) -> list[Diagnostic]:
                 f"union graph has {union_summary.count} SCC(s) "
                 f"(sizes {sizes[:8]}{' ...' if len(sizes) > 8 else ''}); "
                 f"uniform-random chain has "
-                f"{recurrent_classes} recurrent class(es) "
-                f"over {recurrent_states} state(s), "
-                f"{absorbing} absorbing"
+                f"{len(chain.recurrent_classes)} recurrent class(es) "
+                f"over {int(chain.recurrent.sum())} state(s), "
+                f"{int(chain.absorbing.sum())} absorbing"
             ),
         )
     ]

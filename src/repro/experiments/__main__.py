@@ -224,11 +224,11 @@ def main(argv: list[str] | None = None) -> None:
 
     for name in ("fig5a", "fig5b"):
         sub = subparsers.add_parser(name, help=f"Figure 5({name[-1]})")
-        sub.add_argument("--iterations", type=int, default=20)
+        sub.add_argument("--iterations", type=_positive_int, default=20)
         add_seed(sub)
 
     table1 = subparsers.add_parser("table1", help="Table 1 fault injections")
-    table1.add_argument("--injections", type=int, default=1000)
+    table1.add_argument("--injections", type=_positive_int, default=1000)
     add_seed(table1)
     add_parallel(table1)
 
@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> None:
     add_seed(bounds)
 
     ablations = subparsers.add_parser("ablations", help="parameter sweeps")
-    ablations.add_argument("--injections", type=int, default=200)
+    ablations.add_argument("--injections", type=_positive_int, default=200)
     add_seed(ablations)
 
     scalability = subparsers.add_parser(
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> None:
     robustness = subparsers.add_parser(
         "robustness", help="controller-vs-environment model mismatch sweep"
     )
-    robustness.add_argument("--injections", type=int, default=200)
+    robustness.add_argument("--injections", type=_positive_int, default=200)
     add_seed(robustness)
     add_parallel(robustness)
 
@@ -306,13 +306,13 @@ def main(argv: list[str] | None = None) -> None:
     )
     grid.add_argument(
         "--injections",
-        type=int,
+        type=_positive_int,
         default=200,
         help="injections per campaign cell (table1/robustness)",
     )
     grid.add_argument(
         "--iterations",
-        type=int,
+        type=_positive_int,
         default=10,
         help="bootstrap iterations per fig5 cell",
     )

@@ -35,8 +35,6 @@ from repro.linalg.containers import (
     StructuredRewards,
 )
 from repro.linalg.ops import (
-    as_dense_chain,
-    is_sparse_transitions,
     mean_transition_matrix,
     observation_column,
     observation_matrix,
@@ -63,12 +61,10 @@ __all__ = [
     "SparseObservations",
     "SparseTransitions",
     "StructuredRewards",
-    "as_dense_chain",
     "backend_of",
     "densify_observations",
     "densify_rewards",
     "densify_transitions",
-    "is_sparse_transitions",
     "mean_transition_matrix",
     "observation_column",
     "observation_matrix",

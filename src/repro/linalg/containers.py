@@ -167,10 +167,6 @@ class SparseTransitions:
     def _override_slice(self, action: int) -> slice:
         return slice(int(self._action_ptr[action]), int(self._action_ptr[action + 1]))
 
-    def override_states(self, action: int) -> np.ndarray:
-        """States whose outgoing row ``action`` replaces."""
-        return self.row_state[self._override_slice(action)]
-
     @property
     def delta_rows(self) -> sp.csr_matrix:
         """``rows - base[row_state]`` — the additive form of the overrides."""
@@ -595,10 +591,6 @@ class StructuredRewards:
         if self.override.nnz:
             best = max(best, float(self.override.data.max()))
         return best
-
-    def abs_max_column(self, state: int) -> float:
-        """``max_a |r[a, s]|`` (the RA finiteness check, Section 3.1)."""
-        return float(np.abs(self.column(state)).max())
 
     def full(self) -> np.ndarray:
         """Densify to an ``(|A|, |S|)`` array (small models only)."""

@@ -23,7 +23,6 @@ hence worker-count invariant like the other deterministic counters.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.linalg.containers import (
     SparseObservations,
@@ -69,10 +68,6 @@ def _count_dispatch(op: str, sparse: bool) -> None:
     telemetry = telemetry_active()
     if telemetry is not None:
         telemetry.count(f"linalg.{op}.{'sparse' if sparse else 'dense'}")
-
-
-def is_sparse_transitions(transitions) -> bool:
-    return isinstance(transitions, SparseTransitions)
 
 
 # -- transitions --------------------------------------------------------
@@ -391,23 +386,11 @@ def bellman_backup_envelope(
     return backed_all.max(axis=0)
 
 
-# -- generic ------------------------------------------------------------
-
-
-def as_dense_chain(chain):
-    """Densify a Markov chain if it is sparse (small models only)."""
-    if sp.issparse(chain):
-        return chain.toarray()
-    return np.asarray(chain)
-
-
 __all__ = [
     "BACKUP_TIE_EPSILON",
     "GAMMA_EPSILON",
-    "as_dense_chain",
     "belief_update_batch",
     "bellman_backup_envelope",
-    "is_sparse_transitions",
     "mean_transition_matrix",
     "observation_block",
     "observation_column",

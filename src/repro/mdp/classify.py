@@ -8,9 +8,12 @@ and exposes the underlying graph analyses (SCC decomposition, reachability,
 expected absorption time) for reuse by the static analyzer in
 :mod:`repro.analysis`.
 
-All analyses are networkx-backed when networkx is importable and fall back
-to pure numpy/Python implementations otherwise, so the analyzer keeps
-working in minimal deployments.
+Every analysis first turns its chain, dense or ``scipy.sparse``, into one
+CSR support graph (:func:`_adjacency`) and then runs once over it: strong
+components through :func:`scipy.sparse.csgraph.connected_components`,
+reachability as a CSR frontier sweep, absorption times as a sparse
+transient-state solve.  The cost is O(nodes + edges) whatever the input
+layout, which is what lets the analyzer cover the 300k-state tiered chain.
 """
 
 from __future__ import annotations
@@ -23,14 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-
-try:  # pragma: no cover - exercised indirectly via the fallback tests
-    import networkx as nx
-
-    HAVE_NETWORKX = True
-except ImportError:  # pragma: no cover
-    nx = None
-    HAVE_NETWORKX = False
 
 #: Probabilities below this are treated as structural zeros.
 EDGE_EPSILON = 1e-12
@@ -55,102 +50,14 @@ class ChainClassification:
     recurrent_classes: tuple[frozenset, ...]
 
 
-def _adjacency(chain):
-    """Boolean adjacency of ``chain > EDGE_EPSILON`` — dense or CSR."""
-    if sp.issparse(chain):
-        coo = chain.tocoo()
-        keep = coo.data > EDGE_EPSILON
-        return sp.csr_matrix(
-            (np.ones(int(keep.sum())), (coo.row[keep], coo.col[keep])),
-            shape=chain.shape,
-        )
-    return np.asarray(chain, dtype=float) > EDGE_EPSILON
-
-
-def _sparse_scc_labels(adjacency: sp.csr_matrix) -> tuple[int, np.ndarray]:
-    """Strong-component labels via ``scipy.sparse.csgraph`` (vectorised)."""
-    count, labels = csgraph.connected_components(
-        adjacency, directed=True, connection="strong"
+def _adjacency(chain) -> sp.csr_matrix:
+    """The support graph of ``chain`` (a dense array or any sparse format)
+    as CSR: its entries above :data:`EDGE_EPSILON`."""
+    coo = sp.coo_matrix(chain, dtype=float)
+    keep = coo.data > EDGE_EPSILON
+    return sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
     )
-    return int(count), labels
-
-
-def _sparse_closed_masks(adjacency: sp.csr_matrix) -> tuple[np.ndarray, list[frozenset]]:
-    """Recurrent mask + closed classes of a sparse chain, without per-SCC loops.
-
-    A component is closed iff no edge crosses out of it; one pass over the
-    edge list marks every component with an outgoing cross edge as open.
-    """
-    count, labels = _sparse_scc_labels(adjacency)
-    coo = adjacency.tocoo()
-    cross = labels[coo.row] != labels[coo.col]
-    open_components = np.zeros(count, dtype=bool)
-    open_components[labels[coo.row[cross]]] = True
-    recurrent = ~open_components[labels]
-    classes = [
-        frozenset(np.flatnonzero(labels == component).tolist())
-        for component in np.flatnonzero(~open_components)
-    ]
-    return recurrent, classes
-
-
-def _scc_networkx(adjacency: np.ndarray) -> list[frozenset]:
-    n = adjacency.shape[0]
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n))
-    rows, cols = np.nonzero(adjacency)
-    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-    return [frozenset(component) for component in nx.strongly_connected_components(graph)]
-
-
-def _scc_tarjan(adjacency: np.ndarray) -> list[frozenset]:
-    """Iterative Tarjan SCC — the pure-Python fallback (no recursion limit)."""
-    n = adjacency.shape[0]
-    successors = [np.flatnonzero(adjacency[s]).tolist() for s in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[frozenset] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # Each work item is (node, iterator position into its successors).
-        work = [(root, 0)]
-        while work:
-            node, position = work.pop()
-            if position == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for i in range(position, len(successors[node])):
-                child = successors[node][i]
-                if index[child] == -1:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack[child]:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                members = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    members.append(member)
-                    if member == node:
-                        break
-                components.append(frozenset(members))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
 
 
 @dataclass(frozen=True)
@@ -179,54 +86,49 @@ class SCCSummary:
 def scc_summary(chain) -> SCCSummary:
     """SCC labels/sizes/closedness of ``chain > EDGE_EPSILON``, vectorised.
 
-    Works on dense arrays and scipy sparse matrices alike; both route
-    through :func:`scipy.sparse.csgraph.connected_components`, so the cost
-    is O(nodes + edges) with no per-component Python loop.
+    The one strong-component computation of this module, O(nodes + edges)
+    with no per-component Python loop.  A component is closed iff no edge
+    crosses out of it; one pass over the edge list marks every component
+    with an outgoing cross edge as open.
     """
     adjacency = _adjacency(chain)
-    if not sp.issparse(adjacency):
-        adjacency = sp.csr_matrix(adjacency)
-    count, labels = _sparse_scc_labels(adjacency)
-    sizes = np.bincount(labels, minlength=count)
+    count, labels = csgraph.connected_components(
+        adjacency, directed=True, connection="strong"
+    )
     coo = adjacency.tocoo()
     cross = labels[coo.row] != labels[coo.col]
     closed = np.ones(count, dtype=bool)
     closed[labels[coo.row[cross]]] = False
-    return SCCSummary(count=count, labels=labels, sizes=sizes, closed=closed)
+    return SCCSummary(
+        count=int(count),
+        labels=labels,
+        sizes=np.bincount(labels, minlength=count),
+        closed=closed,
+    )
+
+
+def _component_sets(summary: SCCSummary, keep: np.ndarray) -> list[frozenset]:
+    """Member sets of the components ``keep`` selects, in label order."""
+    states = np.flatnonzero(keep[summary.labels])
+    states = states[np.argsort(summary.labels[states], kind="stable")]
+    groups = np.split(states, np.cumsum(summary.sizes[keep])[:-1])
+    return [frozenset(group.tolist()) for group in groups if group.size]
 
 
 def strongly_connected_components(chain: np.ndarray) -> list[frozenset]:
     """SCCs of the directed graph induced by ``chain > EDGE_EPSILON``.
 
     ``chain`` may be a stochastic matrix or any non-negative weight matrix;
-    only the sparsity pattern matters.  Uses networkx when available and an
-    iterative Tarjan otherwise.
+    only the sparsity pattern matters.
     """
-    adjacency = _adjacency(chain)
-    if sp.issparse(adjacency):
-        count, labels = _sparse_scc_labels(adjacency)
-        return [
-            frozenset(np.flatnonzero(labels == component).tolist())
-            for component in range(count)
-        ]
-    if HAVE_NETWORKX:
-        return _scc_networkx(adjacency)
-    return _scc_tarjan(adjacency)
+    summary = scc_summary(chain)
+    return _component_sets(summary, np.ones(summary.count, dtype=bool))
 
 
 def closed_components(chain) -> list[frozenset]:
     """The closed (no outgoing edge) SCCs — the recurrent classes."""
-    adjacency = _adjacency(chain)
-    if sp.issparse(adjacency):
-        return _sparse_closed_masks(adjacency)[1]
-    closed = []
-    for component in strongly_connected_components(adjacency):
-        members = np.fromiter(component, dtype=int)
-        outside = np.ones(adjacency.shape[0], dtype=bool)
-        outside[members] = False
-        if not adjacency[np.ix_(members, outside)].any():
-            closed.append(component)
-    return closed
+    summary = scc_summary(chain)
+    return _component_sets(summary, summary.closed)
 
 
 def classify_chain(chain) -> ChainClassification:
@@ -234,62 +136,31 @@ def classify_chain(chain) -> ChainClassification:
 
     A strongly-connected component is *closed* (and hence recurrent in a
     finite chain) iff no edge leaves it.  Accepts dense arrays and
-    ``scipy.sparse`` matrices; the sparse path classifies the 300k-state
-    tiered chain in one vectorised edge sweep.
+    ``scipy.sparse`` matrices; both classify in one vectorised edge sweep.
     """
-    if sp.issparse(chain):
-        n = chain.shape[0]
-        recurrent, recurrent_classes = _sparse_closed_masks(_adjacency(chain))
-        absorbing = np.asarray(chain.diagonal()).ravel() >= 1.0 - EDGE_EPSILON
-        return ChainClassification(
-            recurrent=recurrent,
-            transient=~recurrent,
-            absorbing=absorbing,
-            recurrent_classes=tuple(recurrent_classes),
-        )
-    chain = np.asarray(chain, dtype=float)
-    n = chain.shape[0]
-    recurrent = np.zeros(n, dtype=bool)
-    recurrent_classes = []
-    for component in closed_components(chain):
-        recurrent_classes.append(component)
-        for s in component:
-            recurrent[s] = True
-
-    absorbing = np.array(
-        [chain[s, s] >= 1.0 - EDGE_EPSILON for s in range(n)], dtype=bool
-    )
+    summary = scc_summary(chain)
+    recurrent = summary.closed[summary.labels]
     return ChainClassification(
         recurrent=recurrent,
         transient=~recurrent,
-        absorbing=absorbing,
-        recurrent_classes=tuple(recurrent_classes),
+        absorbing=sp.csr_matrix(chain).diagonal() >= 1.0 - EDGE_EPSILON,
+        recurrent_classes=tuple(_component_sets(summary, summary.closed)),
     )
 
 
 def reachable_set(chain, sources: np.ndarray) -> np.ndarray:
     """States reachable (in any number of steps) from the ``sources`` mask."""
-    adjacency = _adjacency(chain)
+    transposed = _adjacency(chain).T.tocsr()
     reached = np.asarray(sources, dtype=bool).copy()
     frontier = reached.copy()
-    if sp.issparse(adjacency):
-        transposed = adjacency.T.tocsr()
-        while frontier.any():
-            hits = np.asarray(transposed @ frontier.astype(float)).ravel()
-            successors = hits > 0.0
-            frontier = successors & ~reached
-            reached |= successors
-        return reached
     while frontier.any():
-        successors = adjacency[frontier].any(axis=0)
+        successors = (transposed @ frontier.astype(float)) > 0.0
         frontier = successors & ~reached
         reached |= successors
     return reached
 
 
-def expected_absorption_time(
-    chain: np.ndarray, targets: np.ndarray | None = None
-) -> np.ndarray:
+def expected_absorption_time(chain, targets: np.ndarray | None = None) -> np.ndarray:
     """Expected number of steps for each state to enter ``targets``.
 
     ``targets`` defaults to the chain's recurrent set, making this the
@@ -299,55 +170,20 @@ def expected_absorption_time(
     Eq. 5).  Returns 0 on target states and ``inf`` on states that cannot
     reach the target set at all.
 
-    Solves ``t = 1 + P_TT t`` over the non-target states with a linear
-    solve — dense or sparse to match the chain (falls back to ``inf`` if
-    the system is singular, which happens exactly when some non-target
-    state never reaches a target).
+    Solves ``t = 1 + P_TT t`` over the non-target states with one sparse
+    linear solve (``inf`` if the system is singular, which happens exactly
+    when some non-target state never reaches a target).
     """
-    if sp.issparse(chain):
-        return _expected_absorption_time_sparse(chain, targets)
-    chain = np.asarray(chain, dtype=float)
-    n = chain.shape[0]
+    chain = sp.csr_matrix(chain, dtype=float)
     if targets is None:
         target_mask = classify_chain(chain).recurrent
     else:
-        target_mask = np.asarray(targets, dtype=bool).copy()
-    times = np.zeros(n)
-    outside = np.flatnonzero(~target_mask)
-    if outside.size == 0:
+        target_mask = np.asarray(targets, dtype=bool)
+    times = np.zeros(chain.shape[0])
+    if target_mask.all():
         return times
     can_reach = reachable_set(chain.T, target_mask)
-    hopeless = ~can_reach & ~target_mask
-    times[hopeless] = np.inf
-    solvable = np.flatnonzero(~target_mask & can_reach)
-    if solvable.size == 0:
-        return times
-    sub = chain[np.ix_(solvable, solvable)]
-    system = np.eye(solvable.size) - sub
-    try:
-        solution = np.linalg.solve(system, np.ones(solvable.size))
-    except np.linalg.LinAlgError:
-        solution = np.full(solvable.size, np.inf)
-    times[solvable] = solution
-    return times
-
-
-def _expected_absorption_time_sparse(
-    chain, targets: np.ndarray | None
-) -> np.ndarray:
-    n = chain.shape[0]
-    chain = chain.tocsr()
-    if targets is None:
-        target_mask = classify_chain(chain).recurrent
-    else:
-        target_mask = np.asarray(targets, dtype=bool).copy()
-    times = np.zeros(n)
-    outside = np.flatnonzero(~target_mask)
-    if outside.size == 0:
-        return times
-    can_reach = reachable_set(chain.T, target_mask)
-    hopeless = ~can_reach & ~target_mask
-    times[hopeless] = np.inf
+    times[~can_reach & ~target_mask] = np.inf
     solvable = np.flatnonzero(~target_mask & can_reach)
     if solvable.size == 0:
         return times

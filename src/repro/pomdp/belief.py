@@ -172,13 +172,12 @@ def next_beliefs(
 
     The joint factor comes from the shared per-model
     :class:`~repro.pomdp.cache.JointFactorCache` when the model is small
-    enough to cache, so repeated enumeration from the same model does one
-    matrix product per call instead of rebuilding the transition/observation
-    product.
+    enough to cache: one action's block of its memoised every-action joint,
+    so enumerating several actions from one belief does one matrix product.
     """
     cache = get_joint_cache(pomdp)
     if cache is not None:
-        joint = cache.joint(belief, action)  # (|S|, |O|)
+        joint = cache.joint_all(belief)[action]  # (|S|, |O|)
     else:
         predicted = predicted_belief(pomdp, belief, action)
         joint = predicted[:, None] * observation_matrix_dense(

@@ -9,15 +9,12 @@ needs the same quantity for a belief ``pi`` and action ``a``::
 The belief-independent part, ``F_a[s, s', o] = p(s'|s, a) q(o|s', a)``, only
 depends on the model, yet the naive evaluation rebuilds the ``(|S'|, |O|)``
 product from ``transitions`` and ``observations`` at every decision node.
-:class:`JointFactorCache` precomputes ``F`` once per :class:`POMDP`, flattened
-so the per-belief work collapses to a single GEMV:
-
-* ``joint(belief, a)`` — one ``(|S|,) @ (|S|, |S'|*|O|)`` product, for
-  posterior enumeration;
-* ``joint_all(beliefs)`` — one ``(m, |S|) @ (|S|, |A|*|S'|*|O|)`` product
-  that yields every action's joint for a whole stack of beliefs at once,
-  which is how the lookahead tree expands a level and how the Eq. 7
-  refinement scores every action.
+:class:`JointFactorCache` precomputes ``F`` once per :class:`POMDP` as one
+``(|S|, |A|*|S'|*|O|)`` matrix, so ``joint_all(beliefs)`` is a single
+``(m, |S|) @ (|S|, |A|*|S'|*|O|)`` product that yields every action's joint
+for a whole stack of beliefs at once.  That is how the lookahead tree
+expands a level and how the Eq. 7 refinement scores every action;
+posterior enumeration reads one action's block of it.
 
 Both cache classes remember the joint of the last single belief they were
 asked for (a read-only array), so a decision that refines the bound at its
@@ -28,7 +25,7 @@ validation, so a cache entry is valid for the lifetime of its model object;
 derived models (``with_discount`` and friends) are new objects and get their
 own entries.  Caches are registered per model *instance* and dropped
 automatically when the model is garbage-collected.  Models whose factor
-tensor would exceed :data:`MAX_CACHE_BYTES` are not cached —
+tensor would exceed the :func:`max_cache_bytes` budget are not cached —
 :func:`get_joint_cache` returns ``None`` and callers fall back to the
 two-product path, so memory use stays bounded on very large models.
 """
@@ -45,33 +42,28 @@ from repro.obs.telemetry import span
 from repro.pomdp.model import POMDP
 from repro.util.validation import int_setting
 
-#: Default upper limit on the bytes a single model's factor tensors may
-#: occupy (both layouts together).  Past this, caching is declined.  The
-#: same budget sizes the chunks of the fused sparse depth-1 kernel
-#: (:mod:`repro.pomdp.tree`).  The effective limit is resolved per call by
-#: :func:`max_cache_bytes`: an explicit ``max_bytes`` argument wins, then
-#: the ``REPRO_MAX_CACHE_BYTES`` environment variable, then this default.
+#: Default upper limit on the bytes a single model's factor tensor may
+#: occupy.  Past this, caching is declined.  The same budget sizes the
+#: chunks of the fused sparse depth-1 kernel (:mod:`repro.pomdp.tree`).
+#: The effective limit is resolved per call by :func:`max_cache_bytes`:
+#: the ``REPRO_MAX_CACHE_BYTES`` environment variable, else this default.
 MAX_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Environment variable overriding :data:`MAX_CACHE_BYTES`.
 MAX_CACHE_BYTES_ENV = "REPRO_MAX_CACHE_BYTES"
 
 
-def max_cache_bytes(max_bytes: int | None = None) -> int:
-    """Resolve the effective cache budget.
-
-    Precedence: the ``max_bytes`` argument (callers and constructors),
-    then ``REPRO_MAX_CACHE_BYTES`` in the environment, then the
-    :data:`MAX_CACHE_BYTES` default.  ``0`` is a valid budget: it declines
-    every cache.
+def max_cache_bytes() -> int:
+    """The effective cache budget: ``REPRO_MAX_CACHE_BYTES`` in the
+    environment, else the :data:`MAX_CACHE_BYTES` default.  ``0`` is a
+    valid budget: it declines every cache.
 
     Raises:
-        ValueError: the chosen value is not an integer >= 0; the message
-            names ``max_bytes`` or ``REPRO_MAX_CACHE_BYTES``, whichever
-            supplied it.
+        ValueError: the variable is not an integer >= 0; the message
+            names it.
     """
     return int_setting(
-        max_bytes, "max_bytes", MAX_CACHE_BYTES_ENV, MAX_CACHE_BYTES, 0
+        None, MAX_CACHE_BYTES_ENV, MAX_CACHE_BYTES_ENV, MAX_CACHE_BYTES, 0
     )
 
 
@@ -108,28 +100,18 @@ class _LastJointMemo:
 
 
 class JointFactorCache(_LastJointMemo):
-    """Precomputed ``p(s', o | s, a)`` factors for one POMDP.
+    """Precomputed ``p(s', o | s, a)`` factors for one POMDP, stacked into
+    one contiguous ``(|S|, |A|*|S'|*|O|)`` matrix."""
 
-    Two layouts of the same tensor are kept so that both access patterns
-    are a single contiguous matrix product:
-
-    * ``_per_action[a]`` has shape ``(|S|, |S'|*|O|)``;
-    * ``_stacked`` has shape ``(|S|, |A|*|S'|*|O|)``.
-    """
-
-    def __init__(self, pomdp: POMDP, max_bytes: int | None = None):
-        self.max_bytes = max_cache_bytes(max_bytes)
+    def __init__(self, pomdp: POMDP):
         n_actions = pomdp.n_actions
         n_states = pomdp.n_states
         n_observations = pomdp.n_observations
         factors = (
             pomdp.transitions[:, :, :, None] * pomdp.observations[:, None, :, :]
         )
-        self._per_action = np.ascontiguousarray(
-            factors.reshape(n_actions, n_states, n_states * n_observations)
-        )
         self._stacked = np.ascontiguousarray(
-            self._per_action.transpose(1, 0, 2).reshape(
+            factors.transpose(1, 0, 2, 3).reshape(
                 n_states, n_actions * n_states * n_observations
             )
         )
@@ -140,14 +122,8 @@ class JointFactorCache(_LastJointMemo):
 
     @property
     def nbytes(self) -> int:
-        """Memory the cached factor tensors occupy."""
-        return self._per_action.nbytes + self._stacked.nbytes
-
-    def joint(self, belief: np.ndarray, action: int) -> np.ndarray:
-        """``joint[s', o]`` for one action at ``belief``; shape ``(|S'|, |O|)``."""
-        return (belief @ self._per_action[action]).reshape(
-            self.n_states, self.n_observations
-        )
+        """Memory the cached factor matrix occupies."""
+        return self._stacked.nbytes
 
     def _joint_all(self, beliefs: np.ndarray) -> np.ndarray:
         return (beliefs @ self._stacked).reshape(
@@ -164,12 +140,11 @@ class SparseJointFactorCache(_LastJointMemo):
     with the observation matrix, built row-expansion style without ever
     densifying: entry ``(s, s')`` of ``T_a`` fans out into the non-zeros of
     observation row ``s'``, landing at flattened column ``s' * |O| + o``.
-    ``joint``/``joint_all`` return dense arrays shaped exactly like the
-    dense cache's, so every downstream consumer is backend-agnostic.
+    ``joint_all`` returns dense arrays shaped exactly like the dense
+    cache's, so every downstream consumer is backend-agnostic.
     """
 
-    def __init__(self, pomdp: POMDP, max_bytes: int | None = None):
-        self.max_bytes = max_cache_bytes(max_bytes)
+    def __init__(self, pomdp: POMDP):
         self.n_actions = pomdp.n_actions
         self.n_states = pomdp.n_states
         self.n_observations = pomdp.n_observations
@@ -190,17 +165,12 @@ class SparseJointFactorCache(_LastJointMemo):
             for factor in self._factors
         )
 
-    def joint(self, belief: np.ndarray, action: int) -> np.ndarray:
-        """``joint[s', o]`` for one action at ``belief``; shape ``(|S'|, |O|)``."""
-        flat = np.asarray(self._factors[action].T @ belief).ravel()
-        return flat.reshape(self.n_states, self.n_observations)
-
     def _joint_all(self, beliefs: np.ndarray) -> np.ndarray:
         lead = beliefs.shape[:-1]
         out = np.empty(lead + (self.n_actions, self.n_states, self.n_observations))
         for action, factor in enumerate(self._factors):
             # A CSR x dense-block product runs the matvec kernel column by
-            # column, so each row equals ``joint(belief, action)`` exactly.
+            # column, so each row of a stack equals its single-belief joint.
             flat = np.asarray(factor.T @ beliefs.T).T
             out[..., action, :, :] = flat.reshape(
                 lead + (self.n_states, self.n_observations)
@@ -234,10 +204,10 @@ def _sparse_joint_factor(
 def cache_size_bytes(pomdp: POMDP) -> int:
     """Bytes the factor cache would need for ``pomdp``.
 
-    Dense backend: both flattened layouts,
-    ``2 * 8 * |A| * |S|^2 * |O|``.  Sparse backend: a CSR estimate from the
-    stored non-zero counts (each transition entry fans out into at most the
-    densest observation row, 12 bytes per CSR non-zero).
+    Dense backend: the stacked matrix, ``8 * |A| * |S|^2 * |O|``.  Sparse
+    backend: a CSR estimate from the stored non-zero counts (each
+    transition entry fans out into at most the densest observation row,
+    12 bytes per CSR non-zero).
     """
     if pomdp.backend.is_sparse:
         transitions = pomdp.transitions
@@ -246,14 +216,7 @@ def cache_size_bytes(pomdp: POMDP) -> int:
         )
         t_nnz = transitions.base.nnz * transitions.n_actions + transitions.rows.nnz
         return 12 * t_nnz * obs_nnz_per_row
-    return (
-        2
-        * 8
-        * pomdp.n_actions
-        * pomdp.n_states
-        * pomdp.n_states
-        * pomdp.n_observations
-    )
+    return 8 * pomdp.n_actions * pomdp.n_states**2 * pomdp.n_observations
 
 
 #: Live caches keyed by model identity (the model may be unhashable, so the
@@ -262,16 +225,13 @@ def cache_size_bytes(pomdp: POMDP) -> int:
 _CACHES: dict[int, JointFactorCache | SparseJointFactorCache] = {}
 
 
-def get_joint_cache(
-    pomdp: POMDP, max_bytes: int | None = None
-) -> JointFactorCache | SparseJointFactorCache | None:
-    """The shared factor cache for ``pomdp``, or ``None`` when too large.
+def get_joint_cache(pomdp: POMDP) -> JointFactorCache | SparseJointFactorCache | None:
+    """The shared factor cache for ``pomdp``, or ``None`` when it would
+    exceed :func:`max_cache_bytes`.
 
     The first call for a model builds the cache (an ``O(|A| |S|^2 |O|)``
     one-off on the dense backend, a CSR product per action on the sparse
-    one); subsequent calls return the same object.  ``max_bytes`` overrides
-    the resolved budget (see :func:`max_cache_bytes`) for callers that want
-    a different one.
+    one); subsequent calls return the same object.
     """
     # Cache outcomes are *process-local* telemetry: a build happens once per
     # process per model, so hit/build/decline splits legitimately vary with
@@ -280,13 +240,13 @@ def get_joint_cache(
     # as distribution tails rather than a single averaged total.
     telemetry = telemetry_active()
     with span("cache.lookup", category="cache"):
-        return _lookup_joint_cache(pomdp, max_bytes, telemetry)
+        return _lookup_joint_cache(pomdp, telemetry)
 
 
 def _lookup_joint_cache(
-    pomdp: POMDP, max_bytes: int | None, telemetry
+    pomdp: POMDP, telemetry
 ) -> JointFactorCache | SparseJointFactorCache | None:
-    limit = max_cache_bytes(max_bytes)
+    limit = max_cache_bytes()
     required = cache_size_bytes(pomdp)
     if required > limit:
         if telemetry is not None:
@@ -306,9 +266,9 @@ def _lookup_joint_cache(
             telemetry.count_process("cache.hits")
         return cache
     if pomdp.backend.is_sparse:
-        cache = SparseJointFactorCache(pomdp, max_bytes=limit)
+        cache = SparseJointFactorCache(pomdp)
     else:
-        cache = JointFactorCache(pomdp, max_bytes=limit)
+        cache = JointFactorCache(pomdp)
     _CACHES[key] = cache
     weakref.finalize(pomdp, _CACHES.pop, key, None)
     if telemetry is not None:

@@ -54,6 +54,31 @@ class TestCLI:
         assert "usage:" in err
         assert "--replicas: must be an integer >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--injections", "0"],
+            ["ablations", "--injections", "0"],
+            ["robustness", "--injections", "-1"],
+            ["grid", "store", "--injections", "0"],
+            ["fig5a", "--iterations", "0"],
+            ["fig5b", "--iterations", "-2"],
+            ["grid", "store", "--iterations", "0"],
+        ],
+        ids=lambda argv: "_".join(
+            arg.removeprefix("--") for arg in argv if arg != "store"
+        ),
+    )
+    def test_counts_must_be_positive(self, capsys, tmp_path, argv):
+        """Zero or negative counts are usage errors, not tracebacks."""
+        argv = [str(tmp_path / arg) if arg == "store" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"{argv[-2]}: must be an integer >= 1" in err
+
     def test_scalability_online_small(self, capsys):
         main(["scalability", "--online", "--replicas", "2"])
         out = capsys.readouterr().out

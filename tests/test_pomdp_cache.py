@@ -42,25 +42,27 @@ class TestJointFactorCache:
         cache = JointFactorCache(pomdp)
         for _ in range(5):
             belief = rng.dirichlet(np.ones(pomdp.n_states))
+            joint = cache.joint_all(belief)
             for action in range(pomdp.n_actions):
                 assert np.allclose(
-                    cache.joint(belief, action),
-                    _manual_joint(pomdp, belief, action),
+                    joint[action], _manual_joint(pomdp, belief, action)
                 )
 
     def test_joint_all_consistent_with_joint(self):
+        """A stack of beliefs gives, row for row, each belief's own joint."""
         rng = np.random.default_rng(1)
         pomdp = random_pomdp(rng, n_states=6, n_actions=3, n_observations=4)
         cache = JointFactorCache(pomdp)
-        belief = rng.dirichlet(np.ones(pomdp.n_states))
-        stacked = cache.joint_all(belief)
+        beliefs = rng.dirichlet(np.ones(pomdp.n_states), size=3)
+        stacked = cache.joint_all(beliefs)
         assert stacked.shape == (
+            3,
             pomdp.n_actions,
             pomdp.n_states,
             pomdp.n_observations,
         )
-        for action in range(pomdp.n_actions):
-            assert np.array_equal(stacked[action], cache.joint(belief, action))
+        for row, belief in enumerate(beliefs):
+            assert np.allclose(stacked[row], cache.joint_all(belief))
 
     def test_joint_columns_sum_to_observation_likelihoods(self):
         """Summing the joint over s' gives gamma, the per-observation
@@ -69,7 +71,7 @@ class TestJointFactorCache:
         pomdp = random_pomdp(rng)
         cache = JointFactorCache(pomdp)
         belief = rng.dirichlet(np.ones(pomdp.n_states))
-        gamma = cache.joint(belief, 0).sum(axis=0)
+        gamma = cache.joint_all(belief)[0].sum(axis=0)
         assert np.isclose(gamma.sum(), 1.0)
 
 
@@ -186,18 +188,22 @@ class TestRegistry:
         first, second = random_pomdp(rng), random_pomdp(rng)
         assert get_joint_cache(first) is not get_joint_cache(second)
 
-    def test_size_gate_declines_large_models(self):
+    def test_size_gate_declines_large_models(self, monkeypatch):
+        """A model whose factor matrix exceeds the budget is declined; one
+        that fits it exactly is cached."""
         pomdp = random_pomdp(np.random.default_rng(5))
-        assert get_joint_cache(pomdp, max_bytes=8) is None
+        required = cache_size_bytes(pomdp)
+        monkeypatch.setenv(MAX_CACHE_BYTES_ENV, str(required - 1))
+        assert get_joint_cache(pomdp) is None
+        monkeypatch.setenv(MAX_CACHE_BYTES_ENV, str(required))
+        assert get_joint_cache(pomdp) is not None
 
     def test_budget_precedence(self, monkeypatch):
-        """Explicit max_bytes wins over REPRO_MAX_CACHE_BYTES, which wins
-        over the compile-time default."""
+        """REPRO_MAX_CACHE_BYTES wins over the compile-time default."""
         monkeypatch.delenv(MAX_CACHE_BYTES_ENV, raising=False)
         assert max_cache_bytes() == MAX_CACHE_BYTES
         monkeypatch.setenv(MAX_CACHE_BYTES_ENV, "12345")
         assert max_cache_bytes() == 12345
-        assert max_cache_bytes(99) == 99
 
     def test_env_var_declines_caching(self, monkeypatch):
         monkeypatch.setenv(MAX_CACHE_BYTES_ENV, "8")
@@ -237,15 +243,7 @@ class TestBudgetParsing:
         with pytest.raises(ValueError, match=MAX_CACHE_BYTES_ENV):
             get_joint_cache(random_pomdp(np.random.default_rng(9)))
 
-    @pytest.mark.parametrize("raw", [-1, 1.5])
-    def test_bad_argument_names_max_bytes(self, monkeypatch, raw):
-        monkeypatch.delenv(MAX_CACHE_BYTES_ENV, raising=False)
-        with pytest.raises(ValueError, match="max_bytes"):
-            max_cache_bytes(raw)
-
     def test_zero_still_declines(self, monkeypatch):
         monkeypatch.setenv(MAX_CACHE_BYTES_ENV, "0")
         assert max_cache_bytes() == 0
         assert get_joint_cache(random_pomdp(np.random.default_rng(10))) is None
-        monkeypatch.delenv(MAX_CACHE_BYTES_ENV)
-        assert max_cache_bytes(0) == 0
