@@ -4,7 +4,7 @@ Runs every analyzer pass — no R203 size skips allowed — over the largest
 instance the scalability experiments use, then solves the RA-Bound (Eq. 5)
 on it through :func:`repro.bounds.ra_bound.ra_bound_vector`, the sparse
 front door the controllers and the policy daemon use at this scale.  It
-asserts four things:
+asserts five things:
 
 * **completeness**: the report contains zero ``R203`` findings, i.e. the
   sparse-native passes (CSR reachability, hash-grouped duplicate
@@ -18,7 +18,11 @@ asserts four things:
   allocation, but even a dense ``|A| x |S|`` reward tensor is ~360 GB)
   could never fit, so no pass densifies anything;
 * **RA-Bound**: the solve returns a finite, non-positive value for every
-  state.
+  state;
+* **one analyzer**: the dense EMN model and its
+  ``convert_backend(..., "sparse")`` twin get the same report, finding for
+  finding — a dense input is converted to the containers before any pass
+  runs, so the two must agree exactly.
 
 The exit-1 analyzer verdict is expected: the instance's expected
 random-policy absorption time is ~|A| steps, so R105 legitimately warns
@@ -41,6 +45,8 @@ import numpy as np
 
 from repro.analysis import analyze
 from repro.bounds.ra_bound import ra_bound_vector
+from repro.recovery.model import convert_backend
+from repro.systems.emn import build_emn_system
 from repro.systems.tiered import build_tiered_system
 
 #: Replicas per tier: 3 tiers -> 2 + 2 * 3 * 50,000 = 300,002 states.
@@ -98,6 +104,24 @@ def run_smoke(replicas_per_tier: int) -> dict:
     }
 
 
+def check_dense_sparse_reports() -> int:
+    """Analyze dense EMN and its sparse twin; fail unless the reports agree."""
+    dense = build_emn_system().model
+    sparse = convert_backend(dense, "sparse")
+    reports = [analyze(model).findings for model in (dense, sparse)]
+    if reports[0] != reports[1]:
+        raise SystemExit(
+            "the dense EMN model and its sparse twin analyze differently:\n"
+            + "\n".join(
+                f"  dense:  {a.format()}\n  sparse: {b.format()}"
+                for a, b in zip(*reports)
+                if a != b
+            )
+            + f"\n  ({len(reports[0])} vs {len(reports[1])} findings)"
+        )
+    return len(reports[0])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="analysis-smoke", description=__doc__.splitlines()[0]
@@ -116,6 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    findings = check_dense_sparse_reports()
+    print(
+        f"dense EMN and its sparse twin: the same {findings} finding(s)"
+    )
     report = run_smoke(args.replicas)
     rss = peak_rss_mb()
     print(

@@ -5,7 +5,8 @@ Inspects an :class:`~repro.mdp.MDP`, :class:`~repro.pomdp.POMDP`, or
 every violation of the paper's structural preconditions (Conditions 1/2,
 the Figure 2 rewirings, Eq. 5 finiteness) plus warnings and statistics —
 in contrast to the model constructors, which fail fast on the first
-problem.  Every pass is sparse-native, so the full suite runs on
+problem.  Each pass has one implementation, on the sparse containers
+(a dense input is converted losslessly first), so the full suite runs on
 300k-state sparse-backend models without densifying anything.  Run
 ``python -m repro.analysis --help`` for the CLI.
 

@@ -191,8 +191,9 @@ def certify_bound_set(model, bound_set, title: str | None = None) -> AnalysisRep
 
     Args:
         model: an MDP/POMDP/RecoveryModel or a prepared
-            :class:`~repro.analysis.view.ModelView` (both backends work; the
-            sparse path never densifies the transition tensor).
+            :class:`~repro.analysis.view.ModelView` (both backends work: a
+            dense model is converted to the view's sparse containers, and
+            the transition tensor is never densified).
         bound_set: a :class:`~repro.bounds.vector_set.BoundVectorSet` or a
             raw ``(k, |S|)`` array of hyperplanes.
         title: report heading; derived from the set size when omitted.

@@ -17,31 +17,36 @@ passes mirror the preconditions the paper's soundness results rest on:
 * ``R009`` — the Eq. 5 finiteness precondition of the RA-Bound (no
   rewarded recurrent state in the uniformly-random chain).
 
-Every pass is *sparse-native*: on the sparse backend it works directly on
-the CSR containers (row hashing for duplicate detection, ``csgraph`` SCC
-labels for the decomposition, a sparse linear solve for absorption times)
-and never materialises a dense ``|S| x |S|`` matrix, so the full R0xx/R1xx
-suite runs on the 300,002-state tiered instance.  The few remaining size
-cutoffs are genuine super-linear scans; each reports an ``R203`` naming
-the pass, the threshold constant and its value, and every one can be
-overridden with ``analyze(..., force=True)`` (``--force`` on the CLI).
+Each pass has one implementation, on the sparse containers the
+:class:`~repro.analysis.view.ModelView` holds; a dense input was converted
+losslessly when the view was built.  The passes work directly on the CSR
+containers (row hashing for duplicate detection, ``csgraph`` SCC labels for
+the decomposition, a sparse linear solve for absorption times) and never
+materialise a dense ``|S| x |S|`` matrix, so the full R0xx/R1xx suite runs
+on the 300,002-state tiered instance.  Three rules follow from the one
+representation and hold for every model:
+
+* R102/R103 compare actions exactly (content hashes, then an exact check);
+* the R203 size cutoffs below apply to every model;
+* R201's transition density is the containers' stored-entry count.
+
+The few size cutoffs are genuine super-linear scans; each reports an
+``R203`` naming the pass, the threshold constant and its value, and every
+one can be overridden with ``analyze(..., force=True)`` (``--force`` on
+the CLI).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.analysis.view import ModelView
 from repro.linalg.containers import SparseTransitions, StructuredRewards
-from repro.linalg.ops import (
-    observation_matrix_dense,
-    reward_column,
-    reward_row,
-    transition_matrix_dense,
-)
+from repro.linalg.ops import reward_column, reward_row
 from repro.mdp.classify import (
-    classify_chain,
     expected_absorption_time,
     reachable_set,
     scc_summary,
@@ -59,7 +64,7 @@ SUPPORT_EPSILON = 1e-12
 #: which the RA-Bound, while finite, is flagged as pathologically loose.
 SLOW_ABSORPTION_STEPS = 10_000.0
 
-#: Sparse models beyond this many states skip the R105 transient-state
+#: Models beyond this many states skip the R105 transient-state
 #: linear solve (the one remaining pass whose cost is a sparse
 #: factorisation, ~O(|S|^1.5) on chain-like supports).  Far above the
 #: 300,002-state acceptance instance, which solves in well under a second.
@@ -72,8 +77,8 @@ SPARSE_SOLVE_SKIP_STATES = 2_000_000
 DUPLICATE_PAIR_BUDGET = 250_000
 
 #: Per-state O(|A|) scans (null-rewiring, RA-finiteness reward columns)
-#: examine at most this many states on sparse models before noting the
-#: cutoff; healthy recovery models have a handful of null/recurrent states.
+#: examine at most this many states before noting the cutoff; healthy
+#: recovery models have a handful of null/recurrent states.
 PER_STATE_SCAN_CUTOFF = 4_096
 
 #: At most this many labels are spelled out inside a message.
@@ -83,8 +88,13 @@ MESSAGE_LABEL_CAP = 8
 #: tuple, so a 300k-state pathology cannot balloon a report.
 STATE_TUPLE_CAP = 32
 
+#: At most this many R001 (and R002) findings, one per action that reads a
+#: bad row: a bad shared base row of the 150,002-action tiered model would
+#: otherwise produce one finding per action.
+ROW_FINDING_CAP = 32
 
-def _sparse_skip(
+
+def _size_skip(
     pass_name: str,
     threshold_name: str,
     threshold: float,
@@ -120,15 +130,8 @@ def _states_tuple(labels, indices) -> tuple[str, ...]:
     return tuple(labels[int(i)] for i in indices[:STATE_TUPLE_CAP])
 
 
-def _bad_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row indices that are not probability distributions."""
-    negative = (matrix < -NEGATIVITY_ATOL).any(axis=1)
-    off_sum = ~np.isclose(matrix.sum(axis=1), 1.0, atol=SUM_ATOL)
-    return np.flatnonzero(negative | off_sum)
-
-
-def _bad_csr_rows(matrix) -> np.ndarray:
-    """Row indices of a CSR matrix that are not probability distributions."""
+def _bad_csr_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a CSR matrix that are not distributions, and their sums."""
     negative = np.zeros(matrix.shape[0], dtype=bool)
     if matrix.nnz:
         bad_entries = matrix.data < -NEGATIVITY_ATOL
@@ -137,142 +140,150 @@ def _bad_csr_rows(matrix) -> np.ndarray:
             entry_row = np.repeat(np.arange(matrix.shape[0]), row_nnz)
             negative[entry_row[bad_entries]] = True
     sums = np.asarray(matrix.sum(axis=1)).ravel()
-    off_sum = ~np.isclose(sums, 1.0, atol=SUM_ATOL)
-    return np.flatnonzero(negative | off_sum)
+    bad = np.flatnonzero(negative | ~np.isclose(sums, 1.0, atol=SUM_ATOL))
+    return bad, sums[bad]
 
 
-def _sparse_stochasticity(view: ModelView) -> list[Diagnostic]:
-    """R001/R002 over the sparse containers, one check per stored row."""
-    findings = []
+def _capped(actions: np.ndarray) -> tuple[np.ndarray, int]:
+    """The first :data:`ROW_FINDING_CAP` actions, and how many were cut."""
+    return actions[:ROW_FINDING_CAP], max(actions.size - ROW_FINDING_CAP, 0)
+
+
+def _row_finding(
+    view: ModelView,
+    code: str,
+    tensor: str,
+    action: int,
+    states: np.ndarray,
+    sums: np.ndarray,
+    fix_hint: str,
+) -> Diagnostic:
+    order = np.argsort(states, kind="stable")
+    states, sums = states[order], sums[order]
+    return Diagnostic(
+        code=code,
+        message=(
+            f"{tensor}[{view.action_labels[action]!r}] rows for states "
+            f"{_labels_fragment(view.state_labels, states)} are not "
+            "distributions (sums "
+            f"{np.round(sums[:MESSAGE_LABEL_CAP], 6).tolist()})"
+        ),
+        states=_states_tuple(view.state_labels, states),
+        actions=(view.action_labels[action],),
+        fix_hint=fix_hint,
+    )
+
+
+def _note_cap(findings: list[Diagnostic], cut: int) -> None:
+    """Say in the last finding's message that the list was capped."""
+    if cut:
+        last = findings[-1]
+        findings[-1] = replace(
+            last,
+            message=(
+                f"{last.message}; {last.code} capped at {ROW_FINDING_CAP} "
+                f"findings, {cut} more action(s) read bad rows"
+            ),
+        )
+
+
+def _transition_row_diagnostics(view: ModelView) -> list[Diagnostic]:
+    """R001, one finding per action that reads a bad transition row.
+
+    An action reads its own override rows and the base rows it does not
+    override; a bad base row is reported under every action that reads it.
+    """
     transitions = view.transitions
-    bad_base = _bad_csr_rows(transitions.base)
-    if bad_base.size:
-        sums = np.asarray(transitions.base[bad_base].sum(axis=1)).ravel()
-        labels = [view.state_labels[s] for s in bad_base[:8]]
+    bad_base, base_sums = _bad_csr_rows(transitions.base)
+    bad_rows, row_sums = _bad_csr_rows(transitions.rows)
+    hides_bad_base = np.isin(transitions.row_state, bad_base)
+    hidden = np.bincount(
+        transitions.row_action[hides_bad_base], minlength=view.n_actions
+    )
+    reads_bad = hidden < bad_base.size
+    reads_bad[transitions.row_action[bad_rows]] = True
+    actions, cut = _capped(np.flatnonzero(reads_bad))
+    findings = []
+    for action in actions:
+        block = transitions._override_slice(int(action))
+        kept = ~np.isin(bad_base, transitions.row_state[block])
+        lo, hi = np.searchsorted(bad_rows, [block.start, block.stop])
         findings.append(
-            Diagnostic(
-                code="R001",
-                message=(
-                    f"shared transition base rows for states {labels} are "
-                    f"not distributions (sums "
-                    f"{np.round(sums[:8], 6).tolist()})"
+            _row_finding(
+                view,
+                "R001",
+                "transitions",
+                int(action),
+                np.concatenate(
+                    [bad_base[kept], transitions.row_state[bad_rows[lo:hi]]]
                 ),
-                states=tuple(labels),
-                fix_hint=(
-                    "make each row non-negative and sum to 1 (tolerance "
-                    f"{SUM_ATOL:g})"
-                ),
+                np.concatenate([base_sums[kept], row_sums[lo:hi]]),
+                "make each row non-negative and sum to 1 (tolerance "
+                f"{SUM_ATOL:g}); unlisted builder transitions default to "
+                "self-loops",
             )
         )
-    bad_rows = _bad_csr_rows(transitions.rows)
-    for r in bad_rows[:8]:
-        a, s = int(transitions.row_action[r]), int(transitions.row_state[r])
+    _note_cap(findings, cut)
+    return findings
+
+
+def _observation_row_diagnostics(view: ModelView) -> list[Diagnostic]:
+    """R002, one finding per action whose observation matrix has bad rows.
+
+    An action reads its override matrix if it has one, the base otherwise.
+    """
+    observations = view.observations
+    bad = {None: _bad_csr_rows(observations.base)}
+    reads_bad = np.full(view.n_actions, bad[None][0].size > 0)
+    for action, matrix in observations.overrides.items():
+        bad[action] = _bad_csr_rows(matrix)
+        reads_bad[action] = bad[action][0].size > 0
+    actions, cut = _capped(np.flatnonzero(reads_bad))
+    findings = []
+    for action in actions:
+        states, sums = bad.get(int(action), bad[None])
         findings.append(
-            Diagnostic(
-                code="R001",
-                message=(
-                    f"transitions[{view.action_labels[a]!r}] override row "
-                    f"for state {view.state_labels[s]!r} is not a "
-                    "distribution"
-                ),
-                states=(view.state_labels[s],),
-                actions=(view.action_labels[a],),
-                fix_hint=(
-                    "make each row non-negative and sum to 1 (tolerance "
-                    f"{SUM_ATOL:g})"
-                ),
+            _row_finding(
+                view,
+                "R002",
+                "observations",
+                int(action),
+                states,
+                sums,
+                "each state's observation row q(.|s, a) must be a "
+                "distribution over the observation symbols",
             )
         )
-    if view.observations is not None:
-        observations = view.observations
-        matrices = [(None, observations.base)] + [
-            (a, m) for a, m in sorted(observations.overrides.items())
-        ]
-        for action, matrix in matrices:
-            bad = _bad_csr_rows(matrix)
-            if not bad.size:
-                continue
-            where = (
-                "shared observation base"
-                if action is None
-                else f"observations[{view.action_labels[action]!r}]"
-            )
-            findings.append(
-                Diagnostic(
-                    code="R002",
-                    message=(
-                        f"{where} rows for states "
-                        f"{[view.state_labels[s] for s in bad[:8]]} are not "
-                        "distributions"
-                    ),
-                    states=tuple(view.state_labels[s] for s in bad[:8]),
-                    actions=(
-                        () if action is None else (view.action_labels[action],)
-                    ),
-                    fix_hint=(
-                        "each state's observation row q(.|s, a) must be a "
-                        "distribution over the observation symbols"
-                    ),
-                )
-            )
+    _note_cap(findings, cut)
     return findings
 
 
 def stochasticity_diagnostics(view: ModelView) -> list[Diagnostic]:
-    """R001/R002: every transition and observation row must be a distribution."""
-    if view.is_sparse:
-        return _sparse_stochasticity(view)
-    findings = []
-    for a in range(view.n_actions):
-        bad = _bad_rows(view.transitions[a])
-        if bad.size:
-            sums = view.transitions[a][bad].sum(axis=1)
-            findings.append(
-                Diagnostic(
-                    code="R001",
-                    message=(
-                        f"transitions[{view.action_labels[a]!r}] rows for "
-                        f"states {[view.state_labels[s] for s in bad]} are "
-                        f"not distributions (sums {np.round(sums, 6).tolist()})"
-                    ),
-                    states=tuple(view.state_labels[s] for s in bad),
-                    actions=(view.action_labels[a],),
-                    fix_hint=(
-                        "make each row non-negative and sum to 1 (tolerance "
-                        f"{SUM_ATOL:g}); unlisted builder transitions default "
-                        "to self-loops"
-                    ),
-                )
-            )
+    """R001/R002: every transition and observation row must be a distribution.
+
+    Each finding names one action and every state whose row that action
+    reads is not a distribution; at most :data:`ROW_FINDING_CAP` findings
+    per code, the last one saying so when the list was capped.
+    """
+    findings = _transition_row_diagnostics(view)
     if view.observations is not None:
-        for a in range(view.n_actions):
-            bad = _bad_rows(view.observations[a])
-            if bad.size:
-                findings.append(
-                    Diagnostic(
-                        code="R002",
-                        message=(
-                            f"observations[{view.action_labels[a]!r}] rows for "
-                            f"states {[view.state_labels[s] for s in bad]} are "
-                            "not distributions"
-                        ),
-                        states=tuple(view.state_labels[s] for s in bad),
-                        actions=(view.action_labels[a],),
-                        fix_hint=(
-                            "each state's observation row q(.|s, a) must be a "
-                            "distribution over the observation symbols"
-                        ),
-                    )
-                )
+        findings.extend(_observation_row_diagnostics(view))
     return findings
+
+
+def _terminate_state(view: ModelView) -> int | None:
+    """``s_T`` when it indexes a state; an out-of-range one is R008's to report."""
+    s_t = view.terminate_state
+    return s_t if s_t is not None and 0 <= s_t < view.n_states else None
 
 
 def _exempt_mask(view: ModelView, exempt_states: np.ndarray | None) -> np.ndarray:
     exempt = np.zeros(view.n_states, dtype=bool)
     if exempt_states is not None:
         exempt |= np.asarray(exempt_states, dtype=bool)
-    if view.terminate_state is not None:
-        exempt[view.terminate_state] = True
+    s_t = _terminate_state(view)
+    if s_t is not None:
+        exempt[s_t] = True
     return exempt
 
 
@@ -343,12 +354,8 @@ def _structured_positive_candidates(rewards: StructuredRewards) -> np.ndarray:
 
 def condition_2_diagnostics(view: ModelView) -> list[Diagnostic]:
     """R005: Condition 2 — all single-step rewards non-positive."""
-    if isinstance(view.rewards, StructuredRewards):
-        actions = _structured_positive_candidates(view.rewards)
-    else:
-        actions = range(view.n_actions)
     findings = []
-    for a in actions:
+    for a in _structured_positive_candidates(view.rewards):
         row = reward_row(view.rewards, a)
         positive = np.flatnonzero(row > NEGATIVITY_ATOL)
         if not positive.size:
@@ -420,9 +427,9 @@ def null_rewiring_diagnostics(
         return []
     nulls = np.flatnonzero(view.null_states)
     findings: list[Diagnostic] = []
-    if view.is_sparse and nulls.size > PER_STATE_SCAN_CUTOFF and not force:
+    if nulls.size > PER_STATE_SCAN_CUTOFF and not force:
         findings.extend(
-            _sparse_skip(
+            _size_skip(
                 "null-rewiring (R006/R007)",
                 "PER_STATE_SCAN_CUTOFF",
                 PER_STATE_SCAN_CUTOFF,
@@ -432,12 +439,9 @@ def null_rewiring_diagnostics(
             )
         )
         nulls = nulls[:PER_STATE_SCAN_CUTOFF]
-    loop_index = _SelfLoopIndex(view.transitions) if view.is_sparse else None
+    loop_index = _SelfLoopIndex(view.transitions)
     for s in nulls:
-        if loop_index is not None:
-            self_loops = loop_index.values(int(s))
-        else:
-            self_loops = view.transitions[:, s, s]
+        self_loops = loop_index.values(int(s))
         leaky = np.flatnonzero(np.abs(self_loops - 1.0) > SUM_ATOL)
         if leaky.size:
             findings.append(
@@ -502,10 +506,7 @@ def terminate_wiring_diagnostics(view: ModelView) -> list[Diagnostic]:
                 fix_hint="augment with with_termination_action (Figure 2(b))",
             )
         ]
-    if view.is_sparse:
-        terminate_column = view.transitions.action_column(a_t, s_t)
-    else:
-        terminate_column = view.transitions[a_t, :, s_t]
+    terminate_column = view.transitions.action_column(a_t, s_t)
     missed = np.flatnonzero(np.abs(terminate_column - 1.0) > SUM_ATOL)
     if missed.size:
         findings.append(
@@ -521,10 +522,7 @@ def terminate_wiring_diagnostics(view: ModelView) -> list[Diagnostic]:
                 fix_hint="a_T must deterministically end the episode in s_T",
             )
         )
-    if view.is_sparse:
-        terminate_loops = view.transitions.self_loop_values(s_t)
-    else:
-        terminate_loops = view.transitions[:, s_t, s_t]
+    terminate_loops = view.transitions.self_loop_values(s_t)
     leaky = np.flatnonzero(np.abs(terminate_loops - 1.0) > SUM_ATOL)
     if leaky.size:
         findings.append(
@@ -593,12 +591,11 @@ def ra_finiteness_diagnostics(
     """R009: Eq. 5 finiteness — no rewarded recurrent state in the uniform chain."""
     if view.discount < 1.0:
         return []
-    chain = view.mean_chain()
-    recurrent = np.flatnonzero(classify_chain(chain).recurrent)
+    recurrent = np.flatnonzero(view.mean_chain_classes().recurrent)
     findings: list[Diagnostic] = []
-    if view.is_sparse and recurrent.size > PER_STATE_SCAN_CUTOFF and not force:
+    if recurrent.size > PER_STATE_SCAN_CUTOFF and not force:
         findings.extend(
-            _sparse_skip(
+            _size_skip(
                 "RA-finiteness (R009)",
                 "PER_STATE_SCAN_CUTOFF",
                 PER_STATE_SCAN_CUTOFF,
@@ -635,13 +632,13 @@ def ra_finiteness_diagnostics(
 
 def _default_initial_belief(view: ModelView) -> np.ndarray | None:
     if view.initial_belief is not None:
-        return np.asarray(view.initial_belief, dtype=float)
+        return view.initial_belief
     if view.null_states is None:
         return None
     faults = ~view.null_states
-    if view.terminate_state is not None:
-        faults = faults.copy()
-        faults[view.terminate_state] = False
+    s_t = _terminate_state(view)
+    if s_t is not None:
+        faults[s_t] = False
     if not faults.any():
         return None
     belief = np.zeros(view.n_states)
@@ -686,7 +683,7 @@ def _csr_equal(left, right) -> bool:
 
 
 def _observation_classes(view: ModelView) -> np.ndarray:
-    """Content-equality class per action of a sparse observation stack.
+    """Content-equality class per action of the observation containers.
 
     Class 0 is the shared base; override matrices get classes 1+ with
     content-identical overrides mapped to the same class (there are only
@@ -735,7 +732,7 @@ def _transition_signatures(
     return signatures
 
 
-def _sparse_actions_transitions_equal(
+def _actions_transitions_equal(
     transitions: SparseTransitions, a: int, b: int
 ) -> bool:
     """Exact effective-matrix equality of two actions (collision guard)."""
@@ -757,17 +754,24 @@ def _sparse_actions_transitions_equal(
     return _csr_equal(transitions.rows[keep_a], transitions.rows[keep_b])
 
 
-def _sparse_duplicate_actions(
+def duplicate_action_diagnostics(
     view: ModelView, *, force: bool = False
 ) -> list[Diagnostic]:
-    """Hash-grouped R102/R103 over the sparse containers.
+    """R102/R103: duplicate and row-wise dominated actions.
 
-    Groups actions by (observation class, non-noop transition signature);
-    only within-group pairs are compared exactly.  Unlike the dense pass,
-    transition/observation equality here is exact rather than
-    tolerance-based — row hashing cannot see "almost equal" — which is the
-    right notion for machine-generated sparse models, where duplicates are
-    structural, not numeric.
+    Two actions are duplicates when their transition rows, observation
+    rows, and rewards all coincide; an action is dominated when it matches
+    another action's dynamics and information exactly but costs at least as
+    much everywhere (and strictly more somewhere) — no policy ever needs it.
+
+    Actions are grouped by (observation class, non-noop transition
+    signature) from override-content hashes
+    (:meth:`~repro.linalg.containers.SparseTransitions.override_row_hashes`),
+    so the 150k-action tiered instance needs no pairwise sweep; only
+    within-group pairs are compared.  Transition and observation equality
+    is exact — row hashing cannot see "almost equal" — which is the right
+    notion for machine-generated models, where duplicates are structural,
+    not numeric.
     """
     transitions = view.transitions
     observation_classes = _observation_classes(view)
@@ -780,7 +784,7 @@ def _sparse_duplicate_actions(
         len(members) * (len(members) - 1) // 2 for members in groups.values()
     )
     if total_pairs > DUPLICATE_PAIR_BUDGET and not force:
-        return _sparse_skip(
+        return _size_skip(
             "duplicate-action (R102/R103)",
             "DUPLICATE_PAIR_BUDGET",
             DUPLICATE_PAIR_BUDGET,
@@ -795,7 +799,7 @@ def _sparse_duplicate_actions(
     )
     findings = []
     for a, b in pairs:
-        if not _sparse_actions_transitions_equal(transitions, a, b):
+        if not _actions_transitions_equal(transitions, a, b):
             continue  # hash collision — contents differ
         difference = reward_row(view.rewards, a) - reward_row(view.rewards, b)
         if np.allclose(difference, 0.0, atol=REWARD_EPSILON):
@@ -815,66 +819,6 @@ def _sparse_duplicate_actions(
             findings.append(_dominated(view, dominated=a, dominating=b))
         elif np.all(difference >= -REWARD_EPSILON):
             findings.append(_dominated(view, dominated=b, dominating=a))
-    return findings
-
-
-def duplicate_action_diagnostics(
-    view: ModelView, *, force: bool = False
-) -> list[Diagnostic]:
-    """R102/R103: duplicate and row-wise dominated actions.
-
-    Two actions are duplicates when their transition rows, observation
-    rows, and rewards all coincide; an action is dominated when it matches
-    another action's dynamics and information exactly but costs at least as
-    much everywhere (and strictly more somewhere) — no policy ever needs it.
-
-    The dense path compares all pairs with the validation tolerances; the
-    sparse path groups actions by override-content hashes
-    (:meth:`~repro.linalg.containers.SparseTransitions.override_row_hashes`)
-    so the 150k-action tiered instance needs no pairwise sweep at all.
-    """
-    if view.is_sparse:
-        return _sparse_duplicate_actions(view, force=force)
-    findings = []
-
-    def transition_of(a: int) -> np.ndarray:
-        return transition_matrix_dense(view.transitions, a)
-
-    def observation_of(a: int) -> np.ndarray:
-        return observation_matrix_dense(view.observations, a)
-
-    for a in range(view.n_actions):
-        for b in range(a + 1, view.n_actions):
-            if not np.allclose(
-                transition_of(a), transition_of(b), atol=SUM_ATOL
-            ):
-                continue
-            if view.observations is not None and not np.allclose(
-                observation_of(a), observation_of(b), atol=SUM_ATOL
-            ):
-                continue
-            difference = reward_row(view.rewards, a) - reward_row(view.rewards, b)
-            if np.allclose(difference, 0.0, atol=REWARD_EPSILON):
-                findings.append(
-                    Diagnostic(
-                        code="R102",
-                        message=(
-                            f"actions {view.action_labels[a]!r} and "
-                            f"{view.action_labels[b]!r} have identical "
-                            "transitions, observations, and rewards"
-                        ),
-                        actions=(view.action_labels[a], view.action_labels[b]),
-                        fix_hint="remove one; duplicates only slow the solver",
-                    )
-                )
-            elif np.all(difference <= REWARD_EPSILON):
-                findings.append(
-                    _dominated(view, dominated=a, dominating=b)
-                )
-            elif np.all(difference >= -REWARD_EPSILON):
-                findings.append(
-                    _dominated(view, dominated=b, dominating=a)
-                )
     return findings
 
 
@@ -898,10 +842,7 @@ def dead_observation_diagnostics(view: ModelView) -> list[Diagnostic]:
     """R104: observation symbols with zero emission probability everywhere."""
     if view.observations is None:
         return []
-    if view.is_sparse:
-        emittable = view.observations.max_per_observation() > SUPPORT_EPSILON
-    else:
-        emittable = view.observations.max(axis=(0, 1)) > SUPPORT_EPSILON
+    emittable = view.observations.max_per_observation() > SUPPORT_EPSILON
     dead = np.flatnonzero(~emittable)
     if not dead.size:
         return []
@@ -933,16 +874,16 @@ def slow_absorption_diagnostics(
     The RA-Bound charges each transient state roughly its expected
     absorption time worth of average cost; a state that takes
     ``slow_absorption_steps`` expected steps to absorb makes the bound
-    finite (Eq. 5 still converges) but extremely loose there.  Sparse
-    models route through the sparse transient-state solve
-    (:func:`repro.mdp.classify.expected_absorption_time`), so the pass
-    covers the 300k-state instance; only beyond
-    :data:`SPARSE_SOLVE_SKIP_STATES` does it note a cutoff.
+    finite (Eq. 5 still converges) but extremely loose there.  The pass
+    runs the sparse transient-state solve
+    (:func:`repro.mdp.classify.expected_absorption_time`) against the
+    chain's cached recurrent set, so it covers the 300k-state instance;
+    only beyond :data:`SPARSE_SOLVE_SKIP_STATES` does it note a cutoff.
     """
     if view.discount < 1.0:
         return []
-    if view.is_sparse and view.n_states > SPARSE_SOLVE_SKIP_STATES and not force:
-        return _sparse_skip(
+    if view.n_states > SPARSE_SOLVE_SKIP_STATES and not force:
+        return _size_skip(
             "slow-absorption (R105)",
             "SPARSE_SOLVE_SKIP_STATES",
             SPARSE_SOLVE_SKIP_STATES,
@@ -950,8 +891,9 @@ def slow_absorption_diagnostics(
             "the transient-state solve factorises an "
             f"{view.n_states} x {view.n_states} sparse system",
         )
-    chain = view.mean_chain()
-    times = expected_absorption_time(chain)
+    times = expected_absorption_time(
+        view.mean_chain(), targets=view.mean_chain_classes().recurrent
+    )
     slow = np.flatnonzero(np.isfinite(times) & (times > slow_absorption_steps))
     if not slow.size:
         return []
@@ -975,17 +917,15 @@ def slow_absorption_diagnostics(
 
 
 def stats_diagnostics(view: ModelView) -> list[Diagnostic]:
-    """R201: descriptive model statistics."""
-    if view.is_sparse:
-        density = float(
-            view.transitions.effective_nnz()
-            / max(view.n_actions * view.n_states**2, 1)
-        )
-    else:
-        density = float(
-            (view.transitions > SUPPORT_EPSILON).sum()
-            / max(view.transitions.size, 1)
-        )
+    """R201: descriptive model statistics.
+
+    The transition density counts the entries the containers store, summed
+    over the actions' effective matrices.
+    """
+    density = float(
+        view.transitions.effective_nnz()
+        / max(view.n_actions * view.n_states**2, 1)
+    )
     parts = [
         f"|S|={view.n_states}",
         f"|A|={view.n_actions}",
@@ -1010,12 +950,12 @@ def scc_diagnostics(view: ModelView) -> list[Diagnostic]:
     The union graph goes through the vectorised label/size summary
     (:func:`repro.mdp.classify.scc_summary`), so no per-component Python
     set is materialised for it — the pass runs on the 300k-state union
-    graph in one ``csgraph`` sweep.  The chain is classified by
-    :func:`repro.mdp.classify.classify_chain`, whose sets cover only its
-    few recurrent classes.
+    graph in one ``csgraph`` sweep.  The chain's classification is the
+    view's cached one (:meth:`~repro.analysis.view.ModelView.mean_chain_classes`),
+    whose sets cover only its few recurrent classes.
     """
     union_summary = scc_summary(view.union_graph())
-    chain = classify_chain(view.mean_chain())
+    chain = view.mean_chain_classes()
     sizes = sorted(union_summary.sizes.tolist(), reverse=True)
     return [
         Diagnostic(

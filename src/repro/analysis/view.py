@@ -4,10 +4,17 @@ The model classes (:class:`repro.mdp.MDP`, :class:`repro.pomdp.POMDP`,
 :class:`repro.recovery.RecoveryModel`) validate eagerly and raise on the
 *first* problem.  The analyzer's job is the opposite: accept anything
 array-shaped and report *every* problem.  :class:`ModelView` is the common
-denominator — raw arrays plus labels plus whatever recovery metadata is
-known — buildable from a validated model object, from raw arrays, or from
-an ``.npz`` archive written by :mod:`repro.io` (loaded without validation,
-so a report can be produced even for archives the loaders would reject).
+denominator — the model tensors plus labels plus whatever recovery metadata
+is known — buildable from a validated model object, from raw arrays, or
+from an ``.npz`` archive written by :mod:`repro.io` (loaded without
+validation, so a report can be produced even for archives the loaders
+would reject).
+
+A view holds one representation: the sparse containers of
+:mod:`repro.linalg.containers`.  Dense ndarray inputs are shape-checked
+and then converted losslessly (:func:`~repro.linalg.backends.sparsify_transitions`
+and its siblings), so every analyzer pass has one implementation, and a
+300k-state sparse model is analyzed without densifying anything.
 """
 
 from __future__ import annotations
@@ -17,12 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.linalg.backends import (
+    sparsify_observations,
+    sparsify_rewards,
+    sparsify_transitions,
+)
 from repro.linalg.containers import (
     SparseObservations,
     SparseTransitions,
     StructuredRewards,
 )
-from repro.linalg.ops import mean_transition_matrix, union_transition_matrix
+from repro.mdp.classify import ChainClassification, classify_chain
 
 
 def _labels(prefix: str, count: int, given=None) -> tuple[str, ...]:
@@ -31,14 +43,31 @@ def _labels(prefix: str, count: int, given=None) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
 
 
+def _state_vector(name: str, values, n_states: int, dtype) -> np.ndarray | None:
+    """``values`` as a length-``n_states`` array, or ModelError."""
+    if values is None:
+        return None
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != (n_states,):
+        raise ModelError(
+            f"{name} must be a vector of length {n_states}, got shape "
+            f"{array.shape}"
+        )
+    return array
+
+
 @dataclass(frozen=True)
 class ModelView:
-    """Raw model arrays plus optional recovery metadata.
+    """Model tensors as sparse containers, plus optional recovery metadata.
 
     Attributes:
-        transitions: ``(|A|, |S|, |S|)`` array.
-        rewards: ``(|A|, |S|)`` array.
-        observations: ``(|A|, |S|, |O|)`` array, or None for plain MDPs.
+        transitions: :class:`~repro.linalg.SparseTransitions`; an
+            ``(|A|, |S|, |S|)`` array is accepted and converted.
+        rewards: :class:`~repro.linalg.StructuredRewards`; an
+            ``(|A|, |S|)`` array is accepted and converted.
+        observations: :class:`~repro.linalg.SparseObservations` (an
+            ``(|A|, |S|, |O|)`` array is accepted and converted), or None
+            for plain MDPs.
         state_labels / action_labels / observation_labels: display names.
         discount: ``beta``.
         null_states: ``S_phi`` mask, or None when not a recovery model.
@@ -49,9 +78,9 @@ class ModelView:
         initial_belief: the belief recovery starts from, or None.
     """
 
-    transitions: np.ndarray | SparseTransitions
-    rewards: np.ndarray | StructuredRewards
-    observations: np.ndarray | SparseObservations | None = None
+    transitions: SparseTransitions
+    rewards: StructuredRewards
+    observations: SparseObservations | None = None
     state_labels: tuple[str, ...] = ()
     action_labels: tuple[str, ...] = ()
     observation_labels: tuple[str, ...] = ()
@@ -68,65 +97,15 @@ class ModelView:
     )
 
     def __post_init__(self):
-        if isinstance(self.transitions, SparseTransitions):
-            self._init_sparse()
-            return
-        transitions = np.asarray(self.transitions, dtype=float)
-        if transitions.ndim != 3 or transitions.shape[1] != transitions.shape[2]:
-            raise ModelError(
-                f"transitions must have shape (|A|, |S|, |S|), got "
-                f"{transitions.shape}"
-            )
-        rewards = np.asarray(self.rewards, dtype=float)
-        n_actions, n_states = transitions.shape[0], transitions.shape[1]
-        if rewards.shape != (n_actions, n_states):
-            raise ModelError(
-                f"rewards must have shape ({n_actions}, {n_states}), got "
-                f"{rewards.shape}"
-            )
-        observations = self.observations
-        if observations is not None:
-            observations = np.asarray(observations, dtype=float)
-            if observations.ndim != 3 or observations.shape[:2] != (
-                n_actions,
-                n_states,
-            ):
-                raise ModelError(
-                    "observations must have shape (|A|, |S|, |O|), got "
-                    f"{observations.shape}"
-                )
-        null_states = self.null_states
-        if null_states is not None:
-            null_states = np.asarray(null_states, dtype=bool)
-            if null_states.shape != (n_states,):
-                raise ModelError(
-                    f"null_states must be a mask of length {n_states}"
-                )
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "observations", observations)
-        object.__setattr__(self, "null_states", null_states)
-        object.__setattr__(
-            self, "state_labels", _labels("s", n_states, self.state_labels)
-        )
-        object.__setattr__(
-            self, "action_labels", _labels("a", n_actions, self.action_labels)
-        )
-        n_observations = 0 if observations is None else observations.shape[2]
-        object.__setattr__(
-            self,
-            "observation_labels",
-            _labels("o", n_observations, self.observation_labels),
-        )
-
-    def _init_sparse(self) -> None:
-        """Validation-light path for sparse-container models.
-
-        Shapes are cross-checked but the containers are kept as-is — no
-        densification, so a 300k-state model can be analyzed.
-        """
         transitions = self.transitions
-        n_actions, n_states, _ = transitions.shape
+        if not isinstance(transitions, SparseTransitions):
+            transitions = np.asarray(transitions, dtype=float)
+            if transitions.ndim != 3 or transitions.shape[1] != transitions.shape[2]:
+                raise ModelError(
+                    f"transitions must have shape (|A|, |S|, |S|), got "
+                    f"{transitions.shape}"
+                )
+        n_actions, n_states = transitions.shape[0], transitions.shape[1]
         rewards = self.rewards
         if not isinstance(rewards, StructuredRewards):
             rewards = np.asarray(rewards, dtype=float)
@@ -136,23 +115,36 @@ class ModelView:
                 f"{rewards.shape}"
             )
         observations = self.observations
-        if observations is not None and observations.shape[:2] != (
-            n_actions,
-            n_states,
-        ):
-            raise ModelError(
-                "observations must have shape (|A|, |S|, |O|), got "
-                f"{observations.shape}"
-            )
-        null_states = self.null_states
-        if null_states is not None:
-            null_states = np.asarray(null_states, dtype=bool)
-            if null_states.shape != (n_states,):
+        if observations is not None:
+            if not isinstance(observations, SparseObservations):
+                observations = np.asarray(observations, dtype=float)
+            if len(observations.shape) != 3 or observations.shape[:2] != (
+                n_actions,
+                n_states,
+            ):
                 raise ModelError(
-                    f"null_states must be a mask of length {n_states}"
+                    "observations must have shape (|A|, |S|, |O|), got "
+                    f"{observations.shape}"
                 )
+        null_states = _state_vector("null_states", self.null_states, n_states, bool)
+        rate_rewards = _state_vector(
+            "rate_rewards", self.rate_rewards, n_states, float
+        )
+        initial_belief = _state_vector(
+            "initial_belief", self.initial_belief, n_states, float
+        )
+        if isinstance(transitions, np.ndarray):
+            transitions = sparsify_transitions(transitions)
+        if isinstance(rewards, np.ndarray):
+            rewards = sparsify_rewards(rewards)
+        if isinstance(observations, np.ndarray):
+            observations = sparsify_observations(observations)
+        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "observations", observations)
         object.__setattr__(self, "null_states", null_states)
+        object.__setattr__(self, "rate_rewards", rate_rewards)
+        object.__setattr__(self, "initial_belief", initial_belief)
         object.__setattr__(
             self, "state_labels", _labels("s", n_states, self.state_labels)
         )
@@ -165,11 +157,6 @@ class ModelView:
             "observation_labels",
             _labels("o", n_observations, self.observation_labels),
         )
-
-    @property
-    def is_sparse(self) -> bool:
-        """True when the view wraps the sparse containers."""
-        return isinstance(self.transitions, SparseTransitions)
 
     @property
     def n_states(self) -> int:
@@ -184,29 +171,36 @@ class ModelView:
         return 0 if self.observations is None else self.observations.shape[2]
 
     def union_graph(self):
-        """Structural union of all actions' transition supports.
+        """Structural union of all actions' transition supports, as CSR.
 
-        Dense array on the dense backend, CSR on the sparse one; both feed
-        the same (sparse-capable) reachability and SCC routines.  Cached —
-        reachability (R003/R004), dead-state (R101) and SCC (R202) passes
-        all consume the same graph, so a 300k-state view builds it once.
+        Cached — reachability (R003/R004), dead-state (R101) and SCC (R202)
+        passes all consume the same graph, so a 300k-state view builds it
+        once.
         """
         cached = self._cache.get("union_graph")
         if cached is None:
-            cached = union_transition_matrix(self.transitions)
+            cached = self.transitions.union_support()
             self._cache["union_graph"] = cached
         return cached
 
     def mean_chain(self):
-        """``mean_a T_a`` — the Eq. 5 uniformly-random chain, cached.
-
-        Shared by the RA-finiteness (R009), slow-absorption (R105) and SCC
-        (R202) passes, which previously each rebuilt it.
-        """
+        """``mean_a T_a`` — the Eq. 5 uniformly-random chain, cached (CSR)."""
         cached = self._cache.get("mean_chain")
         if cached is None:
-            cached = mean_transition_matrix(self.transitions)
+            cached = self.transitions.mean_matrix()
             self._cache["mean_chain"] = cached
+        return cached
+
+    def mean_chain_classes(self) -> ChainClassification:
+        """:func:`~repro.mdp.classify.classify_chain` of :meth:`mean_chain`, cached.
+
+        The RA-finiteness (R009), slow-absorption (R105) and SCC (R202)
+        passes share one strong-component decomposition of the chain.
+        """
+        cached = self._cache.get("mean_chain_classes")
+        if cached is None:
+            cached = classify_chain(self.mean_chain())
+            self._cache["mean_chain_classes"] = cached
         return cached
 
     @classmethod
@@ -254,8 +248,8 @@ class ModelView:
         """Load a :mod:`repro.io` archive *without* model validation.
 
         Accepts both ``pomdp`` and ``recovery-model`` archives — v1 dense
-        and v2 backend-native (sparse archives analyze on their CSR
-        containers, never densified); unlike
+        (converted to the containers) and v2 backend-native (sparse
+        archives analyze on their own containers, never densified); unlike
         :func:`repro.io.load_recovery_model`, a structurally broken model
         still yields a view (and hence a full diagnostic report) instead of
         an exception naming only the first problem.

@@ -47,7 +47,11 @@ def check_ra_finiteness(model: MDP | POMDP) -> None:
     if mdp.discount < 1.0:
         return  # discounting alone guarantees finiteness
     chain, _ = mdp.uniform_chain()
-    classification = classify_chain(chain)
+    _check_recurrent_rewards(mdp, classify_chain(chain))
+
+
+def _check_recurrent_rewards(mdp: MDP, classification) -> None:
+    """The Eq. 5 finiteness check against a classified uniform chain."""
     recurrent = np.flatnonzero(classification.recurrent)
     # One dense reward column per recurrent state (there are only a handful
     # in a recovery model), vectorised over actions — the previous
@@ -93,18 +97,23 @@ def ra_bound_vector(
 
     Returns:
         The vector ``V_m^-(s)`` for every state.
+
+    The uniform chain is built once and, when undiscounted, decomposed
+    once: the same classification serves the finiteness check and the
+    transient block of the direct/sparse solve.
     """
     mdp = _as_mdp(model)
-    check_ra_finiteness(mdp)
     chain, reward = mdp.uniform_chain()
     transient = None
+    if mdp.discount >= 1.0:
+        classification = classify_chain(chain)
+        _check_recurrent_rewards(mdp, classification)
+        # Undiscounted: I - P is singular on the recurrent classes; the
+        # direct and sparse solvers pin them to zero (they accrue nothing,
+        # as just checked) and factorise only the transient block.
+        transient = classification.transient
     if method == "auto":
         method = select_method(chain)
-    if method in ("direct", "sparse") and mdp.discount >= 1.0:
-        # Undiscounted: I - P is singular on the recurrent classes; pin
-        # them to zero (they accrue nothing — check_ra_finiteness above)
-        # and factorise only the transient block.
-        transient = classify_chain(chain).transient
     return solve_markov_reward(
         chain,
         reward,

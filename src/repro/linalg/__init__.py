@@ -48,10 +48,8 @@ from repro.linalg.ops import (
     rewards_matvec,
     rewards_max_value,
     rewards_mean_over_actions,
-    transition_matrix_dense,
     transition_matvec,
     transition_row,
-    union_transition_matrix,
 )
 
 __all__ = [
@@ -83,8 +81,6 @@ __all__ = [
     "sparsify_rewards",
     "sparsify_transitions",
     "transition_density",
-    "transition_matrix_dense",
     "transition_matvec",
     "transition_row",
-    "union_transition_matrix",
 ]

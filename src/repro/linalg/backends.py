@@ -93,39 +93,36 @@ def transition_density(transitions) -> float:
 # -- dense -> sparse ----------------------------------------------------
 
 
+def _csr_where(array: np.ndarray, stored: np.ndarray) -> sp.csr_matrix:
+    """CSR of the 2-D ``array`` holding exactly the entries ``stored`` marks.
+
+    Built straight from the row-major ``np.nonzero`` order, without the
+    COO round trip of ``sp.csr_matrix(array)``.
+    """
+    rows, cols = np.nonzero(stored)
+    indptr = np.searchsorted(rows, np.arange(array.shape[0] + 1))
+    return sp.csr_matrix((array[rows, cols], cols, indptr), shape=array.shape)
+
+
 def sparsify_transitions(transitions: np.ndarray) -> SparseTransitions:
     """Convert a dense ``(|A|, |S|, |S|)`` tensor to row-override form.
 
-    The base is the element-wise most common row pattern — here simply the
-    first action's matrix — and every row of every other action that
-    differs from it becomes an override.  Exact comparison keeps the
-    conversion lossless: densifying any action matrix reproduces the
-    input bit-for-bit.
+    The base is the first action's matrix, and every row of every other
+    action that differs from it becomes an override; all override rows go
+    into one CSR matrix.  Exact comparison keeps the conversion lossless:
+    densifying any action matrix reproduces the input bit for bit (a
+    probability stored as ``-0.0`` comes back as ``0.0``).
     """
     tensor = np.asarray(transitions, dtype=float)
-    n_actions = tensor.shape[0]
     base = tensor[0]
-    row_action, row_state, blocks = [], [], []
-    for action in range(n_actions):
-        differs = np.flatnonzero(np.any(tensor[action] != base, axis=1))
-        if differs.size:
-            row_action.append(np.full(differs.size, action))
-            row_state.append(differs)
-            blocks.append(sp.csr_matrix(tensor[action][differs]))
-    if blocks:
-        rows = sp.vstack(blocks, format="csr")
-        actions = np.concatenate(row_action)
-        states = np.concatenate(row_state)
-    else:
-        rows = sp.csr_matrix((0, base.shape[0]))
-        actions = np.zeros(0, dtype=np.int64)
-        states = np.zeros(0, dtype=np.int64)
+    row_action, row_state = np.nonzero(np.any(tensor != base, axis=2))
+    rows = tensor[row_action, row_state]
     return SparseTransitions(
-        base=sp.csr_matrix(base),
-        row_action=actions,
-        row_state=states,
-        rows=rows,
-        n_actions=n_actions,
+        base=_csr_where(base, base != 0.0),
+        row_action=row_action,
+        row_state=row_state,
+        rows=_csr_where(rows, rows != 0.0),
+        n_actions=tensor.shape[0],
     )
 
 
@@ -134,12 +131,14 @@ def sparsify_observations(observations: np.ndarray) -> SparseObservations:
     tensor = np.asarray(observations, dtype=float)
     base = tensor[0]
     overrides = {
-        action: sp.csr_matrix(tensor[action])
+        action: _csr_where(tensor[action], tensor[action] != 0.0)
         for action in range(1, tensor.shape[0])
         if np.any(tensor[action] != base)
     }
     return SparseObservations(
-        base=sp.csr_matrix(base), overrides=overrides, n_actions=tensor.shape[0]
+        base=_csr_where(base, base != 0.0),
+        overrides=overrides,
+        n_actions=tensor.shape[0],
     )
 
 
@@ -147,9 +146,12 @@ def sparsify_rewards(rewards: np.ndarray) -> StructuredRewards:
     """Convert a dense ``(|A|, |S|)`` reward array to structured form.
 
     The generic conversion uses a zero rank-one part and stores every
-    non-zero entry as a replacement override, which keeps scalar lookups
-    bit-exact against the dense source.  Builders that know their reward
-    decomposition construct :class:`StructuredRewards` directly instead.
+    non-zero entry, and every negative zero, as a replacement override.
+    Scalar lookups and :meth:`~StructuredRewards.full` therefore reproduce
+    the dense source bit for bit, sign bits included; a ``-0.0`` left to
+    the rank-one part would come back as ``+0.0``.  Builders that know
+    their reward decomposition construct :class:`StructuredRewards`
+    directly instead.
     """
     array = np.asarray(rewards, dtype=float)
     n_actions, n_states = array.shape
@@ -157,7 +159,7 @@ def sparsify_rewards(rewards: np.ndarray) -> StructuredRewards:
         time_scale=np.zeros(n_actions),
         rate=np.zeros(n_states),
         fixed=np.zeros(n_actions),
-        override=sp.csr_matrix(array),
+        override=_csr_where(array, (array != 0.0) | np.signbit(array)),
     )
 
 

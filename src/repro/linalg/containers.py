@@ -350,12 +350,16 @@ class SparseTransitions:
         return _as_csr(mean)
 
     def union_support(self) -> sp.csr_matrix:
-        """Element-wise max over actions (the analyzer's union graph).
+        """The analyzer's union graph: an edge wherever some action has a
+        positive transition probability.
 
-        Conservative: a base row replaced by *every* action still
-        contributes its edges (no shipped model overrides a row in all
-        actions except the terminate action, whose base rows remain live
-        through the passive actions).
+        Its support is that of the element-wise max over actions; the
+        values are not (override rows at one state are summed, positive
+        parts only, so a negative entry of a broken row cannot cancel
+        another action's edge).  Conservative: a base row replaced by
+        *every* action still contributes its edges (no shipped model
+        overrides a row in all actions except the terminate action, whose
+        base rows remain live through the passive actions).
         """
         collapsed = sp.csr_matrix(
             (
@@ -364,7 +368,7 @@ class SparseTransitions:
             ),
             shape=(self.n_states, len(self.row_state)),
         )
-        stacked = (collapsed @ self.rows).tocsr()
+        stacked = (collapsed @ self.rows.maximum(0.0)).tocsr()
         return _as_csr(self.base.maximum(stacked))
 
     # -- validation -----------------------------------------------------

@@ -159,25 +159,11 @@ def _block_range(actions: slice) -> range:
     return range(actions.start, actions.stop)
 
 
-def transition_matrix_dense(transitions, action: int) -> np.ndarray:
-    """``T_a`` as a dense matrix — small models only."""
-    if isinstance(transitions, SparseTransitions):
-        return transitions.action_matrix(action).toarray()
-    return np.asarray(transitions[action])
-
-
 def mean_transition_matrix(transitions):
     """``mean_a T_a`` — dense array or CSR, matching the backend."""
     if isinstance(transitions, SparseTransitions):
         return transitions.mean_matrix()
     return np.asarray(transitions).mean(axis=0)
-
-
-def union_transition_matrix(transitions):
-    """``max_a T_a`` — the analyzer's union graph, backend-matched."""
-    if isinstance(transitions, SparseTransitions):
-        return transitions.union_support()
-    return np.asarray(transitions).max(axis=0)
 
 
 # -- observations -------------------------------------------------------
@@ -348,7 +334,7 @@ def rewards_max_value(rewards) -> float:
 
 
 def bellman_backup_envelope(
-    transitions, rewards, values: np.ndarray, discount: float
+    transitions: SparseTransitions, rewards, values: np.ndarray, discount: float
 ) -> np.ndarray:
     """``max_a [ r_a + discount * T_a @ values ]`` per state, exact.
 
@@ -361,29 +347,25 @@ def bellman_backup_envelope(
     never approximated by the rank-one envelope — so the certificate can
     not be loosened by override placement.
 
-    Sparse cost is O(|A| * |S|) after two sparse matvecs; dense cost is
-    one ``(|A|,|S|,|S|) @ (|S|,)`` product.  Bound sets are only ever
+    Works on the sparse containers the analyzer's views hold; the cost is
+    O(|A| * |S|) after two sparse matvecs.  Bound sets are only ever
     certified against models small enough to have been solved, so this
     stays off the 300k-state analyzer budget.
     """
     values = np.asarray(values, dtype=float)
-    if isinstance(transitions, SparseTransitions):
-        base_backed = np.asarray(transitions.base @ values).ravel()
-        rows_backed = np.asarray(transitions.rows @ values).ravel()
-        envelope = np.full(transitions.n_states, -np.inf)
-        for action in range(transitions.n_actions):
-            backed = reward_row(rewards, action) + discount * base_backed
-            block = transitions._override_slice(action)
-            if block.start != block.stop:
-                states = transitions.row_state[block]
-                backed[states] += discount * (
-                    rows_backed[block] - base_backed[states]
-                )
-            np.maximum(envelope, backed, out=envelope)
-        return envelope
-    dense = np.asarray(transitions, dtype=float)
-    backed_all = np.asarray(rewards, dtype=float) + discount * (dense @ values)
-    return backed_all.max(axis=0)
+    base_backed = np.asarray(transitions.base @ values).ravel()
+    rows_backed = np.asarray(transitions.rows @ values).ravel()
+    envelope = np.full(transitions.n_states, -np.inf)
+    for action in range(transitions.n_actions):
+        backed = reward_row(rewards, action) + discount * base_backed
+        block = transitions._override_slice(action)
+        if block.start != block.stop:
+            states = transitions.row_state[block]
+            backed[states] += discount * (
+                rows_backed[block] - base_backed[states]
+            )
+        np.maximum(envelope, backed, out=envelope)
+    return envelope
 
 
 __all__ = [
@@ -410,9 +392,7 @@ __all__ = [
     "rewards_max_value",
     "rewards_mean_over_actions",
     "tie_break_argmax",
-    "transition_matrix_dense",
     "transition_matvec",
     "transition_matvec_block",
     "transition_row",
-    "union_transition_matrix",
 ]

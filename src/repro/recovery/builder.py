@@ -16,17 +16,26 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.linalg.backends import (
+    densify_observations,
+    densify_rewards,
+    densify_transitions,
+    sparsify_observations,
+    sparsify_rewards,
+    sparsify_transitions,
+)
+from repro.pomdp.model import POMDP
+from repro.recovery.model import (
+    TERMINATE_LABEL,
+    RecoveryModel,
+    _null_absorbing_sparse,
+    _termination_containers,
+    convert_backend,
+)
+from repro.recovery.notification import observation_overlap
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
-from repro.pomdp.model import POMDP
-from repro.recovery.model import (
-    RecoveryModel,
-    convert_backend,
-    make_null_absorbing,
-    with_termination_action,
-)
-from repro.recovery.notification import detect_recovery_notification
 
 
 @dataclass
@@ -166,7 +175,8 @@ class RecoveryModelBuilder:
         passive)`` arrays, without stochastic validation.
 
         Shared by :meth:`build` (which validates via the POMDP constructor)
-        and :meth:`analyze` (which reports problems instead of raising).
+        and :meth:`analyze` (which reports problems instead of raising),
+        through :meth:`_augment`.
         """
         if not self._states:
             raise ModelError("no states declared")
@@ -242,9 +252,25 @@ class RecoveryModelBuilder:
             passive,
         )
 
-    def _assemble_pomdp(
+    def _augment(
         self,
-    ) -> tuple[POMDP, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        recovery_notification: bool | None,
+        operator_response_time: float | None,
+        validate: bool,
+    ) -> tuple[tuple, dict]:
+        """The step :meth:`build` and :meth:`analyze` share.
+
+        Assembles the arrays (and, with ``validate``, checks them as a
+        POMDP, raising the constructor's :class:`ModelError`), detects
+        recovery notification on the assembled observation tensor when
+        ``recovery_notification`` is None, checks
+        ``operator_response_time``, and applies the Figure 2 augmentation
+        on the sparse containers.
+
+        Returns ``(tensors, fields)``: the augmented ``(transitions,
+        observations, rewards)`` containers, and the labels and recovery
+        metadata (``s_T``/``a_T`` appended for Figure 2(b)).
+        """
         (
             transitions,
             observations,
@@ -254,16 +280,68 @@ class RecoveryModelBuilder:
             durations,
             passive,
         ) = self._assemble_arrays()
-        pomdp = POMDP(
-            transitions=transitions,
-            observations=observations,
-            rewards=rewards,
+        fields = dict(
             state_labels=tuple(state.label for state in self._states),
             action_labels=tuple(action.label for action in self._actions),
             observation_labels=self._observation_labels,
-            discount=self.discount,
         )
-        return pomdp, null_states, rate_rewards, durations, passive
+        if validate:
+            POMDP(
+                transitions=transitions,
+                observations=observations,
+                rewards=rewards,
+                discount=self.discount,
+                **fields,
+            )
+        if recovery_notification is None:
+            recovery_notification = not observation_overlap(
+                observations, null_states
+            ).any()
+        if recovery_notification and operator_response_time is not None:
+            raise ModelError(
+                "operator_response_time is only used without recovery "
+                "notification"
+            )
+        if not recovery_notification and operator_response_time is None:
+            raise ModelError(
+                "models without recovery notification need an "
+                "operator_response_time to derive termination rewards"
+            )
+        transitions = sparsify_transitions(transitions)
+        rewards = sparsify_rewards(rewards)
+        observations = sparsify_observations(observations)
+        fields.update(
+            null_states=null_states,
+            rate_rewards=rate_rewards,
+            durations=durations,
+            passive_actions=passive,
+            recovery_notification=recovery_notification,
+        )
+        if recovery_notification:
+            transitions, rewards = _null_absorbing_sparse(
+                transitions, rewards, null_states
+            )
+            return (transitions, observations, rewards), fields
+        tensors = _termination_containers(
+            transitions,
+            observations,
+            rewards,
+            null_states,
+            rate_rewards,
+            operator_response_time,
+        )
+        fields.update(
+            state_labels=fields["state_labels"] + (TERMINATE_LABEL,),
+            action_labels=fields["action_labels"] + (TERMINATE_LABEL,),
+            null_states=np.append(null_states, False),
+            rate_rewards=np.append(rate_rewards, 0.0),
+            durations=np.append(durations, 0.0),
+            passive_actions=np.append(passive, False),
+            terminate_state=len(null_states),
+            terminate_action=len(durations),
+            operator_response_time=operator_response_time,
+        )
+        return tensors, fields
 
     def analyze(
         self,
@@ -272,95 +350,29 @@ class RecoveryModelBuilder:
     ) -> "AnalysisReport":
         """Static-analysis report for the model this builder would build.
 
-        Performs the same Figure 2 augmentation as :meth:`build` on *raw*
-        arrays, then runs every analyzer pass — so a declaration whose
-        transitions do not even sum to one yields a complete diagnostic
-        report (R001 alongside any condition violations) instead of the
-        first :class:`~repro.exceptions.ModelError`.  Raises only for API
-        misuse (no states/actions, missing observation matrix or
+        Performs the same Figure 2 augmentation as :meth:`build` without
+        validating the assembled arrays, then runs every analyzer pass — so
+        a declaration whose transitions do not even sum to one yields a
+        complete diagnostic report (R001 alongside any condition
+        violations) instead of the first
+        :class:`~repro.exceptions.ModelError`.  Raises only for API misuse
+        (no states/actions, missing observation matrix or
         ``operator_response_time``), exactly as :meth:`build` would.
         """
         from repro.analysis.passes import analyze
         from repro.analysis.view import ModelView
-        from repro.recovery.model import (
-            TERMINATE_LABEL,
-            null_absorbing_arrays,
-            termination_arrays,
+
+        (transitions, observations, rewards), fields = self._augment(
+            recovery_notification, operator_response_time, validate=False
         )
-
-        (
-            transitions,
-            observations,
-            rewards,
-            null_states,
-            rate_rewards,
-            _durations,
-            _passive,
-        ) = self._assemble_arrays()
-        state_labels = tuple(state.label for state in self._states)
-        action_labels = tuple(action.label for action in self._actions)
-        observation_labels = self._observation_labels or ()
-        if recovery_notification is None:
-            probe = ModelView(
-                transitions=transitions,
-                rewards=rewards,
-                observations=observations,
-                discount=self.discount,
-            )
-            recovery_notification = detect_recovery_notification(
-                probe, null_states
-            )
-
-        if recovery_notification:
-            if operator_response_time is not None:
-                raise ModelError(
-                    "operator_response_time is only used without recovery "
-                    "notification"
-                )
-            transitions, rewards = null_absorbing_arrays(
-                transitions, rewards, null_states
-            )
-            view = ModelView(
-                transitions=transitions,
-                rewards=rewards,
-                observations=observations,
-                state_labels=state_labels,
-                action_labels=action_labels,
-                observation_labels=observation_labels,
-                discount=self.discount,
-                null_states=null_states,
-                rate_rewards=rate_rewards,
-                recovery_notification=True,
-            )
-        else:
-            if operator_response_time is None:
-                raise ModelError(
-                    "models without recovery notification need an "
-                    "operator_response_time to derive termination rewards"
-                )
-            transitions, observations, rewards = termination_arrays(
-                transitions,
-                observations,
-                rewards,
-                null_states,
-                rate_rewards,
-                operator_response_time,
-            )
-            view = ModelView(
-                transitions=transitions,
-                rewards=rewards,
-                observations=observations,
-                state_labels=state_labels + (TERMINATE_LABEL,),
-                action_labels=action_labels + (TERMINATE_LABEL,),
-                observation_labels=observation_labels,
-                discount=self.discount,
-                null_states=np.append(null_states, False),
-                rate_rewards=np.append(rate_rewards, 0.0),
-                recovery_notification=False,
-                terminate_state=len(state_labels),
-                terminate_action=len(action_labels),
-                operator_response_time=operator_response_time,
-            )
+        del fields["durations"], fields["passive_actions"]
+        view = ModelView(
+            transitions=transitions,
+            observations=observations,
+            rewards=rewards,
+            discount=self.discount,
+            **fields,
+        )
         return analyze(view, title="builder model (pre-build report)")
 
     def build(
@@ -381,44 +393,16 @@ class RecoveryModelBuilder:
                 non-dense resolutions convert the finished model losslessly
                 via :func:`repro.recovery.convert_backend`.
         """
-        pomdp, null_states, rate_rewards, durations, passive = self._assemble_pomdp()
-        if recovery_notification is None:
-            recovery_notification = detect_recovery_notification(pomdp, null_states)
-
-        if recovery_notification:
-            if operator_response_time is not None:
-                raise ModelError(
-                    "operator_response_time is only used without recovery "
-                    "notification"
-                )
-            augmented = make_null_absorbing(pomdp, null_states)
-            model = RecoveryModel(
-                pomdp=augmented,
-                null_states=null_states,
-                rate_rewards=rate_rewards,
-                durations=durations,
-                passive_actions=passive,
-                recovery_notification=True,
-            )
-            return convert_backend(model, backend)
-
-        if operator_response_time is None:
-            raise ModelError(
-                "models without recovery notification need an "
-                "operator_response_time to derive termination rewards"
-            )
-        augmented, terminate_state, terminate_action = with_termination_action(
-            pomdp, null_states, rate_rewards, operator_response_time
+        (transitions, observations, rewards), fields = self._augment(
+            recovery_notification, operator_response_time, validate=True
         )
-        model = RecoveryModel(
-            pomdp=augmented,
-            null_states=np.append(null_states, False),
-            rate_rewards=np.append(rate_rewards, 0.0),
-            durations=np.append(durations, 0.0),
-            passive_actions=np.append(passive, False),
-            recovery_notification=False,
-            terminate_state=terminate_state,
-            terminate_action=terminate_action,
-            operator_response_time=operator_response_time,
+        pomdp = POMDP(
+            transitions=densify_transitions(transitions),
+            observations=densify_observations(observations),
+            rewards=densify_rewards(rewards),
+            state_labels=fields.pop("state_labels"),
+            action_labels=fields.pop("action_labels"),
+            observation_labels=fields.pop("observation_labels"),
+            discount=self.discount,
         )
-        return convert_backend(model, backend)
+        return convert_backend(RecoveryModel(pomdp=pomdp, **fields), backend)

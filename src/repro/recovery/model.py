@@ -44,13 +44,12 @@ TERMINATE_LABEL = "terminate"
 
 
 def _condition_view(pomdp: POMDP, null_states: np.ndarray | None) -> ModelView:
+    """The view Conditions 1 and 2 read: transitions, rewards, ``S_phi``."""
     return ModelView(
         transitions=pomdp.transitions,
         rewards=pomdp.rewards,
-        observations=pomdp.observations,
         state_labels=pomdp.state_labels,
         action_labels=pomdp.action_labels,
-        observation_labels=pomdp.observation_labels,
         discount=pomdp.discount,
         null_states=null_states,
     )
@@ -120,26 +119,6 @@ def termination_rewards(
     rewards = rates * operator_response_time
     rewards = np.where(np.asarray(null_states, dtype=bool), 0.0, rewards)
     return rewards
-
-
-def null_absorbing_arrays(
-    transitions: np.ndarray, rewards: np.ndarray, null_states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level core of :func:`make_null_absorbing`.
-
-    Operates on raw ``(|A|, |S|, |S|)`` / ``(|A|, |S|)`` arrays so the
-    static analyzer's report mode can preview the Figure 2(a) rewiring for
-    models that would not survive POMDP validation.
-    """
-    mask = np.asarray(null_states, dtype=bool)
-    transitions = np.asarray(transitions, dtype=float).copy()
-    rewards = np.asarray(rewards, dtype=float).copy()
-    null_index = np.flatnonzero(mask)
-    for action in range(transitions.shape[0]):
-        transitions[action][null_index, :] = 0.0
-        transitions[action][null_index, null_index] = 1.0
-        rewards[action][null_index] = 0.0
-    return transitions, rewards
 
 
 def _replace_rows_with_self_loops(matrix, row_states, null_mask):
@@ -213,17 +192,21 @@ def make_null_absorbing(pomdp: POMDP, null_states: np.ndarray) -> POMDP:
     With recovery notification the controller stops on entering ``S_phi``,
     so nothing that happens "after" matters; making the null states
     absorbing and free encodes that and gives Eq. 5 a finite solution.
-    Works on both backends; the sparse path rewrites only the affected
-    base/override rows.
+    The rewiring runs on the sparse containers and rewrites only the
+    affected base/override rows; a dense POMDP is converted losslessly on
+    the way in and its result densified, bit for bit.
     """
-    if pomdp.backend.is_sparse:
-        transitions, rewards = _null_absorbing_sparse(
-            pomdp.transitions, pomdp.rewards, null_states
-        )
-    else:
-        transitions, rewards = null_absorbing_arrays(
-            pomdp.transitions, pomdp.rewards, null_states
-        )
+    dense = not pomdp.backend.is_sparse
+    transitions, rewards = pomdp.transitions, pomdp.rewards
+    if dense:
+        transitions = sparsify_transitions(transitions)
+        rewards = sparsify_rewards(rewards)
+    transitions, rewards = _null_absorbing_sparse(
+        transitions, rewards, null_states
+    )
+    if dense:
+        transitions = densify_transitions(transitions)
+        rewards = densify_rewards(rewards)
     return POMDP(
         transitions=transitions,
         observations=pomdp.observations,
@@ -235,56 +218,27 @@ def make_null_absorbing(pomdp: POMDP, null_states: np.ndarray) -> POMDP:
     )
 
 
-def termination_arrays(
-    transitions: np.ndarray,
-    observations: np.ndarray,
-    rewards: np.ndarray,
-    null_states: np.ndarray,
-    rate_rewards: np.ndarray,
-    operator_response_time: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array-level core of :func:`with_termination_action`.
+def _stack_rows(matrix, n_columns: int, data, indices, row_nnz) -> sp.csr_matrix:
+    """CSR ``matrix`` widened to ``n_columns``, with rows appended below.
 
-    Returns the augmented ``(transitions, observations, rewards)`` with
-    ``s_T`` appended as the last state and ``a_T`` as the last action;
-    usable on raw arrays (the analyzer's report mode) as well as on
-    validated POMDP fields.
+    The new rows hold ``data`` at column ``indices``, laid end to end with
+    ``row_nnz[i]`` entries in row ``i``; one CSR construction, no COO pass.
     """
-    transitions = np.asarray(transitions, dtype=float)
-    observations = np.asarray(observations, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    n_actions, n_states = transitions.shape[0], transitions.shape[1]
-    n_observations = observations.shape[2]
-    terminate_state = n_states
-    terminate_action = n_actions
-
-    new_transitions = np.zeros((n_actions + 1, n_states + 1, n_states + 1))
-    new_transitions[:n_actions, :n_states, :n_states] = transitions
-    # Every original action self-loops in s_T.
-    new_transitions[:n_actions, terminate_state, terminate_state] = 1.0
-    # a_T sends every state (including s_T) to s_T.
-    new_transitions[terminate_action, :, terminate_state] = 1.0
-
-    new_observations = np.zeros((n_actions + 1, n_states + 1, n_observations))
-    new_observations[:n_actions, :n_states, :] = observations
-    new_observations[:n_actions, terminate_state, :] = 1.0 / n_observations
-    new_observations[terminate_action, :, :] = 1.0 / n_observations
-
-    term_rewards = termination_rewards(
-        rate_rewards, operator_response_time, null_states
+    return sp.csr_matrix(
+        (
+            np.concatenate([matrix.data, data]),
+            np.concatenate([matrix.indices, indices]),
+            np.concatenate([matrix.indptr, matrix.nnz + np.cumsum(row_nnz)]),
+        ),
+        shape=(matrix.shape[0] + len(row_nnz), n_columns),
     )
-    new_rewards = np.zeros((n_actions + 1, n_states + 1))
-    new_rewards[:n_actions, :n_states] = rewards
-    new_rewards[:n_actions, terminate_state] = 0.0
-    new_rewards[terminate_action, :n_states] = term_rewards
-    new_rewards[terminate_action, terminate_state] = 0.0
-    return new_transitions, new_observations, new_rewards
 
 
-def _pad_csr(matrix, shape) -> sp.csr_matrix:
-    """``matrix`` embedded top-left into a zero CSR of ``shape``."""
-    coo = matrix.tocoo()
-    return sp.csr_matrix((coo.data, (coo.row, coo.col)), shape=shape)
+def _without_zeros(matrix) -> sp.csr_matrix:
+    """A copy of CSR ``matrix`` without its stored zeros."""
+    copy = matrix.copy()
+    copy.eliminate_zeros()
+    return copy
 
 
 def _uniform_observation_matrix(n_states: int, n_observations: int) -> sp.csr_matrix:
@@ -298,18 +252,13 @@ def _uniform_observation_matrix(n_states: int, n_observations: int) -> sp.csr_ma
 
 def _append_uniform_row(matrix, n_observations: int) -> sp.csr_matrix:
     """``matrix`` with one extra state row observing uniformly."""
-    padded = _pad_csr(matrix, (matrix.shape[0] + 1, n_observations))
-    uniform = sp.csr_matrix(
-        (
-            np.full(n_observations, 1.0 / n_observations),
-            (
-                np.full(n_observations, matrix.shape[0]),
-                np.arange(n_observations),
-            ),
-        ),
-        shape=padded.shape,
+    return _stack_rows(
+        _without_zeros(matrix),
+        n_observations,
+        np.full(n_observations, 1.0 / n_observations),
+        np.arange(n_observations),
+        [n_observations],
     )
-    return (padded + uniform).tocsr()
 
 
 def _termination_containers(
@@ -331,35 +280,23 @@ def _termination_containers(
     n_observations = observations.n_observations
     s_t, a_t = n_states, n_actions
 
-    base = _pad_csr(transitions.base, (n_states + 1, n_states + 1))
-    base = (
-        base
-        + sp.csr_matrix(([1.0], ([s_t], [s_t])), shape=base.shape)
-    ).tocsr()
-    terminate_rows = sp.csr_matrix(
-        (
-            np.ones(n_states + 1),
-            (np.arange(n_states + 1), np.full(n_states + 1, s_t)),
-        ),
-        shape=(n_states + 1, n_states + 1),
-    )
     new_transitions = SparseTransitions(
-        base=base,
+        base=_stack_rows(
+            _without_zeros(transitions.base), n_states + 1, [1.0], [s_t], [1]
+        ),
         row_action=np.concatenate(
             [transitions.row_action, np.full(n_states + 1, a_t)]
         ),
         row_state=np.concatenate(
             [transitions.row_state, np.arange(n_states + 1)]
         ),
-        rows=sp.vstack(
-            [
-                _pad_csr(
-                    transitions.rows,
-                    (transitions.rows.shape[0], n_states + 1),
-                ),
-                terminate_rows,
-            ]
-        ).tocsr(),
+        rows=_stack_rows(
+            transitions.rows,
+            n_states + 1,
+            np.ones(n_states + 1),
+            np.full(n_states + 1, s_t),
+            np.ones(n_states + 1, dtype=np.int64),
+        ),
         n_actions=n_actions + 1,
     )
 
@@ -382,44 +319,38 @@ def _termination_containers(
         new_time_scale = np.append(rewards.time_scale, operator_response_time)
         new_fixed = np.append(rewards.fixed, 0.0)
         new_rate = np.append(rewards.rate, 0.0)
-        override = _pad_csr(rewards.override, (n_actions + 1, n_states + 1))
-        extra_rows, extra_cols, extra_data = [], [], []
+        override = rewards.override
         # Original actions must be exactly free in s_T; the rank-one part
         # gives -fixed[a] there (a negative zero when the fee is zero), so
-        # every original action gets an explicit 0.0 pin.
-        fee_actions = np.arange(n_actions)
-        extra_rows.append(fee_actions)
-        extra_cols.append(np.full(fee_actions.size, s_t))
-        extra_data.append(np.zeros(fee_actions.size))
-        # a_T must reproduce termination_rewards() bit-for-bit; pin every
-        # state where t_op * rate differs from it (null states, and any
-        # state whose structured rate is not the recovery rate).
+        # every original action gets an explicit 0.0 pin.  a_T must
+        # reproduce termination_rewards() bit-for-bit; pin every state where
+        # t_op * rate differs from it (null states, and any state whose
+        # structured rate is not the recovery rate).
         base_row = np.ascontiguousarray(operator_response_time * rewards.rate)
         mismatch = np.flatnonzero(
             base_row.view(np.int64)
             != np.ascontiguousarray(term_rewards).view(np.int64)
         )
-        extra_rows.append(np.full(mismatch.size, a_t))
-        extra_cols.append(mismatch)
-        extra_data.append(term_rewards[mismatch])
-        extra = sp.csr_matrix(
-            (
-                np.concatenate(extra_data),
-                (np.concatenate(extra_rows), np.concatenate(extra_cols)),
-            ),
-            shape=override.shape,
-        )
-        ocoo = override.tocoo()
-        ecoo = extra.tocoo()
+        entry_actions = np.repeat(np.arange(n_actions), np.diff(override.indptr))
         new_override = sp.csr_matrix(
             (
-                np.concatenate([ocoo.data, ecoo.data]),
+                np.concatenate(
+                    [override.data, np.zeros(n_actions), term_rewards[mismatch]]
+                ),
                 (
-                    np.concatenate([ocoo.row, ecoo.row]),
-                    np.concatenate([ocoo.col, ecoo.col]),
+                    np.concatenate(
+                        [
+                            entry_actions,
+                            np.arange(n_actions),
+                            np.full(mismatch.size, a_t),
+                        ]
+                    ),
+                    np.concatenate(
+                        [override.indices, np.full(n_actions, s_t), mismatch]
+                    ),
                 ),
             ),
-            shape=override.shape,
+            shape=(n_actions + 1, n_states + 1),
         )
         new_rewards = StructuredRewards(
             time_scale=new_time_scale,
@@ -449,28 +380,36 @@ def with_termination_action(
     * observations in ``s_T`` are uniform (they are never informative —
       the controller has already stopped).
 
+    The augmentation runs on the sparse containers; a dense POMDP is
+    converted losslessly on the way in and its result densified, bit for
+    bit.
+
     Returns ``(augmented_pomdp, terminate_state_index, terminate_action_index)``.
     """
     terminate_state = pomdp.n_states
     terminate_action = pomdp.n_actions
-    if pomdp.backend.is_sparse:
-        transitions, observations, rewards = _termination_containers(
-            pomdp.transitions,
-            pomdp.observations,
-            pomdp.rewards,
-            null_states,
-            rate_rewards,
-            operator_response_time,
-        )
-    else:
-        transitions, observations, rewards = termination_arrays(
-            pomdp.transitions,
-            pomdp.observations,
-            pomdp.rewards,
-            null_states,
-            rate_rewards,
-            operator_response_time,
-        )
+    transitions, observations, rewards = (
+        pomdp.transitions,
+        pomdp.observations,
+        pomdp.rewards,
+    )
+    dense = not pomdp.backend.is_sparse
+    if dense:
+        transitions = sparsify_transitions(transitions)
+        observations = sparsify_observations(observations)
+        rewards = sparsify_rewards(rewards)
+    transitions, observations, rewards = _termination_containers(
+        transitions,
+        observations,
+        rewards,
+        null_states,
+        rate_rewards,
+        operator_response_time,
+    )
+    if dense:
+        transitions = densify_transitions(transitions)
+        observations = densify_observations(observations)
+        rewards = densify_rewards(rewards)
 
     augmented = POMDP(
         transitions=transitions,
@@ -550,8 +489,15 @@ class RecoveryModel:
         if self.terminate_state is not None:
             exempt = np.zeros(pomdp.n_states, dtype=bool)
             exempt[self.terminate_state] = True
-        check_condition_1(pomdp, null_states, exempt_states=exempt)
-        check_condition_2(pomdp)
+        # One view serves both conditions; Condition 1's findings come
+        # first, so its violation is the one raised when both fail.
+        view = _condition_view(pomdp, null_states)
+        AnalysisReport(
+            findings=tuple(
+                condition_1_diagnostics(view, exempt_states=exempt)
+                + condition_2_diagnostics(view)
+            )
+        ).raise_if_errors()
 
         fault_states = ~null_states
         if self.terminate_state is not None:
@@ -611,8 +557,9 @@ def convert_backend(model: RecoveryModel, backend: str = "sparse") -> RecoveryMo
     """The same recovery model on a different storage backend.
 
     Conversion is lossless in both directions (``sparsify_rewards`` stores
-    every entry as a bit-exact replacement override), so a converted model
-    produces identical campaign fingerprints.  ``backend`` accepts
+    every non-zero entry and every negative zero as a bit-exact replacement
+    override), so a converted model produces identical campaign
+    fingerprints.  ``backend`` accepts
     ``"dense"``, ``"sparse"``, or ``"auto"`` (the PR 2 density heuristic).
     """
     pomdp = model.pomdp

@@ -23,16 +23,31 @@ from repro.pomdp.model import POMDP
 SUPPORT_EPSILON = 1e-12
 
 
-def _require_dense(pomdp) -> None:
-    # Duck-typed: callers also pass analyzer ModelViews, which carry the
-    # same tensor attributes but no backend property.
-    if isinstance(pomdp.observations, SparseObservations):
+def observation_overlap(observations, null_states: np.ndarray) -> np.ndarray:
+    """``(|A|, |O|)`` mask of the observations that do not separate ``S_phi``.
+
+    Entry ``[a, o]`` is True when, under action ``a``, observation ``o``
+    can be generated both by some null state and by some fault state.
+    Takes a dense ``(|A|, |S|, |O|)`` observation tensor, validated or not.
+
+    Raises:
+        ModelError: when ``null_states`` is not a mask over the tensor's
+            states, or when ``observations`` are sparse containers.
+    """
+    mask = np.asarray(null_states, dtype=bool)
+    if mask.shape != (observations.shape[1],):
+        raise ModelError(
+            f"null_states must be a mask of length {observations.shape[1]}"
+        )
+    if isinstance(observations, SparseObservations):
         raise ModelError(
             "recovery-notification detection scans the full observation "
             "tensor and requires the dense backend; pass "
             "recovery_notification explicitly when building sparse models, "
             "or detect on the dense model before converting"
         )
+    support = np.asarray(observations, dtype=float) > SUPPORT_EPSILON
+    return support[:, mask].any(axis=1) & support[:, ~mask].any(axis=1)
 
 
 def detect_recovery_notification(
@@ -48,19 +63,7 @@ def detect_recovery_notification(
     never be certain recovery has completed and the model needs the
     terminate-action augmentation instead.
     """
-    mask = np.asarray(null_states, dtype=bool)
-    if mask.shape != (pomdp.n_states,):
-        raise ModelError(
-            f"null_states must be a mask of length {pomdp.n_states}"
-        )
-    _require_dense(pomdp)
-    for action in range(pomdp.n_actions):
-        support = pomdp.observations[action] > SUPPORT_EPSILON  # (|S|, |O|)
-        in_null = support[mask].any(axis=0)  # per observation
-        in_fault = support[~mask].any(axis=0)
-        if np.any(in_null & in_fault):
-            return False
-    return True
+    return not observation_overlap(pomdp.observations, null_states).any()
 
 
 def ambiguous_observations(
@@ -72,13 +75,5 @@ def ambiguous_observations(
     returned pair is an observation that both some null state and some fault
     state can generate under that action.
     """
-    mask = np.asarray(null_states, dtype=bool)
-    _require_dense(pomdp)
-    pairs: list[tuple[int, int]] = []
-    for action in range(pomdp.n_actions):
-        support = pomdp.observations[action] > SUPPORT_EPSILON
-        in_null = support[mask].any(axis=0)
-        in_fault = support[~mask].any(axis=0)
-        for observation in np.flatnonzero(in_null & in_fault):
-            pairs.append((action, int(observation)))
-    return pairs
+    overlap = observation_overlap(pomdp.observations, null_states)
+    return [(int(a), int(o)) for a, o in np.argwhere(overlap)]

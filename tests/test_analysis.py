@@ -27,8 +27,8 @@ from repro.recovery.builder import RecoveryModelBuilder
 from repro.recovery.model import RecoveryModel, make_null_absorbing
 
 
-def healthy_view(**overrides) -> ModelView:
-    """A 3-state notified recovery model that passes every check."""
+def healthy_fields() -> dict:
+    """Fresh arrays of a 3-state notified model that passes every check."""
     transitions = np.zeros((2, 3, 3))
     transitions[0] = [[1, 0, 0], [1, 0, 0], [0, 1, 0]]  # repair chain
     transitions[1] = np.eye(3)  # observe
@@ -47,8 +47,12 @@ def healthy_view(**overrides) -> ModelView:
         rate_rewards=np.array([0.0, -1.0, -1.0]),
         recovery_notification=True,
     )
-    fields.update(overrides)
-    return ModelView(**fields)
+    return fields
+
+
+def healthy_view(**overrides) -> ModelView:
+    """The :func:`healthy_fields` model as a view, with ``overrides``."""
+    return ModelView(**{**healthy_fields(), **overrides})
 
 
 class TestDiagnosticType:
@@ -110,8 +114,8 @@ class TestHealthyModel:
 
 class TestStochasticity:
     def test_r001_bad_transition_row(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 1] = [0.4, 0.0, 0.0]  # sums to 0.4
         report = analyze(healthy_view(transitions=transitions))
         (finding,) = report.by_code("R001")
@@ -119,8 +123,8 @@ class TestStochasticity:
         assert "repair" in finding.actions
 
     def test_r002_bad_observation_row(self):
-        view = healthy_view()
-        observations = view.observations.copy()
+        fields = healthy_fields()
+        observations = fields["observations"]
         observations[1, 2] = [0.9, 0.4]  # sums to 1.3
         report = analyze(healthy_view(observations=observations))
         (finding,) = report.by_code("R002")
@@ -129,14 +133,46 @@ class TestStochasticity:
     def test_tolerances_shared_with_validation(self):
         from repro.util.validation import SUM_ATOL
 
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 1, 0] += SUM_ATOL / 2  # within tolerance
         assert not analyze(healthy_view(transitions=transitions)).by_code("R001")
         # validation's isclose() also carries numpy's default rtol, so go
         # well past atol + rtol to be unambiguously out of tolerance.
         transitions[0, 1, 0] += SUM_ATOL * 100
         assert analyze(healthy_view(transitions=transitions)).by_code("R001")
+
+    def test_bad_shared_row_reported_under_each_reading_action(self):
+        # Both actions read fault-b's broken row; observe also breaks its
+        # own fault-a row, which repair does not share.
+        fields = healthy_fields()
+        transitions = fields["transitions"]
+        transitions[:, 2] = [0.0, 0.5, 0.0]
+        transitions[1, 1] = [0.0, 0.7, 0.0]
+        report = analyze(healthy_view(transitions=transitions))
+        assert [(d.states, d.actions) for d in report.by_code("R001")] == [
+            (("fault-b",), ("repair",)),
+            (("fault-a", "fault-b"), ("observe",)),
+        ]
+
+    def test_findings_capped_on_many_actions(self):
+        from repro.analysis.passes import ROW_FINDING_CAP
+
+        n_actions = ROW_FINDING_CAP + 5
+        transitions = np.broadcast_to(np.eye(3), (n_actions, 3, 3)).copy()
+        transitions[:, 1] = [0.5, 0.0, 0.0]  # one bad row every action reads
+        report = analyze(
+            ModelView(transitions=transitions, rewards=np.zeros((n_actions, 3)))
+        )
+        findings = report.by_code("R001")
+        assert len(findings) == ROW_FINDING_CAP
+        assert all(d.states == ("s1",) for d in findings)
+        assert [d.actions for d in findings] == [
+            (f"a{a}",) for a in range(ROW_FINDING_CAP)
+        ]
+        assert "capped" in findings[-1].message
+        assert "5 more action(s)" in findings[-1].message
+        assert not any("capped" in d.message for d in findings[:-1])
 
 
 class TestCondition1:
@@ -147,8 +183,8 @@ class TestCondition1:
         assert report.by_code("R003")
 
     def test_r004_unrecoverable_state(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 2] = [0.0, 0.0, 1.0]  # repair self-loops in fault-b
         report = analyze(healthy_view(transitions=transitions))
         (finding,) = report.by_code("R004")
@@ -187,8 +223,8 @@ class TestCondition2:
 
 class TestFigure2a:
     def test_r006_non_absorbing_null_state(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 0] = [0.0, 1.0, 0.0]  # repair kicks null back to fault
         report = analyze(healthy_view(transitions=transitions))
         (finding,) = report.by_code("R006")
@@ -196,8 +232,8 @@ class TestFigure2a:
         assert "repair" in finding.actions
 
     def test_r007_rewarded_null_state(self):
-        view = healthy_view()
-        rewards = view.rewards.copy()
+        fields = healthy_fields()
+        rewards = fields["rewards"]
         rewards[1, 0] = -0.5  # observing in S_phi costs something
         report = analyze(healthy_view(rewards=rewards))
         (finding,) = report.by_code("R007")
@@ -206,8 +242,8 @@ class TestFigure2a:
 
     def test_not_checked_without_notification(self):
         # Figure 2(b) models keep their original null-state dynamics.
-        view = healthy_view()
-        rewards = view.rewards.copy()
+        fields = healthy_fields()
+        rewards = fields["rewards"]
         rewards[1, 0] = -0.5
         report = analyze(
             healthy_view(rewards=rewards, recovery_notification=False)
@@ -217,7 +253,7 @@ class TestFigure2a:
 
 class TestFigure2b:
     @staticmethod
-    def terminated_view(**overrides) -> ModelView:
+    def terminated_fields() -> dict:
         transitions = np.zeros((3, 4, 4))
         transitions[0] = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
         transitions[1] = np.eye(4)
@@ -240,23 +276,25 @@ class TestFigure2b:
             terminate_action=2,
             operator_response_time=100.0,
         )
-        fields.update(overrides)
-        return ModelView(**fields)
+        return fields
+
+    def terminated_view(self, **overrides) -> ModelView:
+        return ModelView(**{**self.terminated_fields(), **overrides})
 
     def test_wired_correctly_is_clean(self):
         assert not analyze(self.terminated_view()).has_errors
 
     def test_r008_wrong_termination_reward(self):
-        view = self.terminated_view()
-        rewards = view.rewards.copy()
+        fields = self.terminated_fields()
+        rewards = fields["rewards"]
         rewards[2, 1] = -40.0  # should be rbar * t_op = -100
         report = analyze(self.terminated_view(rewards=rewards))
         findings = report.by_code("R008")
         assert any("rbar * t_op" in f.message for f in findings)
 
     def test_r008_a_t_not_routing_to_s_t(self):
-        view = self.terminated_view()
-        transitions = view.transitions.copy()
+        fields = self.terminated_fields()
+        transitions = fields["transitions"]
         transitions[2, 1] = [1.0, 0.0, 0.0, 0.0]
         report = analyze(self.terminated_view(transitions=transitions))
         assert any(
@@ -264,15 +302,15 @@ class TestFigure2b:
         )
 
     def test_r008_s_t_not_absorbing(self):
-        view = self.terminated_view()
-        transitions = view.transitions.copy()
+        fields = self.terminated_fields()
+        transitions = fields["transitions"]
         transitions[0, 3] = [1.0, 0.0, 0.0, 0.0]
         report = analyze(self.terminated_view(transitions=transitions))
         assert any("absorbing" in f.message for f in report.by_code("R008"))
 
     def test_r008_rewarded_s_t(self):
-        view = self.terminated_view()
-        rewards = view.rewards.copy()
+        fields = self.terminated_fields()
+        rewards = fields["rewards"]
         rewards[1, 3] = -1.0
         report = analyze(self.terminated_view(rewards=rewards))
         assert any("accrues reward" in f.message for f in report.by_code("R008"))
@@ -282,16 +320,16 @@ class TestRAFiniteness:
     def test_r009_rewarded_recurrent_state(self):
         # Unaugmented model: fault-b self-loops under both actions with
         # nonzero cost, so the uniform chain pays forever.
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 2] = [0.0, 0.0, 1.0]
         report = analyze(healthy_view(transitions=transitions))
         (finding,) = report.by_code("R009")
         assert finding.states == ("fault-b",)
 
     def test_discounted_models_exempt(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 2] = [0.0, 0.0, 1.0]
         report = analyze(healthy_view(transitions=transitions, discount=0.9))
         assert not report.by_code("R009")
@@ -300,8 +338,8 @@ class TestRAFiniteness:
 class TestWarnings:
     def test_r101_unreachable_state(self):
         # fault-b is not in the initial belief and nothing leads to it.
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0] = [[1, 0, 0], [1, 0, 0], [1, 0, 0]]
         report = analyze(
             healthy_view(
@@ -313,11 +351,11 @@ class TestWarnings:
         assert finding.states == ("fault-b",)
 
     def test_r102_duplicate_actions(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[1] = transitions[0]
-        observations = view.observations.copy()
-        rewards = view.rewards.copy()
+        observations = fields["observations"]
+        rewards = fields["rewards"]
         rewards[1] = rewards[0]
         report = analyze(
             healthy_view(
@@ -330,10 +368,10 @@ class TestWarnings:
         assert set(finding.actions) == {"repair", "observe"}
 
     def test_r103_dominated_action(self):
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[1] = transitions[0]
-        rewards = view.rewards.copy()
+        rewards = fields["rewards"]
         rewards[1] = rewards[0] - 1.0  # same dynamics, strictly worse cost
         rewards[1, 0] = 0.0  # keep the null state free (not the point here)
         report = analyze(
@@ -343,9 +381,9 @@ class TestWarnings:
         assert finding.actions[0] == "observe"  # the dominated one
 
     def test_r104_dead_observation(self):
-        view = healthy_view()
+        fields = healthy_fields()
         observations = np.zeros((2, 3, 3))
-        observations[:, :, :2] = view.observations  # symbol 3 never emitted
+        observations[:, :, :2] = fields["observations"]  # symbol 3 never emitted
         report = analyze(
             healthy_view(
                 observations=observations,
@@ -357,8 +395,8 @@ class TestWarnings:
 
     def test_r105_slow_absorption(self):
         # fault-b repairs with probability 1e-5 -> ~2e5 expected uniform steps.
-        view = healthy_view()
-        transitions = view.transitions.copy()
+        fields = healthy_fields()
+        transitions = fields["transitions"]
         transitions[0, 2] = [1e-5, 0.0, 1.0 - 1e-5]
         report = analyze(healthy_view(transitions=transitions))
         (finding,) = report.by_code("R105")
@@ -476,6 +514,50 @@ class TestBuilderReportMode:
         with pytest.raises(ModelError):
             builder.analyze()
 
+    @pytest.mark.parametrize(
+        "system, kwargs",
+        [
+            ("emn", {}),
+            ("simple", {"recovery_notification": False}),
+            ("simple", {"recovery_notification": True, "miss_rate": 0.0}),
+            ("tiered", {"replicas": (3, 2), "probe_cost": 0.0}),
+        ],
+    )
+    def test_report_equals_built_model_report(self, system, kwargs, monkeypatch):
+        """On clean shipped builders, analyze() reports exactly what
+        build().analyze() does, apart from the title."""
+        from repro.systems.emn import build_emn_system
+        from repro.systems.simple import build_simple_system
+        from tests.test_systems_tiered import reference_tiered_system
+
+        build = {
+            "emn": build_emn_system,
+            "simple": build_simple_system,
+            "tiered": reference_tiered_system,
+        }[system]
+        captured = []
+        real_build = RecoveryModelBuilder.build
+
+        def capture(self, *args, **build_kwargs):
+            captured.append((self, args, build_kwargs))
+            return real_build(self, *args, **build_kwargs)
+
+        monkeypatch.setattr(RecoveryModelBuilder, "build", capture)
+        build(**kwargs)
+        ((builder, args, build_kwargs),) = captured
+        build_kwargs.pop("backend", None)
+        pre_build = builder.analyze(*args, **build_kwargs)
+        built = real_build(builder, *args, **build_kwargs).analyze()
+
+        def rendered(report):
+            return [
+                (d.code, d.message, d.states, d.actions, d.fix_hint)
+                for d in report.findings
+            ]
+
+        assert rendered(pre_build) == rendered(built)
+        assert pre_build.title != built.title
+
 
 class TestModelViewConstructors:
     def test_from_model_roundtrip(self, simple_system):
@@ -494,21 +576,64 @@ class TestModelViewConstructors:
         with pytest.raises(ModelError):
             ModelView(transitions=np.zeros((2, 3, 4)), rewards=np.zeros((2, 3)))
 
-
-class TestNullAbsorbingConsistency:
-    def test_array_core_matches_pomdp_wrapper(self, simple_system):
-        # make_null_absorbing and its array-level core must agree.
-        raw = simple_system.model.pomdp
-        mask = np.zeros(raw.n_states, dtype=bool)
-        mask[0] = True
-        from repro.recovery.model import null_absorbing_arrays
-
-        transitions, rewards = null_absorbing_arrays(
-            raw.transitions, raw.rewards, mask
+    def test_dense_input_is_held_as_containers(self):
+        from repro.linalg import (
+            SparseObservations,
+            SparseTransitions,
+            StructuredRewards,
         )
-        wrapped = make_null_absorbing(raw, mask)
-        assert np.allclose(wrapped.transitions, transitions)
-        assert np.allclose(wrapped.rewards, rewards)
+
+        view = healthy_view()
+        assert isinstance(view.transitions, SparseTransitions)
+        assert isinstance(view.observations, SparseObservations)
+        assert isinstance(view.rewards, StructuredRewards)
+
+
+class TestMalformedMetadata:
+    """Bad recovery metadata is reported or rejected, never a crash."""
+
+    def test_out_of_range_terminate_state_reported_by_r008(self):
+        report = analyze(healthy_view(terminate_state=7, terminate_action=1))
+        (finding,) = report.by_code("R008")
+        assert "out of range" in finding.message
+        assert report.has_errors
+
+    def test_wrong_length_initial_belief_rejected(self):
+        with pytest.raises(ModelError, match="initial_belief"):
+            healthy_view(initial_belief=np.array([0.5, 0.5]))
+
+    def test_wrong_length_rate_rewards_rejected(self):
+        with pytest.raises(ModelError, match="rate_rewards"):
+            healthy_view(
+                rate_rewards=np.array([0.0, -1.0]),
+                recovery_notification=False,
+                terminate_state=2,
+                terminate_action=1,
+                operator_response_time=10.0,
+            )
+
+
+class TestChainDecomposedOnce:
+    def test_one_decomposition_of_the_uniform_chain_per_analysis(
+        self, simple_system, monkeypatch
+    ):
+        import repro.analysis.passes as passes
+        import repro.mdp.classify as classify
+
+        calls = []
+        real = classify.scc_summary
+
+        def counting(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(classify, "scc_summary", counting)
+        monkeypatch.setattr(passes, "scc_summary", counting)
+        view = ModelView.from_model(simple_system.model)
+        analyze(view)
+        assert sum(chain is view.mean_chain() for chain in calls) == 1
+        assert sum(chain is view.union_graph() for chain in calls) == 1
+        assert len(calls) == 2
 
 
 @st.composite

@@ -6,7 +6,32 @@ from repro.analysis.__main__ import main
 from repro.io import save_pomdp, save_recovery_model
 
 
+#: ``python -m repro.analysis --emn --simple --tiered`` as text, pinned:
+#: the shipped systems' reports do not depend on how the analyzer stores
+#: the model.
+SHIPPED_REPORT = """\
+Static analysis: EMN system
+  R201 info: |S|=15, |A|=10, |O|=128, discount=1, transition density=0.067, |S_phi|=1, terminate pair (Figure 2(b))
+  R202 info: union graph has 15 SCC(s) (sizes [1, 1, 1, 1, 1, 1, 1, 1] ...); uniform-random chain has 1 recurrent class(es) over 1 state(s), 1 absorbing
+0 error(s), 0 warning(s), 2 info
+
+Static analysis: simple system
+  R201 info: |S|=4, |A|=4, |O|=3, discount=1, transition density=0.250, |S_phi|=1, terminate pair (Figure 2(b))
+  R202 info: union graph has 4 SCC(s) (sizes [1, 1, 1, 1]); uniform-random chain has 1 recurrent class(es) over 1 state(s), 1 absorbing
+0 error(s), 0 warning(s), 2 info
+
+Static analysis: tiered system
+  R201 info: |S|=14, |A|=8, |O|=16, discount=1, transition density=0.071, |S_phi|=1, terminate pair (Figure 2(b))
+  R202 info: union graph has 14 SCC(s) (sizes [1, 1, 1, 1, 1, 1, 1, 1] ...); uniform-random chain has 1 recurrent class(es) over 1 state(s), 1 absorbing
+0 error(s), 0 warning(s), 2 info
+"""
+
+
 class TestBuiltinModels:
+    def test_shipped_report_text_is_pinned(self, capsys):
+        assert main(["--emn", "--simple", "--tiered"]) == 0
+        assert capsys.readouterr().out == SHIPPED_REPORT
+
     def test_emn_clean_exit_zero(self, capsys):
         assert main(["--emn"]) == 0
         out = capsys.readouterr().out

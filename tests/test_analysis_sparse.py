@@ -1,15 +1,19 @@
-"""Sparse-native analyzer passes: dense<->sparse parity, R203 semantics.
+"""The analyzer on its one representation: conversion, attribution, R203.
 
-The v2 analyzer reimplements every R0xx/R1xx pass directly on the CSR
-containers.  These tests pin the two guarantees that refactor made:
+Every analyzer pass has one implementation, on the sparse containers; a
+dense input is converted losslessly (``sparsify_*``) when its
+:class:`~repro.analysis.ModelView` is built.  These tests pin what that
+design promises:
 
-* **parity** — the same model analyzed through the dense arrays and
-  through ``sparsify_*`` conversions yields the same diagnostic set
-  (compared as ``(code, states, actions)`` triples; message wording may
-  differ between backends);
-* **R203 semantics** — the remaining genuine size cutoffs report which
-  pass hit them, the threshold constant and value, and are overridable
-  with ``analyze(..., force=True)``.
+* **lossless conversion** — the same model analyzed from the dense arrays
+  and from ``sparsify_*`` conversions yields the same diagnostic set
+  (compared as ``(code, states, actions)`` triples);
+* **row attribution** — R001/R002 name, per action, exactly the states
+  whose rows that action reads and that are not distributions, whether
+  the row is the action's own or a shared base row;
+* **R203 semantics** — the genuine size cutoffs report which pass hit
+  them, the threshold constant and value, and are overridable with
+  ``analyze(..., force=True)``; they apply to every model.
 """
 
 import numpy as np
@@ -92,6 +96,8 @@ def stochastic_models(draw):
 
 
 class TestDenseSparseParity:
+    """A dense view and a view of its ``sparsify_*`` twin analyze alike."""
+
     @settings(max_examples=60, deadline=None)
     @given(stochastic_models())
     def test_same_diagnostic_triples(self, drawn):
@@ -128,6 +134,82 @@ class TestDenseSparseParity:
         }
         assert (("s2",), ("a1",)) in dense_hits
         assert (("s2",), ("a1",)) in sparse_hits
+
+
+@st.composite
+def broken_models(draw):
+    """Random dense models with some transition and observation rows broken:
+    scaled off 1, or given a negative entry."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    n_states = draw(st.integers(min_value=2, max_value=6))
+    n_actions = draw(st.integers(min_value=1, max_value=4))
+    n_observations = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(seed)
+    transitions = rng.dirichlet(np.ones(n_states), size=(n_actions, n_states))
+    observations = rng.dirichlet(
+        np.ones(n_observations), size=(n_actions, n_states)
+    )
+    if draw(st.booleans()):
+        # Shared rows: every action starts from action 0's matrices, so a
+        # broken row of action 0 is read by every action that keeps it.
+        transitions[:] = transitions[0]
+        observations[:] = observations[0]
+    for tensor in (transitions, observations):
+        broken = rng.random(tensor.shape[:2]) < draw(st.sampled_from([0.1, 0.3]))
+        tensor[broken] *= 0.5
+        negative = rng.random(tensor.shape[:2]) < 0.1
+        tensor[negative, 0] = -0.25
+    rewards = -rng.uniform(0.1, 2.0, size=(n_actions, n_states))
+    return transitions, observations, rewards
+
+
+def _brute_force_row_findings(code, tensor):
+    """``(code, states, actions)`` per action, checking each row by itself."""
+    from repro.util.validation import NEGATIVITY_ATOL, SUM_ATOL
+
+    triples = []
+    for a in range(tensor.shape[0]):
+        bad = tuple(
+            f"s{s}"
+            for s in range(tensor.shape[1])
+            if (tensor[a, s] < -NEGATIVITY_ATOL).any()
+            or not np.isclose(tensor[a, s].sum(), 1.0, atol=SUM_ATOL)
+        )
+        if bad:
+            triples.append((code, bad, (f"a{a}",)))
+    return triples
+
+
+class TestStochasticityAttribution:
+    @settings(max_examples=100, deadline=None)
+    @given(broken_models())
+    def test_row_findings_match_per_row_reference(self, drawn):
+        transitions, observations, rewards = drawn
+        report = analyze(_dense_view(transitions, observations, rewards))
+        found = [
+            (d.code, d.states, d.actions)
+            for d in report.findings
+            if d.code in ("R001", "R002")
+        ]
+        assert found == _brute_force_row_findings(
+            "R001", transitions
+        ) + _brute_force_row_findings("R002", observations)
+
+
+class TestUnionGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(broken_models())
+    def test_support_is_that_of_the_max_over_actions(self, drawn):
+        """Broken rows included: another action's negative entry must not
+        cancel an edge (reachability and SCCs read only the support)."""
+        from repro.mdp.classify import EDGE_EPSILON
+
+        transitions, observations, rewards = drawn
+        view = _dense_view(transitions, observations, rewards)
+        support = view.union_graph().toarray() > EDGE_EPSILON
+        np.testing.assert_array_equal(
+            support, transitions.max(axis=0) > EDGE_EPSILON
+        )
 
 
 def _duplicate_model():
@@ -200,14 +282,6 @@ class TestR203Semantics:
         assert "SPARSE_SOLVE_SKIP_STATES=1" in skips[0].message
         forced = analyze(view, force=True)
         assert not any(d.code == "R203" for d in forced.findings)
-
-    def test_dense_models_never_hit_cutoffs(self, monkeypatch):
-        monkeypatch.setattr(passes, "DUPLICATE_PAIR_BUDGET", 0)
-        monkeypatch.setattr(passes, "SPARSE_SOLVE_SKIP_STATES", 1)
-        monkeypatch.setattr(passes, "PER_STATE_SCAN_CUTOFF", 0)
-        transitions, observations, rewards = _duplicate_model()
-        report = analyze(_dense_view(transitions, observations, rewards))
-        assert not any(d.code == "R203" for d in report.findings)
 
 
 class TestTieredSparseInstance:

@@ -150,3 +150,23 @@ class TestConvenienceWrapper:
         vector = ra_bound_vector(pomdp)
         belief = np.full(pomdp.n_states, 1.0 / pomdp.n_states)
         assert np.isclose(ra_bound(pomdp, belief), float(belief @ vector))
+
+
+class TestUniformChainDecomposedOnce:
+    @pytest.mark.parametrize("method", ["auto", "sparse"])
+    def test_one_decomposition_per_sparse_solve(self, method, monkeypatch):
+        import repro.mdp.classify as classify
+        from repro.systems.tiered import build_tiered_system
+
+        pomdp = build_tiered_system((2, 2, 2), backend="sparse").model.pomdp
+        calls = []
+        real = classify.scc_summary
+
+        def counting(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(classify, "scc_summary", counting)
+        vector = ra_bound_vector(pomdp, method=method)
+        assert len(calls) == 1
+        assert np.all(np.isfinite(vector))

@@ -52,6 +52,7 @@ from repro.sim.campaign import run_campaign
 from repro.sim.metrics import campaign_fingerprint
 from repro.systems.emn import MONITOR_DURATION, build_emn_system
 from repro.systems.faults import FaultKind
+from repro.systems.simple import build_simple_system
 from repro.systems.tiered import build_tiered_system
 from tests.conftest import random_pomdp
 from tests.test_systems_tiered import reference_tiered_system
@@ -95,6 +96,25 @@ class TestContainerAlgebra:
         np.testing.assert_array_equal(
             densify_rewards(sparse.rewards), pomdp.rewards
         )
+
+    @pytest.mark.parametrize("name", ["simple", "emn", "tiered-probe-free"])
+    def test_convert_backend_round_trip_is_byte_identical(self, name):
+        """Dense -> sparse -> dense keeps every byte, sign bits included:
+        the simple system and the probe-free tiered model carry ``-0.0``
+        rewards that a plain ``csr_matrix`` conversion would drop."""
+        dense = {
+            "simple": lambda: build_simple_system().model,
+            "emn": lambda: build_emn_system().model,
+            "tiered-probe-free": lambda: build_tiered_system(
+                (3, 2), probe_cost=0.0, backend="dense"
+            ).model,
+        }[name]()
+        back = convert_backend(convert_backend(dense, "sparse"), "dense")
+        for field in ("transitions", "observations", "rewards"):
+            expected = getattr(dense.pomdp, field)
+            actual = getattr(back.pomdp, field)
+            assert actual.dtype == expected.dtype, field
+            assert actual.tobytes() == expected.tobytes(), field
 
     def test_transition_accessors_match_dense(self):
         pomdp = self._pomdp()
@@ -286,7 +306,9 @@ class TestTieBreaks:
 
 
 class TestAugmentationParity:
-    """Figure 2 rewiring produces identical models on both backends."""
+    """Figure 2 rewiring produces identical models on both backends: the
+    dense model is augmented through a lossless conversion to the same
+    containers its sparse twin starts from."""
 
     def _recovery_pieces(self, seed=3):
         rng = np.random.default_rng(seed)

@@ -175,6 +175,8 @@ class TestBeliefUpdateBatch:
 
 
 class TestBellmanBackupEnvelopeBatch:
+    # The envelope runs on the sparse containers the analyzer's views hold.
+    @pytest.mark.parametrize("pomdp", ["tiered", "emn"], indirect=True)
     def test_one_dimensional_shape_is_preserved(self, pomdp):
         values = np.zeros(pomdp.n_states)
         backed = bellman_backup_envelope(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConditionViolation, ModelError
 from repro.pomdp.model import POMDP
@@ -258,3 +260,217 @@ class TestRecoveryModelType:
                 passive_actions=np.array([False, True]),
                 recovery_notification=False,
             )
+
+
+# -- the dense Figure 2 augmentation against its former array cores -------
+#
+# ``null_absorbing_arrays`` and ``termination_arrays`` are the dense array
+# implementations the augmentation had before it ran on the sparse
+# containers only, kept verbatim as the reference: the dense result of
+# ``make_null_absorbing`` / ``with_termination_action`` must equal them
+# byte for byte, signed zeros included.
+
+
+def null_absorbing_arrays(
+    transitions: np.ndarray, rewards: np.ndarray, null_states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array-level core of :func:`make_null_absorbing`.
+
+    Operates on raw ``(|A|, |S|, |S|)`` / ``(|A|, |S|)`` arrays so the
+    static analyzer's report mode can preview the Figure 2(a) rewiring for
+    models that would not survive POMDP validation.
+    """
+    mask = np.asarray(null_states, dtype=bool)
+    transitions = np.asarray(transitions, dtype=float).copy()
+    rewards = np.asarray(rewards, dtype=float).copy()
+    null_index = np.flatnonzero(mask)
+    for action in range(transitions.shape[0]):
+        transitions[action][null_index, :] = 0.0
+        transitions[action][null_index, null_index] = 1.0
+        rewards[action][null_index] = 0.0
+    return transitions, rewards
+
+
+def termination_arrays(
+    transitions: np.ndarray,
+    observations: np.ndarray,
+    rewards: np.ndarray,
+    null_states: np.ndarray,
+    rate_rewards: np.ndarray,
+    operator_response_time: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array-level core of :func:`with_termination_action`.
+
+    Returns the augmented ``(transitions, observations, rewards)`` with
+    ``s_T`` appended as the last state and ``a_T`` as the last action;
+    usable on raw arrays (the analyzer's report mode) as well as on
+    validated POMDP fields.
+    """
+    transitions = np.asarray(transitions, dtype=float)
+    observations = np.asarray(observations, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    n_actions, n_states = transitions.shape[0], transitions.shape[1]
+    n_observations = observations.shape[2]
+    terminate_state = n_states
+    terminate_action = n_actions
+
+    new_transitions = np.zeros((n_actions + 1, n_states + 1, n_states + 1))
+    new_transitions[:n_actions, :n_states, :n_states] = transitions
+    # Every original action self-loops in s_T.
+    new_transitions[:n_actions, terminate_state, terminate_state] = 1.0
+    # a_T sends every state (including s_T) to s_T.
+    new_transitions[terminate_action, :, terminate_state] = 1.0
+
+    new_observations = np.zeros((n_actions + 1, n_states + 1, n_observations))
+    new_observations[:n_actions, :n_states, :] = observations
+    new_observations[:n_actions, terminate_state, :] = 1.0 / n_observations
+    new_observations[terminate_action, :, :] = 1.0 / n_observations
+
+    term_rewards = termination_rewards(
+        rate_rewards, operator_response_time, null_states
+    )
+    new_rewards = np.zeros((n_actions + 1, n_states + 1))
+    new_rewards[:n_actions, :n_states] = rewards
+    new_rewards[:n_actions, terminate_state] = 0.0
+    new_rewards[terminate_action, :n_states] = term_rewards
+    new_rewards[terminate_action, terminate_state] = 0.0
+    return new_transitions, new_observations, new_rewards
+
+
+def _bytes_equal(actual, expected) -> bool:
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (
+        actual.dtype == expected.dtype
+        and actual.shape == expected.shape
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+def assert_augmentations_match_reference(pomdp, null_states, rate, t_op):
+    """Both dense augmentations of ``pomdp`` equal the array references."""
+    absorbing = make_null_absorbing(pomdp, null_states)
+    transitions, rewards = null_absorbing_arrays(
+        pomdp.transitions, pomdp.rewards, null_states
+    )
+    assert _bytes_equal(absorbing.transitions, transitions)
+    assert _bytes_equal(absorbing.rewards, rewards)
+    assert absorbing.observations is pomdp.observations
+
+    augmented, s_t, a_t = with_termination_action(
+        pomdp, null_states, rate, t_op
+    )
+    assert (s_t, a_t) == (pomdp.n_states, pomdp.n_actions)
+    expected = termination_arrays(
+        pomdp.transitions,
+        pomdp.observations,
+        pomdp.rewards,
+        null_states,
+        rate,
+        t_op,
+    )
+    for actual, reference in zip(
+        (augmented.transitions, augmented.observations, augmented.rewards),
+        expected,
+    ):
+        assert _bytes_equal(actual, reference)
+
+
+def declared_models(monkeypatch, build, *args, **kwargs):
+    """The un-augmented POMDPs (with ``S_phi``, ``rbar``, ``t_op``) that
+    ``build(*args, **kwargs)`` declares through :class:`RecoveryModelBuilder`."""
+    from repro.recovery.builder import RecoveryModelBuilder
+
+    declared = []
+    real_build = RecoveryModelBuilder.build
+
+    def capture(
+        self,
+        recovery_notification=None,
+        operator_response_time=None,
+        backend="dense",
+    ):
+        transitions, observations, rewards, null, rate, _, _ = (
+            self._assemble_arrays()
+        )
+        pomdp = POMDP(
+            transitions=transitions,
+            observations=observations,
+            rewards=rewards,
+            discount=self.discount,
+        )
+        declared.append((pomdp, null, rate, operator_response_time or 0.0))
+        return real_build(
+            self, recovery_notification, operator_response_time, backend
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RecoveryModelBuilder, "build", capture)
+        build(*args, **kwargs)
+    return declared
+
+
+def _shipped_declarations(monkeypatch):
+    from repro.systems.emn import build_emn_system
+    from repro.systems.simple import build_simple_system
+    from tests.test_systems_tiered import reference_tiered_system
+
+    cases = [
+        (build_emn_system, {}),
+        (build_simple_system, {"recovery_notification": False}),
+        (
+            build_simple_system,
+            {"recovery_notification": True, "miss_rate": 0.0},
+        ),
+    ] + [
+        (reference_tiered_system, {"replicas": replicas, "probe_cost": cost})
+        for replicas in ((3, 2), (2, 2, 2), (5, 5, 5))
+        for cost in (0.0, 2.5)
+    ]
+    declared = []
+    for build, kwargs in cases:
+        declared.extend(declared_models(monkeypatch, build, **kwargs))
+    return declared
+
+
+class TestDenseAugmentationMatchesReference:
+    def test_shipped_and_tiered_reference_models(self, monkeypatch):
+        declared = _shipped_declarations(monkeypatch)
+        assert len(declared) == 9
+        signed_zeros = 0
+        for pomdp, null, rate, t_op in declared:
+            signed_zeros += int(
+                np.sum((pomdp.rewards == 0.0) & np.signbit(pomdp.rewards))
+            )
+            assert_augmentations_match_reference(pomdp, null, rate, t_op)
+        assert signed_zeros > 0  # the probe-free tiered rewards carry -0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_states=st.integers(min_value=2, max_value=6),
+        n_actions=st.integers(min_value=1, max_value=4),
+        n_observations=st.integers(min_value=1, max_value=4),
+        t_op=st.sampled_from([0.0, 1.5, 3600.0]),
+    )
+    def test_random_models(self, seed, n_states, n_actions, n_observations, t_op):
+        rng = np.random.default_rng(seed)
+        transitions = rng.dirichlet(np.ones(n_states), size=(n_actions, n_states))
+        transitions[rng.random((n_actions, n_states, n_states)) < 0.3] = 0.0
+        transitions[..., 0] += 1.0 - transitions.sum(axis=2)  # restochasticise
+        transitions = np.abs(transitions)
+        transitions /= transitions.sum(axis=2, keepdims=True)
+        observations = rng.dirichlet(
+            np.ones(n_observations), size=(n_actions, n_states)
+        )
+        rewards = -rng.uniform(0.0, 2.0, size=(n_actions, n_states))
+        rewards[rng.random(rewards.shape) < 0.3] = -0.0
+        rewards[rng.random(rewards.shape) < 0.2] = 0.0
+        null_states = rng.random(n_states) < 0.4
+        rate = -rng.uniform(0.0, 1.0, size=n_states)
+        rate[rng.random(n_states) < 0.3] = -0.0
+        pomdp = POMDP(
+            transitions=transitions,
+            observations=observations,
+            rewards=rewards,
+        )
+        assert_augmentations_match_reference(pomdp, null_states, rate, t_op)

@@ -51,6 +51,12 @@ class TestDetection:
 
 
 class TestAmbiguousObservations:
+    def test_wrong_mask_rejected(self, simple_system):
+        with pytest.raises(ModelError, match="null_states"):
+            ambiguous_observations(
+                simple_system.model.pomdp, np.array([True, False])
+            )
+
     def test_lists_clear_as_ambiguous(self):
         pairs = ambiguous_observations(raw_pomdp(), NULL_MASK)
         observations = {observation for _, observation in pairs}
