@@ -4,7 +4,7 @@ Runs every analyzer pass — no R203 size skips allowed — over the largest
 instance the scalability experiments use, then solves the RA-Bound (Eq. 5)
 on it through :func:`repro.bounds.ra_bound.ra_bound_vector`, the sparse
 front door the controllers and the policy daemon use at this scale.  It
-asserts five things:
+asserts six things:
 
 * **completeness**: the report contains zero ``R203`` findings, i.e. the
   sparse-native passes (CSR reachability, hash-grouped duplicate
@@ -19,6 +19,11 @@ asserts five things:
   could never fit, so no pass densifies anything;
 * **RA-Bound**: the solve returns a finite, non-positive value for every
   state;
+* **triangular solve**: the RA-Bound's transient block was solved by one
+  sparse triangular solve, not factorised by SuperLU — the instance's
+  transient states form no cycle, so a fall-back to LU means the
+  strong-component ordering of
+  :func:`repro.mdp.linear_solvers.solve_transient_block` broke;
 * **one analyzer**: the dense EMN model and its
   ``convert_backend(..., "sparse")`` twin get the same report, finding for
   finding — a dense input is converted to the containers before any pass
@@ -45,6 +50,7 @@ import numpy as np
 
 from repro.analysis import analyze
 from repro.bounds.ra_bound import ra_bound_vector
+from repro.obs.telemetry import session
 from repro.recovery.model import convert_backend
 from repro.systems.emn import build_emn_system
 from repro.systems.tiered import build_tiered_system
@@ -89,17 +95,30 @@ def run_smoke(replicas_per_tier: int) -> dict:
     )
 
     started = time.perf_counter()
-    ra_bound = ra_bound_vector(model.pomdp)
+    with session() as telemetry:
+        ra_bound = ra_bound_vector(model.pomdp)
     ra_seconds = time.perf_counter() - started
     assert np.all(np.isfinite(ra_bound)) and np.all(ra_bound <= 0.0), (
         "the RA-Bound must be finite and non-positive on every state"
     )
+    factorisations = {
+        name.rpartition(".")[2]: count
+        for name, count in telemetry.counters.items()
+        if name.startswith("solver.factorisation.")
+    }
+    if factorisations != {"triangular": 1}:
+        raise SystemExit(
+            "the RA-Bound's transient block must take one triangular solve, "
+            f"got factorisations {factorisations}: the strong-component "
+            "order of solve_transient_block no longer makes it triangular"
+        )
     return {
         "n_states": model.pomdp.n_states,
         "n_actions": model.pomdp.n_actions,
         "build_seconds": build_seconds,
         "analyze_seconds": analyze_seconds,
         "ra_seconds": ra_seconds,
+        "factorisations": factorisations,
         "findings": {d.code for d in report.findings},
     }
 
@@ -151,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         f"|A|={report['n_actions']:,}, build {report['build_seconds']:.1f}s, "
         f"full analysis {report['analyze_seconds']:.1f}s "
         f"(codes {sorted(report['findings'])}), RA-Bound solve "
-        f"{report['ra_seconds']:.1f}s, peak RSS {rss:.0f} MB"
+        f"{report['ra_seconds']:.2f}s {report['factorisations']}, "
+        f"peak RSS {rss:.0f} MB"
     )
     if report["analyze_seconds"] > args.max_seconds:
         raise SystemExit(

@@ -11,8 +11,9 @@ expected absorption time) for reuse by the static analyzer in
 Every analysis first turns its chain, dense or ``scipy.sparse``, into one
 CSR support graph (:func:`_adjacency`) and then runs once over it: strong
 components through :func:`scipy.sparse.csgraph.connected_components`,
-reachability as a CSR frontier sweep, absorption times as a sparse
-transient-state solve.  The cost is O(nodes + edges) whatever the input
+reachability as a CSR frontier sweep, absorption times as one
+transient-state solve (triangular when the transient states form no
+cycle).  The cost is O(nodes + edges) whatever the input
 layout, which is what lets the analyzer cover the 300k-state tiered chain.
 """
 
@@ -26,6 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+
+from repro.mdp.linear_solvers import solve_transient_block
 
 #: Probabilities below this are treated as structural zeros.
 EDGE_EPSILON = 1e-12
@@ -170,9 +173,10 @@ def expected_absorption_time(chain, targets: np.ndarray | None = None) -> np.nda
     Eq. 5).  Returns 0 on target states and ``inf`` on states that cannot
     reach the target set at all.
 
-    Solves ``t = 1 + P_TT t`` over the non-target states with one sparse
-    linear solve (``inf`` if the system is singular, which happens exactly
-    when some non-target state never reaches a target).
+    Solves ``t = 1 + P_TT t`` over the non-target states that reach a
+    target with :func:`~repro.mdp.linear_solvers.solve_transient_block`:
+    one triangular solve when those states form no cycle, else a sparse
+    factorisation (``inf`` if the system is singular).
     """
     chain = sp.csr_matrix(chain, dtype=float)
     if targets is None:
@@ -192,7 +196,7 @@ def expected_absorption_time(chain, targets: np.ndarray | None = None) -> np.nda
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            solution = spla.spsolve(system, np.ones(solvable.size))
+            solution, _ = solve_transient_block(system, np.ones(solvable.size))
         except (spla.MatrixRankWarning, RuntimeError):
             solution = np.full(solvable.size, np.inf)
     times[solvable] = solution

@@ -4,10 +4,16 @@ The RA-Bound (Eq. 5) reduces to the linear system ``v = r + beta * P v`` for
 the uniform-random chain.  Section 3.1 of the paper solves it with
 "Gauss-Seidel iterations with successive over-relaxation"; this module
 provides that solver plus a Jacobi iteration, a direct sparse solve, and a
-sparse backend (``method="sparse"``) that factorises the transient block of
+sparse backend (``method="sparse"``) that solves the transient block of
 ``I - beta P`` in CSR/CSC form with an iterative (LGMRES) fallback — the
 path behind Section 4.3's hundreds-of-thousands-of-states claim.  All of
 them are verified against each other in the test suite.
+
+The direct and sparse solves share :func:`solve_transient_block`.  Ordered
+by strong component, the transient block of an acyclic chain (self-loops
+aside) is lower-triangular, and one sparse triangular solve replaces the
+SuperLU factorisation; a chain with a cycle among its transient states is
+factorised.  Every shipped model takes the triangular path.
 
 Every solver accepts ``P`` as a dense array or a ``scipy.sparse`` matrix;
 ``method="auto"`` picks the sparse backend or Gauss-Seidel from the chain's
@@ -20,6 +26,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import DivergenceError, NotConvergedError
@@ -45,6 +52,9 @@ SPARSE_DENSITY_CUTOFF = 0.25
 #: before the magnitude threshold trips.
 STAGNATION_WINDOW = 1_000
 STAGNATION_RATIO = 0.99
+
+#: Iteration budget of the sparse backend's LGMRES fallback.
+LGMRES_MAXITER = 10_000
 
 
 def chain_density(chain) -> float:
@@ -223,7 +233,7 @@ def solve_direct(
     discount: float = 1.0,
     transient_states: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve ``(I - discount * P) v = r`` with a direct sparse factorisation.
+    """Solve ``(I - discount * P) v = r`` with a direct sparse solve.
 
     For an undiscounted chain, ``I - P`` is singular whenever the chain has a
     recurrent class, so the caller must restrict the solve to the transient
@@ -231,15 +241,10 @@ def solve_direct(
     zero — exactly the structure the paper's model modifications guarantee
     (recurrent states are zero-reward absorbing states).  Pass
     ``transient_states`` as a boolean mask to do that; with ``None`` the full
-    system is solved (valid for ``discount < 1``).
+    system is solved (valid for ``discount < 1``).  The block is solved by
+    :func:`solve_transient_block`.
     """
-    matrix, rhs, mask = _transient_system(
-        chain, reward, discount, transient_states
-    )
-    value = np.zeros(np.asarray(reward).shape[0])
-    if matrix is not None:
-        value[mask] = spla.spsolve(matrix, rhs)
-    return value
+    return _solve_transient(chain, reward, discount, transient_states)[0]
 
 
 def _transient_system(
@@ -272,19 +277,73 @@ def _transient_system(
     return matrix, reward[indices], mask
 
 
+def _triangular_order(matrix: sp.spmatrix) -> np.ndarray | None:
+    """Each state's position in an order that makes ``matrix``
+    lower-triangular, or None when no strong-component order does.
+
+    :func:`scipy.sparse.csgraph.connected_components` numbers the strong
+    components of the stored entries sinks first, so when every component
+    is one state its labels order each state after its successors.  The
+    order is used only if it checks out: no ordered entry above the
+    diagonal and no zero on it.
+    """
+    count, labels = csgraph.connected_components(
+        matrix, directed=True, connection="strong"
+    )
+    if count < matrix.shape[0]:
+        return None  # a cycle among the states
+    coo = matrix.tocoo()
+    if np.any(labels[coo.row] < labels[coo.col]) or np.any(matrix.diagonal() == 0):
+        return None
+    return labels
+
+
+def solve_transient_block(matrix, rhs: np.ndarray) -> tuple[np.ndarray, str]:
+    """Solve ``matrix @ x = rhs`` for a transient block of ``I - beta P``.
+
+    Ordered by strong component (:func:`_triangular_order`), the block of
+    a chain whose transient states form no cycle is lower-triangular, and
+    one :func:`scipy.sparse.linalg.spsolve_triangular` solves it in time
+    and memory linear in its stored entries.  Any other block is
+    factorised by SuperLU (:func:`scipy.sparse.linalg.spsolve`), which
+    warns :class:`~scipy.sparse.linalg.MatrixRankWarning` on a singular
+    one.  ``matrix`` may be dense or any scipy.sparse format.
+
+    Returns ``(x, factorisation)``, the kind being ``"triangular"`` or
+    ``"lu"``, and counts ``solver.factorisation.<kind>`` in the active
+    telemetry.
+    """
+    matrix = sp.csc_matrix(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    labels = _triangular_order(matrix)
+    factorisation = "lu" if labels is None else "triangular"
+    telemetry = telemetry_active()
+    if telemetry is not None:
+        telemetry.count(f"solver.factorisation.{factorisation}")
+    if labels is None:
+        return spla.spsolve(matrix, rhs), factorisation
+    lower = matrix.tocsr()
+    if np.array_equal(labels, np.arange(labels.size)):
+        # Already in order, as the tiered family's blocks are.
+        return spla.spsolve_triangular(lower, rhs, lower=True), factorisation
+    order = np.argsort(labels)
+    solution = spla.spsolve_triangular(lower[order][:, order], rhs[order], lower=True)
+    return solution[labels], factorisation
+
+
 def solve_sparse(
     chain,
     reward: np.ndarray,
     discount: float = 1.0,
     transient_states: np.ndarray | None = None,
     tol: float = 1e-10,
-    maxiter: int = 10_000,
+    maxiter: int = LGMRES_MAXITER,
 ) -> np.ndarray:
-    """The sparse backend: CSR/CSC factorisation with an iterative fallback.
+    """The sparse backend: a sparse direct solve with an iterative fallback.
 
     Solves ``(I - discount * P) v = r`` on the transient block (recurrent
     states pinned to zero, as in :func:`solve_direct`) via
-    :func:`scipy.sparse.linalg.spsolve`.  If the factorisation reports a
+    :func:`solve_transient_block`.  If the factorisation reports a
     singular/ill-conditioned matrix or produces non-finite values, the
     solve is retried with LGMRES; an iterative failure raises
     :class:`~repro.exceptions.NotConvergedError` rather than returning a
@@ -295,22 +354,42 @@ def solve_sparse(
     of a sparse model, :meth:`repro.mdp.model.MDP.uniform_chain`) never
     materialises a dense ``n x n`` array anywhere on this path.
     """
+    return _solve_transient(
+        chain, reward, discount, transient_states, fallback=(tol, maxiter)
+    )[0]
+
+
+def _solve_transient(
+    chain,
+    reward,
+    discount: float,
+    transient_states: np.ndarray | None,
+    fallback: tuple[float, int] | None = None,
+) -> tuple[np.ndarray, str | None]:
+    """The direct solve, or with ``fallback = (tol, maxiter)`` the sparse
+    backend's; returns the value vector and the factorisation that ran
+    (None when the mask selects no state)."""
     matrix, rhs, mask = _transient_system(
         chain, reward, discount, transient_states
     )
     value = np.zeros(np.asarray(reward).shape[0])
     if matrix is None:
-        return value
+        return value, None
+    if fallback is None:
+        value[mask], factorisation = solve_transient_block(matrix, rhs)
+        return value, factorisation
     solution = None
+    factorisation = None
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            candidate = spla.spsolve(matrix, rhs)
+            candidate, factorisation = solve_transient_block(matrix, rhs)
             if np.all(np.isfinite(candidate)):
                 solution = candidate
         except (RuntimeError, spla.MatrixRankWarning):
             solution = None
     if solution is None:
+        tol, maxiter = fallback
         solution, info = spla.lgmres(
             matrix, rhs, rtol=tol, atol=tol, maxiter=maxiter
         )
@@ -327,7 +406,7 @@ def solve_sparse(
                 ),
             )
     value[mask] = solution
-    return value
+    return value, factorisation
 
 
 def solve_markov_reward(
@@ -343,27 +422,29 @@ def solve_markov_reward(
 
     ``method`` selects between ``"gauss-seidel"`` (the paper's choice, with
     mild over-relaxation by default), ``"jacobi"``, ``"direct"``,
-    ``"sparse"`` (factorise the transient block of ``I - beta P`` with an
+    ``"sparse"`` (solve the transient block of ``I - beta P`` with an
     LGMRES fallback), and ``"auto"`` (:func:`select_method`'s size/density
-    heuristic between the sparse backend and Gauss-Seidel).
+    heuristic between the sparse backend and Gauss-Seidel).  The
+    ``solver_dispatch`` event names the factorisation of a direct or
+    sparse solve (``"triangular"`` or ``"lu"``; None for the iterations).
     """
     requested = method
     if method == "auto":
         method = select_method(chain)
     solvers = {
-        "gauss-seidel": lambda: gauss_seidel(
-            chain, reward, discount=discount, omega=omega, tol=tol
+        "gauss-seidel": lambda: (
+            gauss_seidel(chain, reward, discount=discount, omega=omega, tol=tol),
+            None,
         ),
-        "jacobi": lambda: jacobi(chain, reward, discount=discount, tol=tol),
-        "direct": lambda: solve_direct(
-            chain, reward, discount=discount, transient_states=transient_states
+        "jacobi": lambda: (
+            jacobi(chain, reward, discount=discount, tol=tol),
+            None,
         ),
-        "sparse": lambda: solve_sparse(
-            chain,
-            reward,
-            discount=discount,
-            transient_states=transient_states,
-            tol=tol,
+        "direct": lambda: _solve_transient(
+            chain, reward, discount, transient_states
+        ),
+        "sparse": lambda: _solve_transient(
+            chain, reward, discount, transient_states, fallback=(tol, LGMRES_MAXITER)
         ),
     }
     if method not in solvers:
@@ -375,13 +456,14 @@ def solve_markov_reward(
     with span(
         "solver.solve", category="solver", method=method, n_states=n_states
     ) as solve:
-        value = solvers[method]()
+        value, factorisation = solvers[method]()
     if telemetry is not None:
         telemetry.event(
             "solver_dispatch",
             requested=requested,
             method=method,
             n_states=n_states,
+            factorisation=factorisation,
             seconds=round(solve.seconds, 6),
         )
     return value

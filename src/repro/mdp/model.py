@@ -13,7 +13,8 @@ a model uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,72 +29,52 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
 
 
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """The map from each of ``labels`` to its position."""
+    return {label: i for i, label in enumerate(labels)}
+
+
 def _check_unique(labels: tuple[str, ...], kind: str) -> None:
     if len(set(labels)) != len(labels):
         shown = labels if len(labels) <= 32 else labels[:32] + ("...",)
         raise ModelError(f"{kind} labels must be unique, got {shown}")
 
 
-def _validate_model_arrays(transitions, rewards, *, observations=None):
+def _validate_model_arrays(transitions, rewards):
     """Single validated construction path for both backends.
 
-    Returns ``(transitions, observations, rewards, shape)`` where ``shape``
-    is ``(n_actions, n_states, n_observations | None)``.  Dense ndarray
-    inputs are coerced to float and checked row-by-row exactly as before;
-    sparse containers validate their base + override structure instead
-    (each effective row checked once, never densified).
+    Returns ``(transitions, rewards, (n_actions, n_states))``.  Dense
+    ndarray inputs are coerced to float and checked row-by-row; sparse
+    containers validate their base + override structure instead (each
+    effective row checked once, never densified).
     """
     if isinstance(transitions, SparseTransitions):
         transitions.validate("transitions")
         n_actions, n_states, _ = transitions.shape
-        n_observations = None
-        if observations is not None:
-            if observations.shape[:2] != (n_actions, n_states):
-                raise ModelError(
-                    "observations must cover "
-                    f"({n_actions}, {n_states}, ...), got {observations.shape}"
-                )
-            observations.validate("observations")
-            n_observations = observations.shape[2]
         if isinstance(rewards, StructuredRewards):
             rewards.validate("rewards")
         else:
             rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (n_actions, n_states):
+    else:
+        transitions = np.asarray(transitions, dtype=float)
+        if transitions.ndim != 3 or transitions.shape[1] != transitions.shape[2]:
             raise ModelError(
-                f"rewards must have shape ({n_actions}, {n_states}), "
-                f"got {rewards.shape}"
+                "transitions must have shape (|A|, |S|, |S|), "
+                f"got {transitions.shape}"
             )
-        return transitions, observations, rewards, (n_actions, n_states, n_observations)
-
-    transitions = np.asarray(transitions, dtype=float)
-    if transitions.ndim != 3 or transitions.shape[1] != transitions.shape[2]:
-        raise ModelError(
-            f"transitions must have shape (|A|, |S|, |S|), got {transitions.shape}"
-        )
-    n_actions, n_states, _ = transitions.shape
-    n_observations = None
-    if observations is not None:
-        observations = np.asarray(observations, dtype=float)
-        if observations.ndim != 3 or observations.shape[:2] != (n_actions, n_states):
-            raise ModelError(
-                "observations must have shape (|A|, |S|, |O|) = "
-                f"({n_actions}, {n_states}, ...), got {observations.shape}"
-            )
-        n_observations = observations.shape[2]
-    if isinstance(rewards, StructuredRewards):
-        rewards = rewards.full()
-    rewards = np.asarray(rewards, dtype=float)
+        n_actions, n_states, _ = transitions.shape
+        if isinstance(rewards, StructuredRewards):
+            rewards = rewards.full()
+        rewards = np.asarray(rewards, dtype=float)
     if rewards.shape != (n_actions, n_states):
         raise ModelError(
             f"rewards must have shape ({n_actions}, {n_states}), "
             f"got {rewards.shape}"
         )
-    for a in range(n_actions):
-        check_stochastic_matrix(transitions[a], name=f"transitions[{a}]")
-        if observations is not None:
-            check_stochastic_matrix(observations[a], name=f"observations[{a}]")
-    return transitions, observations, rewards, (n_actions, n_states, n_observations)
+    if not isinstance(transitions, SparseTransitions):
+        for a in range(n_actions):
+            check_stochastic_matrix(transitions[a], name=f"transitions[{a}]")
+    return transitions, rewards, (n_actions, n_states)
 
 
 @dataclass(frozen=True)
@@ -112,6 +93,10 @@ class MDP:
         action_labels: one label per action.
         discount: the discounting factor ``beta`` in ``[0, 1]``.  Recovery
             models use the undiscounted criterion ``beta = 1`` (Section 2).
+
+    The label-to-index maps behind :meth:`state_index` and
+    :meth:`action_index` are built on first lookup: at 300,002 states they
+    hold about 23 MB that a model used only by index never needs.
     """
 
     transitions: np.ndarray | SparseTransitions
@@ -119,15 +104,9 @@ class MDP:
     state_labels: tuple[str, ...] = ()
     action_labels: tuple[str, ...] = ()
     discount: float = 1.0
-    _state_index: dict[str, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _action_index: dict[str, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self):
-        transitions, _, rewards, (n_actions, n_states, _) = _validate_model_arrays(
+        transitions, rewards, (n_actions, n_states) = _validate_model_arrays(
             self.transitions, self.rewards
         )
         if n_actions == 0 or n_states == 0:
@@ -152,12 +131,6 @@ class MDP:
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "state_labels", tuple(state_labels))
         object.__setattr__(self, "action_labels", tuple(action_labels))
-        object.__setattr__(
-            self, "_state_index", {s: i for i, s in enumerate(state_labels)}
-        )
-        object.__setattr__(
-            self, "_action_index", {a: i for i, a in enumerate(action_labels)}
-        )
 
     @property
     def n_states(self) -> int:
@@ -174,14 +147,20 @@ class MDP:
         """The storage backend this model uses (dense or sparse)."""
         return backend_of(self.transitions)
 
+    @cached_property
+    def _state_index(self) -> dict[str, int]:
+        return _label_index(self.state_labels)
+
+    @cached_property
+    def _action_index(self) -> dict[str, int]:
+        return _label_index(self.action_labels)
+
     def state_index(self, label: str) -> int:
         """Index of the state with ``label`` (KeyError if unknown)."""
-        assert self._state_index is not None
         return self._state_index[label]
 
     def action_index(self, label: str) -> int:
         """Index of the action with ``label`` (KeyError if unknown)."""
-        assert self._action_index is not None
         return self._action_index[label]
 
     def uniform_chain(self):

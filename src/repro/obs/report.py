@@ -62,7 +62,7 @@ class RunAggregate:
     set_size_max: int = 0
     set_size_last: int | None = None
     belief_update_failures: int = 0
-    solver_dispatches: dict[str, int] = field(default_factory=dict)
+    solver_dispatches: dict[tuple[str, str], int] = field(default_factory=dict)
     summary: dict[str, Any] | None = None
 
 
@@ -117,9 +117,14 @@ def aggregate_stream(
             elif kind == "belief_update_failure":
                 aggregate.belief_update_failures += 1
             elif kind == "solver_dispatch":
-                method = str(record.get("method"))
-                aggregate.solver_dispatches[method] = (
-                    aggregate.solver_dispatches.get(method, 0) + 1
+                # Keyed by method and factorisation; the iterative methods
+                # and pre-factorisation streams have none ("-").
+                route = (
+                    str(record.get("method")),
+                    str(record.get("factorisation") or "-"),
+                )
+                aggregate.solver_dispatches[route] = (
+                    aggregate.solver_dispatches.get(route, 0) + 1
                 )
             elif kind == "summary":
                 aggregate.summary = record
@@ -202,8 +207,13 @@ def format_report(aggregate: RunAggregate) -> str:
     if aggregate.solver_dispatches:
         sections.append(
             render_table(
-                ["Method", "Dispatches"],
-                sorted(aggregate.solver_dispatches.items()),
+                ["Method", "Factorisation", "Dispatches"],
+                [
+                    [method, factorisation, count]
+                    for (method, factorisation), count in sorted(
+                        aggregate.solver_dispatches.items()
+                    )
+                ],
                 title="Linear-solver routing",
             )
         )

@@ -43,8 +43,10 @@ from repro.pomdp.model import POMDP
 from repro.util.validation import int_setting
 
 #: Default upper limit on the bytes a single model's factor tensor may
-#: occupy.  Past this, caching is declined.  The same budget sizes the
-#: chunks of the fused sparse depth-1 kernel (:mod:`repro.pomdp.tree`).
+#: occupy.  Past this, caching is declined.  The fused sparse depth-1
+#: kernel (:mod:`repro.pomdp.tree`) sizes its chunks from its own, much
+#: smaller working-set budget, ``WORKING_SET_BYTES``, and from this one
+#: only when it is smaller, so a low override still forces small chunks.
 #: The effective limit is resolved per call by :func:`max_cache_bytes`:
 #: the ``REPRO_MAX_CACHE_BYTES`` environment variable, else this default.
 MAX_CACHE_BYTES = 256 * 1024 * 1024

@@ -7,15 +7,18 @@ In the recovery setting, observations are the joint outputs of the system's
 monitors.
 
 Like :class:`repro.mdp.MDP`, the tensors may be dense ndarrays or the
-sparse containers of :mod:`repro.linalg`; both go through the same
-validated construction path, and every consumer dispatches through
+sparse containers of :mod:`repro.linalg`; every consumer dispatches through
 :mod:`repro.linalg.ops` so the belief-side hot paths run natively on
-either backend.
+either backend.  A POMDP validates its transitions, rewards and
+state/action labels by building its underlying :class:`~repro.mdp.MDP`
+once, keeps it (:meth:`POMDP.to_mdp` returns it), and validates its
+observations itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +29,31 @@ from repro.linalg.containers import (
     SparseTransitions,
     StructuredRewards,
 )
-from repro.mdp.model import (
-    MDP,
-    _check_unique,
-    _default_labels,
-    _validate_model_arrays,
-)
+from repro.mdp.model import MDP, _check_unique, _default_labels, _label_index
+from repro.util.validation import check_stochastic_matrix
+
+
+def _validate_observations(observations, n_actions: int, n_states: int):
+    """``observations`` checked to be ``(n_actions, n_states, |O|)`` with
+    stochastic rows: a sparse container validates its base + override
+    structure, an ndarray is coerced to float and checked per action."""
+    if isinstance(observations, SparseObservations):
+        if observations.shape[:2] != (n_actions, n_states):
+            raise ModelError(
+                "observations must cover "
+                f"({n_actions}, {n_states}, ...), got {observations.shape}"
+            )
+        observations.validate("observations")
+        return observations
+    observations = np.asarray(observations, dtype=float)
+    if observations.ndim != 3 or observations.shape[:2] != (n_actions, n_states):
+        raise ModelError(
+            "observations must have shape (|A|, |S|, |O|) = "
+            f"({n_actions}, {n_states}, ...), got {observations.shape}"
+        )
+    for a in range(n_actions):
+        check_stochastic_matrix(observations[a], name=f"observations[{a}]")
+    return observations
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,7 @@ class POMDP:
         discount: ``beta``; recovery models use 1.0 (undiscounted).
 
     The three tensors must share one backend: all dense ndarrays, or all
-    sparse containers.
+    sparse containers.  The label-to-index maps are built on first lookup.
     """
 
     transitions: np.ndarray | SparseTransitions
@@ -60,15 +82,7 @@ class POMDP:
     action_labels: tuple[str, ...] = ()
     observation_labels: tuple[str, ...] = ()
     discount: float = 1.0
-    _state_index: dict[str, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _action_index: dict[str, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _observation_index: dict[str, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _mdp: MDP = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sparse_transitions = isinstance(self.transitions, SparseTransitions)
@@ -77,47 +91,36 @@ class POMDP:
                 "transitions and observations must use the same backend "
                 "(mixing dense arrays with sparse containers is not supported)"
             )
-        transitions, observations, rewards, shape = _validate_model_arrays(
-            self.transitions, self.rewards, observations=self.observations
+        mdp = MDP(
+            transitions=self.transitions,
+            rewards=self.rewards,
+            state_labels=tuple(self.state_labels),
+            action_labels=tuple(self.action_labels),
+            discount=self.discount,
         )
-        n_actions, n_states, n_observations = shape
-        assert n_observations is not None
+        observations = _validate_observations(
+            self.observations, mdp.n_actions, mdp.n_states
+        )
+        n_observations = observations.shape[2]
         if n_observations == 0:
             raise ModelError("a POMDP needs at least one observation")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ModelError(f"discount must be in [0, 1], got {self.discount}")
-
-        state_labels = tuple(self.state_labels) or _default_labels("s", n_states)
-        action_labels = tuple(self.action_labels) or _default_labels("a", n_actions)
         observation_labels = tuple(self.observation_labels) or _default_labels(
             "o", n_observations
         )
-        for labels, count, kind in (
-            (state_labels, n_states, "state"),
-            (action_labels, n_actions, "action"),
-            (observation_labels, n_observations, "observation"),
-        ):
-            if len(labels) != count:
-                raise ModelError(f"{len(labels)} {kind} labels for {count} {kind}s")
-            _check_unique(labels, kind)
+        if len(observation_labels) != n_observations:
+            raise ModelError(
+                f"{len(observation_labels)} observation labels for "
+                f"{n_observations} observations"
+            )
+        _check_unique(observation_labels, "observation")
 
-        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "_mdp", mdp)
+        object.__setattr__(self, "transitions", mdp.transitions)
         object.__setattr__(self, "observations", observations)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "state_labels", state_labels)
-        object.__setattr__(self, "action_labels", action_labels)
+        object.__setattr__(self, "rewards", mdp.rewards)
+        object.__setattr__(self, "state_labels", mdp.state_labels)
+        object.__setattr__(self, "action_labels", mdp.action_labels)
         object.__setattr__(self, "observation_labels", observation_labels)
-        object.__setattr__(
-            self, "_state_index", {s: i for i, s in enumerate(state_labels)}
-        )
-        object.__setattr__(
-            self, "_action_index", {a: i for i, a in enumerate(action_labels)}
-        )
-        object.__setattr__(
-            self,
-            "_observation_index",
-            {o: i for i, o in enumerate(observation_labels)},
-        )
 
     @property
     def n_states(self) -> int:
@@ -141,17 +144,18 @@ class POMDP:
 
     def state_index(self, label: str) -> int:
         """Index of the state labelled ``label``."""
-        assert self._state_index is not None
-        return self._state_index[label]
+        return self._mdp.state_index(label)
 
     def action_index(self, label: str) -> int:
         """Index of the action labelled ``label``."""
-        assert self._action_index is not None
-        return self._action_index[label]
+        return self._mdp.action_index(label)
+
+    @cached_property
+    def _observation_index(self) -> dict[str, int]:
+        return _label_index(self.observation_labels)
 
     def observation_index(self, label: str) -> int:
         """Index of the observation labelled ``label``."""
-        assert self._observation_index is not None
         return self._observation_index[label]
 
     def to_mdp(self) -> MDP:
@@ -159,15 +163,12 @@ class POMDP:
 
         This is the exponentially smaller model on which the RA-Bound is
         computed (Section 3.1) and on which the oracle controller operates.
-        The backend carries over: a sparse POMDP yields a sparse MDP.
+        It is the one MDP this POMDP validated through when it was built,
+        sharing its arrays and labels, so every call returns the same
+        object.  The backend carries over: a sparse POMDP yields a sparse
+        MDP.
         """
-        return MDP(
-            transitions=self.transitions,
-            rewards=self.rewards,
-            state_labels=self.state_labels,
-            action_labels=self.action_labels,
-            discount=self.discount,
-        )
+        return self._mdp
 
     def with_discount(self, discount: float) -> "POMDP":
         """A copy of this POMDP with a different discount factor."""

@@ -73,9 +73,12 @@ depth-1 expansion skips posteriors entirely, and its work follows what the
 belief touches rather than the model: actions with no override row on a
 state the belief covers share one closed-form backup, the touched actions'
 ``(k, c, |O|)`` score blocks come from a few CSR × sparse products in
-chunks sized from the cache budget, and an observation-override action is
-scored over the support of its own prediction.  A 300,002-state decision
-after a single-tier alarm thus scores about 50,000 of its 150,002 actions.
+chunks sized from a fixed working-set budget, :data:`WORKING_SET_BYTES`
+(or the cache budget when that is smaller), and an observation-override
+action is scored over the support of its own prediction.  A 300,002-state
+decision after a single-tier alarm thus scores about 50,000 of its
+150,002 actions, and one after a zombie alarm 150,000 in chunks of a few
+MB each.
 """
 
 from __future__ import annotations
@@ -115,6 +118,19 @@ DECISION_TIE_EPSILON = 1e-9
 #: Eq. 7 refinement (:mod:`repro.bounds.incremental`) sizes its chunks of
 #: actions from the same budget.
 BLOCK_BYTES = 512 * 1024
+
+#: Working-set budget of one chunk of the fused sparse depth-1 kernel
+#: (:func:`_expand_depth1_sparse`), capped by
+#: :func:`~repro.pomdp.cache.max_cache_bytes`.  Blocks this size come
+#: from the C allocator's heap and are reused by the next decision.
+#: Measured on the 300,002-state model after a zombie alarm (150,000
+#: touched actions, one bound vector, 2-vCPU container), a warm decision
+#: took 47-54 ms at 8 to 32 MiB, 51-61 ms at 4 MiB, 60-62 ms at 1 MiB and
+#: 110-185 ms at 256 KiB, where per-chunk scipy overhead dominates.  Sized
+#: from the 256 MiB cache budget, one chunk held every action, its blocks
+#: went back to the kernel when freed, and each decision took 63-72 ms
+#: and 5,093 minor faults to map them again.
+WORKING_SET_BYTES = 8 * 1024 * 1024
 
 
 def _best_action(action_values: np.ndarray) -> int:
@@ -432,10 +448,13 @@ def _expand_depth1_sparse(
       ``corrections @ Z`` product for gamma and one per bound vector (the
       correction data scaled by that vector) for the ``(k, c, |O|)`` score
       block.  A chunk holds as many actions as fit their
-      :func:`depth1_action_bytes` into
-      :func:`~repro.pomdp.cache.max_cache_bytes`, at least one.  Each
-      action's row is computed on its own, so every budget gives the same
-      results bit for bit;
+      :func:`depth1_action_bytes` into :data:`WORKING_SET_BYTES`, or into
+      :func:`~repro.pomdp.cache.max_cache_bytes` when that is smaller, at
+      least one.  The budget bounds the kernel's transient memory, not the
+      joint-factor cache's: sized from the cache budget, one chunk held
+      all 150,000 actions touched after a 300,002-state zombie alarm, and
+      each decision faulted its blocks in afresh.  Each action's row is computed on its own, so every
+      budget gives the same results bit for bit;
     * an observation-override action is scored over the support of its own
       prediction (``a_T``'s is ``s_T`` alone after any fault belief).
 
@@ -469,18 +488,12 @@ def _expand_depth1_sparse(
 
     through_base = np.flatnonzero(allowed[touched] & ~own[touched])
     action_bytes = depth1_action_bytes(n_vectors, n_observations)
-    chunk = max(1, max_cache_bytes() // action_bytes)
+    chunk = max(1, min(max_cache_bytes(), WORKING_SET_BYTES) // action_bytes)
     for start in range(0, through_base.size, chunk):
         rows = through_base[start : start + chunk]
-        block = corrections[rows]
-        gamma = (block @ base_obs).toarray() + gamma_base
-        scores = np.empty((n_vectors, rows.size, n_observations))
-        scaled = block.copy()
-        for j, vector in enumerate(vectors):
-            scaled.data = block.data * vector[block.indices]
-            scores[j] = (scaled @ base_obs).toarray()
-        scores += scores_base[:, None, :]
-        future, block_wins = _backup(gamma, scores)
+        future, block_wins = _chunk_backup(
+            corrections[rows], base_obs, vectors, gamma_base, scores_base
+        )
         actions = touched[rows]
         action_values[actions] = rewards[actions] + pomdp.discount * future
         wins += block_wins
@@ -511,10 +524,29 @@ def _expand_depth1_sparse(
     )
 
 
+def _chunk_backup(
+    block, base_obs, vectors: np.ndarray, gamma_base: np.ndarray, scores_base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_backup` of a chunk of touched actions observing through the
+    base matrix, from their rows of the corrections.  Its blocks are
+    freed on return, before the next chunk allocates its own."""
+    gamma = (block @ base_obs).toarray() + gamma_base
+    scores = np.empty((vectors.shape[0], block.shape[0], base_obs.shape[1]))
+    scaled = block.copy()
+    for j, vector in enumerate(vectors):
+        scaled.data = block.data * vector[block.indices]
+        scores[j] = (scaled @ base_obs).toarray()
+    scores += scores_base[:, None, :]
+    return _backup(gamma, scores)
+
+
 def depth1_action_bytes(n_vectors: int, n_observations: int) -> int:
-    """Bytes the fused depth-1 kernel budgets per touched action: ``k + 3``
-    rows of ``|O|`` doubles (its scores, gamma and backup temporaries)."""
-    return 8 * (n_vectors + 3) * n_observations
+    """Bytes the fused depth-1 kernel holds per touched action at its peak,
+    in ``|O|``-wide rows: ``k`` rows of double scores, the tie-break's two
+    ``k``-row boolean masks (``tie_break_argmax`` and argmax's contiguous
+    copy of it), and four rows of doubles (gamma, the branch maxima and
+    the backup temporaries)."""
+    return (10 * n_vectors + 32) * n_observations
 
 
 def _backup(gamma: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,3 +170,66 @@ class TestUniformChainDecomposedOnce:
         vector = ra_bound_vector(pomdp, method=method)
         assert len(calls) == 1
         assert np.all(np.isfinite(vector))
+
+
+def _lu_ra_bound(pomdp) -> np.ndarray:
+    """V⁻ by SuperLU on the transient block: the solve before the
+    triangular path, kept as the reference."""
+    import scipy.sparse.linalg as spla
+
+    from repro.mdp.classify import classify_chain
+    from repro.mdp.linear_solvers import _transient_system
+
+    mdp = pomdp.to_mdp()
+    chain, reward = mdp.uniform_chain()
+    transient = classify_chain(chain).transient
+    matrix, rhs, mask = _transient_system(chain, reward, mdp.discount, transient)
+    value = np.zeros(mdp.n_states)
+    value[mask] = spla.spsolve(matrix, rhs)
+    return value
+
+
+def _shipped_pomdp(name):
+    from repro.recovery.model import convert_backend
+    from repro.systems.emn import build_emn_system
+    from repro.systems.simple import build_simple_system
+    from repro.systems.tiered import build_tiered_system
+
+    if name == "simple":
+        return build_simple_system().model.pomdp
+    if name == "emn-sparse":
+        return convert_backend(build_emn_system().model, "sparse").pomdp
+    replicas = {"tiered-14": 2, "tiered-62": 10, "tiered-602": 100}[name]
+    return build_tiered_system((replicas,) * 3, backend="sparse").model.pomdp
+
+
+class TestTriangularRABound:
+    """Every shipped model's transient chain is acyclic apart from
+    self-loops, so its RA-Bound takes one triangular solve, and V⁻ matches
+    SuperLU's: bit for bit on the tiered family and the simple system, to
+    rounding on EMN."""
+
+    @pytest.mark.parametrize(
+        "name, bit_identical",
+        [
+            ("tiered-14", True),
+            ("tiered-62", True),
+            ("tiered-602", True),
+            ("simple", True),
+            ("emn-sparse", False),
+        ],
+    )
+    def test_matches_lu(self, name, bit_identical):
+        from repro.obs.telemetry import session
+
+        pomdp = _shipped_pomdp(name)
+        with session() as telemetry:
+            vector = ra_bound_vector(pomdp, method="sparse")
+        assert telemetry.counters["solver.factorisation.triangular"] == 1
+        assert "solver.factorisation.lu" not in telemetry.counters
+        reference = _lu_ra_bound(pomdp)
+        if bit_identical:
+            np.testing.assert_array_equal(vector, reference)
+        else:
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(vector - reference)) <= 1e-15 * scale

@@ -483,3 +483,23 @@ class TestCertificationCache:
         left = model_fingerprint(simple_system.model)
         assert left == model_fingerprint(simple_system.model)
         assert left != model_fingerprint(simple_discounted_system.model)
+
+
+class TestLabelsReadBack:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_loaded_labels_are_equal_str(self, tmp_path, simple_system, sparse):
+        from repro.recovery.model import convert_backend
+
+        model = simple_system.model
+        if sparse:
+            model = convert_backend(model, "sparse")
+        path = tmp_path / "model.npz"
+        save_recovery_model(path, model)
+        loaded = load_recovery_model(path).pomdp
+        for kind in ("state_labels", "action_labels", "observation_labels"):
+            labels = getattr(loaded, kind)
+            assert type(labels) is tuple
+            assert all(type(label) is str for label in labels)
+            assert labels == getattr(model.pomdp, kind)
+        last = model.pomdp.n_states - 1
+        assert loaded.state_index(model.pomdp.state_labels[last]) == last

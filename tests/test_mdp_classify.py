@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.mdp.classify import (
@@ -250,6 +251,28 @@ class TestExpectedAbsorptionTime:
         assert times[1] == 0.0
         assert np.isclose(times[0], 2.0)  # geometric with p=0.5
         assert np.isinf(times[2])  # state 2 can never re-enter state 1
+
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_solved_by_the_shared_transient_solve(self, cyclic):
+        """Acyclic transient states take one triangular solve, a cycle
+        among them SuperLU; both give the same expected times."""
+        from repro.mdp.classify import expected_absorption_time
+        from repro.obs.telemetry import session
+
+        chain = np.array([
+            [0.5, 0.5, 0.0],
+            [0.25 if cyclic else 0.0, 0.25, 0.5],
+            [0.0, 0.0, 1.0],
+        ])
+        with session() as telemetry:
+            times = expected_absorption_time(chain)
+        kind = "lu" if cyclic else "triangular"
+        assert telemetry.counters[f"solver.factorisation.{kind}"] == 1
+        system = np.eye(2) - chain[:2, :2]
+        np.testing.assert_allclose(
+            times, np.append(np.linalg.solve(system, np.ones(2)), 0.0)
+        )
 
 
 def test_daemon_import_leaves_networkx_unloaded():

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DivergenceError, NotConvergedError
+from repro.mdp.classify import EDGE_EPSILON
 from repro.mdp.linear_solvers import (
     SPARSE_DENSITY_CUTOFF,
     SPARSE_MIN_STATES,
@@ -15,7 +20,9 @@ from repro.mdp.linear_solvers import (
     solve_direct,
     solve_markov_reward,
     solve_sparse,
+    solve_transient_block,
 )
+from repro.obs.telemetry import session
 from repro.util.validation import SUM_ATOL
 
 # Absorbing chain: state 0 -> {0 w.p. .5, 1 w.p. .5}, state 1 absorbing.
@@ -215,3 +222,146 @@ class TestAutoSelection:
             gauss_seidel(sparse_chain, REWARD), EXPECTED, atol=1e-8
         )
         assert np.allclose(jacobi(sparse_chain, REWARD), EXPECTED, atol=1e-8)
+
+
+# -- the triangular transient solve ----------------------------------------
+
+
+def _factorisations(telemetry) -> dict[str, int]:
+    """The ``solver.factorisation.<kind>`` counts of a telemetry session."""
+    prefix = "solver.factorisation."
+    return {
+        name[len(prefix):]: count
+        for name, count in telemetry.counters.items()
+        if name.startswith(prefix)
+    }
+
+
+@st.composite
+def absorbing_chains(draw):
+    """A random absorbing chain, its transient mask, a discount and whether
+    its transient states form a cycle.
+
+    Transient state ``i`` moves to state ``i + 1``, to other later
+    transient states, to itself and to an absorbing state, so the
+    transient block is acyclic apart from
+    self-loops, unless a back edge closes a cycle: an ordinary one, or one
+    whose probability lies below ``EDGE_EPSILON``, which the classifier
+    reads as a structural zero but the solve must not drop.  The states
+    are then permuted at random.
+    """
+    n_transient = draw(st.integers(2, 12))
+    n_absorbing = draw(st.integers(1, 3))
+    n = n_transient + n_absorbing
+    seed = draw(st.integers(0, 2**32 - 1))
+    cycle = draw(st.sampled_from(["none", "ordinary", "tiny"]))
+    rng = np.random.default_rng(seed)
+    chain = np.zeros((n, n))
+    for i in range(n_transient):
+        later = np.arange(i, n)
+        keep = later[rng.random(later.size) < 0.6]
+        # A path 0 -> 1 -> ... runs through every transient state, so a
+        # back edge into state 0 closes a cycle.
+        keep = np.union1d(keep, [min(i + 1, n - 1), n_transient + rng.integers(n_absorbing)])
+        chain[i, keep] = rng.uniform(0.1, 1.0, keep.size)
+        chain[i, i] = min(chain[i, i], 0.9)  # absorption stays likely
+    if cycle != "none":
+        back = 1e-14 if cycle == "tiny" else 0.3
+        chain[n_transient - 1, 0] = back
+    chain[:n_transient] /= chain[:n_transient].sum(axis=1, keepdims=True)
+    if cycle == "tiny":
+        # Renormalising must not lift the back edge above EDGE_EPSILON.
+        assert 0.0 < chain[n_transient - 1, 0] < EDGE_EPSILON
+    for a in range(n_absorbing):
+        chain[n_transient + a, n_transient + a] = 1.0
+    permutation = rng.permutation(n)
+    chain = chain[np.ix_(permutation, permutation)]
+    transient = (permutation < n_transient)
+    discount = draw(st.sampled_from([1.0, 0.95, 0.6]))
+    return chain, transient, discount, cycle != "none"
+
+
+class TestTriangularTransientSolve:
+    """solve_transient_block takes one triangular solve exactly when the
+    transient states form no cycle, and matches a dense solve either way."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(absorbing_chains(), st.booleans(), st.booleans())
+    def test_matches_dense_solve_and_routes_by_cycles(
+        self, case, as_csr, full_system
+    ):
+        chain, transient, discount, cyclic = case
+        rng = np.random.default_rng(int(transient.sum()))
+        reward = np.where(transient, -rng.uniform(0.1, 2.0, transient.size), 0.0)
+        mask = transient
+        if discount < 1.0 and full_system:
+            mask = None  # discounting makes the whole system regular
+        chosen = np.ones(transient.size, dtype=bool) if mask is None else mask
+        block = np.eye(int(chosen.sum())) - discount * chain[np.ix_(chosen, chosen)]
+        expected = np.zeros(transient.size)
+        expected[chosen] = np.linalg.solve(block, reward[chosen])
+        chain_in = sp.csr_matrix(chain) if as_csr else chain
+        with session() as telemetry:
+            sparse = solve_sparse(chain_in, reward, discount, transient_states=mask)
+            direct = solve_direct(chain_in, reward, discount, transient_states=mask)
+        np.testing.assert_allclose(sparse, expected, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(direct, expected, rtol=0.0, atol=1e-10)
+        kind = "lu" if cyclic else "triangular"
+        assert _factorisations(telemetry) == {kind: 2}
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_helper_accepts_dense_and_sparse_blocks(self, as_csr):
+        block = np.array([[1.0, 0.0, 0.0], [-0.5, 1.0, -0.25], [0.0, 0.0, 0.5]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        with session() as telemetry:
+            solution, kind = solve_transient_block(
+                sp.csr_matrix(block) if as_csr else block, rhs
+            )
+        assert kind == "triangular"
+        assert _factorisations(telemetry) == {"triangular": 1}
+        np.testing.assert_allclose(solution, np.linalg.solve(block, rhs))
+
+    def test_zero_on_the_diagonal_takes_lu(self):
+        # An absorbing state inside the undiscounted block: acyclic, but
+        # singular, so it is not solved as triangular.
+        block = np.eye(2) - CHAIN
+        with session() as telemetry, pytest.warns(spla.MatrixRankWarning):
+            _, kind = solve_transient_block(block, np.array([-1.0, 5.0]))
+        assert kind == "lu"
+        assert _factorisations(telemetry) == {"lu": 1}
+
+    def test_dispatch_event_names_the_factorisation(self):
+        mask = np.array([True, False])
+        with session() as telemetry:
+            solve_markov_reward(CHAIN, REWARD, method="sparse", transient_states=mask)
+            solve_markov_reward(CHAIN, REWARD, method="gauss-seidel")
+        dispatches = [
+            event for event in telemetry.snapshot().events
+            if event["event"] == "solver_dispatch"
+        ]
+        assert [event["factorisation"] for event in dispatches] == [
+            "triangular",
+            None,
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_scipy_numbers_dag_components_sinks_first(n, seed):
+    """Every edge of a DAG runs from a higher strong-component label to a
+    lower one.  solve_transient_block relies on this numbering of
+    scipy.sparse.csgraph.connected_components for its triangular order; if
+    scipy changes it, this fails rather than the RA-Bound silently falling
+    back to LU."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    edges = np.zeros((n, n), dtype=bool)
+    edges[np.ix_(order, order)] = upper  # edge order[i] -> order[j], i < j
+    rows, cols = np.nonzero(edges)
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    count, labels = csgraph.connected_components(
+        graph, directed=True, connection="strong"
+    )
+    assert count == n
+    assert np.all(labels[rows] > labels[cols])

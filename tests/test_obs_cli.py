@@ -37,6 +37,14 @@ def run_file(tmp_path):
         telemetry.event(
             "solver_dispatch", requested="auto", method="direct", n_states=8
         )
+        for factorisation in ("triangular", "triangular", "lu"):
+            telemetry.event(
+                "solver_dispatch",
+                requested="auto",
+                method="sparse",
+                n_states=8,
+                factorisation=factorisation,
+            )
         telemetry.event("campaign_end", controller="bounded", episodes=2)
     return path
 
@@ -48,6 +56,19 @@ class TestReport:
         assert "bounded" in out
         assert "Bound refinement" in out
         assert "direct" in out
+
+    def test_report_lists_factorisations_next_to_dispatches(self, run_file):
+        aggregate = aggregate_stream(run_file)
+        assert aggregate.solver_dispatches == {
+            ("direct", "-"): 1,
+            ("sparse", "lu"): 1,
+            ("sparse", "triangular"): 2,
+        }
+        report = format_report(aggregate)
+        assert "Factorisation" in report
+        rows = [line.replace("|", " ").split() for line in report.splitlines()]
+        assert ["sparse", "triangular", "2"] in rows
+        assert ["sparse", "lu", "1"] in rows
 
     def test_aggregate_counts_outcomes(self, run_file):
         aggregate = aggregate_stream(run_file)

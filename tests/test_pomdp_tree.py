@@ -398,6 +398,45 @@ class TestFusedSparseKernels:
         clear_caches()
 
 
+@pytest.mark.slow
+def test_fused_kernel_transient_memory_is_one_working_set(monkeypatch):
+    """A uniform-belief decision on the 12,002-state model touches 6,000
+    actions; with eight bound vectors their score blocks need more than
+    one working set.  The kernel's traced peak stays under
+    ``WORKING_SET_BYTES`` plus a few ``|S|``-vectors (sized from the cache
+    budget, one chunk would hold them all), and the decision equals the
+    one made an action per chunk, bit for bit."""
+    import tracemalloc
+
+    from repro.bounds.ra_bound import ra_bound_vector
+    from repro.systems.tiered import build_tiered_system
+
+    monkeypatch.delenv(MAX_CACHE_BYTES_ENV, raising=False)
+    pomdp = build_tiered_system((2000,) * 3, backend="sparse").model.pomdp
+    seed_vector = ra_bound_vector(pomdp)
+    rng = np.random.default_rng(23)
+    stack = np.array(
+        [seed_vector]
+        + [seed_vector + rng.normal(0.0, 1.0, pomdp.n_states) for _ in range(7)]
+    )
+    belief = np.full(pomdp.n_states, 1.0 / pomdp.n_states)
+    touched, _ = pomdp.transitions.live_corrections(belief)
+    action_bytes = tree.depth1_action_bytes(len(stack), pomdp.n_observations)
+    assert touched.size * action_bytes > tree.WORKING_SET_BYTES
+
+    leaf = BoundVectorSet(stack)
+    tracemalloc.start()
+    try:
+        decision = tree._expand(pomdp, belief, 1, leaf, None, cache=None, fused=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tree.WORKING_SET_BYTES + 12 * 8 * pomdp.n_states
+
+    looped, looped_usage = _fused_decision(pomdp, belief, stack, budget=0)
+    _assert_same_decision(looped, looped_usage, decision, leaf._usage)
+
+
 # -- the fused kernel on beliefs that touch a few override rows --------------
 
 SUPPORT_KINDS = (
