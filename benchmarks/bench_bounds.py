@@ -7,7 +7,8 @@ cases benchmark the *detection* path (how quickly the library reports the
 divergence the paper predicts).
 
 E6 — Section 4.3's cost model: the RA-Bound is one linear solve on |S|
-states; each incremental update is O(|S||A||O||B|).
+states; each incremental update is O(|S||A||O||B|).  The sawtooth upper
+bound behind branch and bound is timed beside it, as its point set grows.
 """
 
 import numpy as np
@@ -17,6 +18,11 @@ from repro.bounds.bi_pomdp import bi_pomdp_vector
 from repro.bounds.blind_policy import blind_policy_vectors
 from repro.bounds.incremental import refine_at, sample_reachable_beliefs
 from repro.bounds.ra_bound import ra_bound_vector
+from repro.bounds.sawtooth import (
+    SUPPORT_EPSILON,
+    SawtoothUpperBound,
+    reachable_successors,
+)
 from repro.bounds.vector_set import BoundVectorSet
 from repro.exceptions import DivergenceError
 from repro.systems.simple import build_simple_system
@@ -76,3 +82,32 @@ def test_incremental_update_cost(benchmark, emn_system, set_size):
 
     benchmark(refine_at, pomdp, bound_set, probe)
     benchmark.extra_info["set_size"] = len(bound_set)
+
+
+@pytest.mark.parametrize("n_points", [10, 1_000])
+def test_sawtooth_value_batch_cost(benchmark, emn_system, n_points):
+    """The sawtooth interpolation over every posterior of the EMN initial
+    belief (the stack one branch-and-bound node evaluates) as the stored
+    point set grows.  Each point lies on the support of one of those
+    posteriors and holds one backup of the corner-only bound."""
+    pomdp = emn_system.model.pomdp
+    root = emn_system.model.initial_belief()
+    posteriors = np.vstack(
+        [
+            reachable_successors(pomdp, root, action)[1]
+            for action in range(pomdp.n_actions)
+        ]
+    )
+    corners = SawtoothUpperBound(pomdp)
+    upper = SawtoothUpperBound(pomdp, corner_values=corners.corner_values)
+    rng = np.random.default_rng(0)
+    chosen = posteriors[rng.integers(len(posteriors), size=n_points)]
+    points = rng.dirichlet(np.ones(pomdp.n_states), size=n_points)
+    points *= chosen > SUPPORT_EPSILON
+    for point in points / points.sum(axis=1, keepdims=True):
+        upper.add_point(point, corners.backup(point))
+
+    values = benchmark(upper.value_batch, posteriors)
+    assert np.all(values <= corners.value_batch(posteriors))
+    benchmark.extra_info["points"] = len(upper)
+    benchmark.extra_info["rows"] = len(posteriors)

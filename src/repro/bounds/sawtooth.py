@@ -8,7 +8,7 @@ stores
 * corner values ``u_c(s)`` — a valid upper bound at each point belief
   (initialised from QMDP, or the trivial zero bound under Condition 2); and
 * a set of interior points ``(b_i, u_i)`` with ``u_i`` a valid upper bound
-  at ``b_i``.
+  at ``b_i``: ``points``, ``point_values`` and ``gaps`` (``u_i - b_i . u_c``).
 
 The bound at an arbitrary belief ``pi`` is the sawtooth interpolation
 
@@ -29,9 +29,13 @@ from repro.bounds.upper import QMDPBound
 from repro.exceptions import ModelError
 from repro.pomdp.belief import GAMMA_EPSILON
 from repro.pomdp.model import POMDP
+from repro.pomdp.tree import WORKING_SET_BYTES
 
 #: Minimum support ratio treated as zero in the interpolation.
 SUPPORT_EPSILON = 1e-12
+
+#: ``(gamma, posteriors)`` of every action at one belief, by action index.
+Successors = list[tuple[np.ndarray, np.ndarray]]
 
 
 def reachable_successors(
@@ -82,68 +86,90 @@ class SawtoothUpperBound:
                 f"corner_values must have shape ({pomdp.n_states},), got "
                 f"{corner_values.shape}"
             )
+        if max_points is not None and max_points < 1:
+            raise ValueError(f"max_points must be None or >= 1, got {max_points}")
         self.corner_values = corner_values
-        self.points: list[tuple[np.ndarray, float]] = []
+        self.points = np.empty((0, pomdp.n_states))
+        self.point_values = np.empty(0)
+        self.gaps = np.empty(0)
         self.max_points = max_points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.point_values)
+
+    def add_point(self, belief: np.ndarray, value: float) -> None:
+        """Store the point ``(belief, value)`` and its gap.
+
+        The one insertion behind :meth:`refine_at` and the campaign join: an
+        exact duplicate is skipped, and at ``max_points`` the oldest point goes.
+        """
+        point = np.array(belief, dtype=float)
+        value = float(value)
+        if np.any((self.point_values == value) & (self.points == point).all(axis=1)):
+            return
+        gap = value - float(point @ self.corner_values)
+        first = int(self.max_points is not None and len(self) >= self.max_points)
+        self.points = np.vstack([self.points[first:], point])
+        self.point_values = np.append(self.point_values[first:], value)
+        self.gaps = np.append(self.gaps[first:], gap)
 
     def value(self, belief: np.ndarray) -> float:
         """Sawtooth-interpolated upper bound at ``belief``."""
-        belief = np.asarray(belief, dtype=float)
-        corner = float(belief @ self.corner_values)
-        best = corner
-        for point, point_value in self.points:
-            gap = point_value - float(point @ self.corner_values)
-            if gap >= 0:
-                continue  # the point is no tighter than the corners
-            support = point > SUPPORT_EPSILON
-            if np.any(belief[~support] > SUPPORT_EPSILON):
-                # pi is not absolutely continuous w.r.t. b_i along the
-                # sawtooth: the interpolation coefficient is min over the
-                # support, which is 0 here -> no improvement from this point.
-                continue
-            ratio = float(np.min(belief[support] / point[support]))
-            best = min(best, corner + gap * ratio)
-        return best
+        return float(self.value_batch(belief)[0])
 
     def value_batch(self, beliefs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`value` (loops over points, not beliefs)."""
+        """Sawtooth interpolation at each row of ``beliefs``.
+
+        Points go in chunks whose ``(rows, points, |S|)`` block fits
+        :data:`WORKING_SET_BYTES`.  One product of support indicators masks
+        the (row, point) pairs where the point can tighten the row (gap < 0,
+        no row mass outside its support), and only their ratios are taken.
+        A row's corner value is its own dot product and a minimum ignores
+        order, so every row equals the scalar interpolation bit for bit.
+        """
         beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-        corner = beliefs @ self.corner_values
+        corner = np.matmul(beliefs[:, None, :], self.corner_values[:, None])[:, 0, 0]
         best = corner.copy()
-        for point, point_value in self.points:
-            gap = point_value - float(point @ self.corner_values)
-            if gap >= 0:
-                continue
-            support = point > SUPPORT_EPSILON
-            feasible = ~np.any(beliefs[:, ~support] > SUPPORT_EPSILON, axis=1)
-            if not feasible.any():
-                continue
-            ratios = np.min(
-                beliefs[np.ix_(feasible, support)] / point[support], axis=1
-            )
-            candidate = corner[feasible] + gap * ratios
-            best[feasible] = np.minimum(best[feasible], candidate)
+        mass = (beliefs > SUPPORT_EPSILON).astype(float)
+        step = max(1, WORKING_SET_BYTES // max(beliefs.nbytes, 1))
+        for start in range(0, len(self), step):
+            points = self.points[start : start + step]
+            gaps = self.gaps[start : start + step]
+            outside = points <= SUPPORT_EPSILON
+            rows, columns = np.nonzero((mass @ outside.T == 0) & (gaps < 0))
+            quotients = beliefs[rows] / np.where(outside, 1.0, points)[columns]
+            quotients[outside[columns]] = np.inf
+            candidates = corner[rows] + gaps[columns] * quotients.min(axis=1)
+            np.minimum.at(best, rows, candidates)
         return best
+
+    def action_backups(self, belief: np.ndarray) -> tuple[np.ndarray, Successors]:
+        """Each action's ``pi . r_a + beta * gamma . U(posteriors)`` and the
+        :func:`reachable_successors` it used (Eq. 2 with U, before the max).
+
+        Each is an upper bound on the action's value at any lookahead depth,
+        as ``L_p`` is monotone and the bound valid.  One :meth:`value_batch`.
+        """
+        pomdp = self.pomdp
+        successors = [
+            reachable_successors(pomdp, belief, a) for a in range(pomdp.n_actions)
+        ]
+        futures = np.split(
+            self.value_batch(np.vstack([posteriors for _, posteriors in successors])),
+            np.cumsum([len(gamma) for gamma, _ in successors])[:-1],
+        )
+        backups = [
+            float(belief @ pomdp.rewards[a]) + pomdp.discount * float(gamma @ future)
+            for a, ((gamma, _), future) in enumerate(zip(successors, futures))
+        ]
+        return np.array(backups), successors
 
     def backup(self, belief: np.ndarray) -> float:
         """One Bellman backup of this bound at ``belief`` (Eq. 2 with U).
 
-        Returns the backed-up value; valid as an upper value at ``belief``
-        because the operator ``L_p`` is monotone and the current bound is
-        valid.
+        Valid as an upper value at ``belief`` (see :meth:`action_backups`).
         """
-        belief = np.asarray(belief, dtype=float)
-        best = -np.inf
-        for action in range(self.pomdp.n_actions):
-            gamma, posteriors = reachable_successors(self.pomdp, belief, action)
-            future = self.value_batch(posteriors)
-            total = float(belief @ self.pomdp.rewards[action])
-            total += self.pomdp.discount * float(gamma @ future)
-            best = max(best, total)
-        return best
+        return float(np.max(self.action_backups(belief)[0]))
 
     def refine_at(self, belief: np.ndarray) -> float:
         """Back up at ``belief`` and store the point; returns the decrease.
@@ -156,7 +182,5 @@ class SawtoothUpperBound:
         backed_up = self.backup(belief)
         if backed_up >= before - SUPPORT_EPSILON:
             return 0.0
-        if self.max_points is not None and len(self.points) >= self.max_points:
-            self.points.pop(0)
-        self.points.append((belief.copy(), backed_up))
+        self.add_point(belief, backed_up)
         return before - backed_up

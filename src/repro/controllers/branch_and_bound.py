@@ -24,16 +24,13 @@ import numpy as np
 
 from repro.bounds.incremental import refine_at
 from repro.bounds.ra_bound import ra_bound_vector
-from repro.bounds.sawtooth import SawtoothUpperBound, reachable_successors
+from repro.bounds.sawtooth import SawtoothUpperBound, Successors
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import NOTIFICATION_CERTAINTY, TIE_EPSILON
 from repro.controllers.engine import Decision, PolicyEngine, RecoverySession
 from repro.obs.telemetry import Telemetry
 from repro.obs.telemetry import active as telemetry_active
 from repro.recovery.model import RecoveryModel
-
-#: ``(gamma, posteriors)`` of every action at one belief, by action index.
-Successors = list[tuple[np.ndarray, np.ndarray]]
 
 
 class BranchAndBoundPolicyEngine(PolicyEngine):
@@ -115,19 +112,9 @@ class BranchAndBoundPolicyEngine(PolicyEngine):
         """
         pomdp = self.model.pomdp
         rewards = pomdp.rewards @ belief
-        successors = [
-            reachable_successors(pomdp, belief, action)
-            for action in range(pomdp.n_actions)
-        ]
         # One-step backup of the sawtooth bound: an upper bound on the
         # action's value at any remaining depth (monotonicity of L_p).
-        optimistic = np.array(
-            [
-                float(belief @ pomdp.rewards[action])
-                + pomdp.discount * float(gamma @ self.upper.value_batch(posteriors))
-                for action, (gamma, posteriors) in enumerate(successors)
-            ]
-        )
+        optimistic, successors = self.upper.action_backups(belief)
         best_value = -np.inf
         best_action = -1
         expanded = pruned = 0

@@ -352,6 +352,14 @@ class PolicyEngine(abc.ABC):
         """
         return getattr(self, "bound_set", None)
 
+    def upper_bound_state(self):
+        """The point-set upper bound this engine refines, if any.
+
+        Campaigns add the points its clones store back into it at the join,
+        in chunk order (see :mod:`repro.sim.parallel`).
+        """
+        return getattr(self, "upper", None)
+
     def refines(self, session: RecoverySession) -> bool:
         """Whether ``session``'s decisions refine the shared bound set.
 

@@ -36,15 +36,7 @@ from repro.experiments import grid as grid_defaults
 from repro.experiments.fig5 import format_fig5a, format_fig5b, run_fig5, shape_checks
 from repro.experiments.table1 import format_table1, ordering_checks, run_table1
 from repro.obs import session as telemetry_session
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (anything else is a usage error)."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}"
-        )
-    return int(text)
+from repro.util.validation import positive_int
 
 
 def _render_checks(checks: dict[str, bool]) -> str:
@@ -224,11 +216,11 @@ def main(argv: list[str] | None = None) -> None:
 
     for name in ("fig5a", "fig5b"):
         sub = subparsers.add_parser(name, help=f"Figure 5({name[-1]})")
-        sub.add_argument("--iterations", type=_positive_int, default=20)
+        sub.add_argument("--iterations", type=positive_int, default=20)
         add_seed(sub)
 
     table1 = subparsers.add_parser("table1", help="Table 1 fault injections")
-    table1.add_argument("--injections", type=_positive_int, default=1000)
+    table1.add_argument("--injections", type=positive_int, default=1000)
     add_seed(table1)
     add_parallel(table1)
 
@@ -236,7 +228,7 @@ def main(argv: list[str] | None = None) -> None:
     add_seed(bounds)
 
     ablations = subparsers.add_parser("ablations", help="parameter sweeps")
-    ablations.add_argument("--injections", type=_positive_int, default=200)
+    ablations.add_argument("--injections", type=positive_int, default=200)
     add_seed(ablations)
 
     scalability = subparsers.add_parser(
@@ -250,7 +242,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     scalability.add_argument(
         "--replicas",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="R",
         help="replicas per tier for --online (default 50000; smaller values "
@@ -261,7 +253,7 @@ def main(argv: list[str] | None = None) -> None:
     robustness = subparsers.add_parser(
         "robustness", help="controller-vs-environment model mismatch sweep"
     )
-    robustness.add_argument("--injections", type=_positive_int, default=200)
+    robustness.add_argument("--injections", type=positive_int, default=200)
     add_seed(robustness)
     add_parallel(robustness)
 
@@ -306,13 +298,13 @@ def main(argv: list[str] | None = None) -> None:
     )
     grid.add_argument(
         "--injections",
-        type=_positive_int,
+        type=positive_int,
         default=200,
         help="injections per campaign cell (table1/robustness)",
     )
     grid.add_argument(
         "--iterations",
-        type=_positive_int,
+        type=positive_int,
         default=10,
         help="bootstrap iterations per fig5 cell",
     )

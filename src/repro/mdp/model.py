@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.linalg.backends import Backend, backend_of
+from repro.linalg.backends import Backend, backend_of, sparsify_rewards
 from repro.linalg.containers import SparseTransitions, StructuredRewards
 from repro.linalg.ops import mean_transition_matrix, rewards_mean_over_actions
 from repro.util.validation import check_stochastic_matrix
@@ -46,14 +46,16 @@ def _validate_model_arrays(transitions, rewards):
     Returns ``(transitions, rewards, (n_actions, n_states))``.  Dense
     ndarray inputs are coerced to float and checked row-by-row; sparse
     containers validate their base + override structure instead (each
-    effective row checked once, never densified).
+    effective row checked once, never densified).  Each backend holds one
+    reward layout: a reward ndarray beside sparse transitions becomes a
+    :class:`StructuredRewards` through the lossless
+    :func:`~repro.linalg.backends.sparsify_rewards`, and a
+    :class:`StructuredRewards` beside dense transitions becomes an ndarray.
     """
     if isinstance(transitions, SparseTransitions):
         transitions.validate("transitions")
         n_actions, n_states, _ = transitions.shape
-        if isinstance(rewards, StructuredRewards):
-            rewards.validate("rewards")
-        else:
+        if not isinstance(rewards, StructuredRewards):
             rewards = np.asarray(rewards, dtype=float)
     else:
         transitions = np.asarray(transitions, dtype=float)
@@ -71,7 +73,11 @@ def _validate_model_arrays(transitions, rewards):
             f"rewards must have shape ({n_actions}, {n_states}), "
             f"got {rewards.shape}"
         )
-    if not isinstance(transitions, SparseTransitions):
+    if isinstance(transitions, SparseTransitions):
+        if not isinstance(rewards, StructuredRewards):
+            rewards = sparsify_rewards(rewards)
+        rewards.validate("rewards")
+    else:
         for a in range(n_actions):
             check_stochastic_matrix(transitions[a], name=f"transitions[{a}]")
     return transitions, rewards, (n_actions, n_states)

@@ -25,7 +25,6 @@ from repro.bounds.sawtooth import SawtoothUpperBound
 from repro.bounds.vector_set import BoundVectorSet
 from repro.bounds.ra_bound import ra_bound_vector
 from repro.exceptions import ModelError, NotConvergedError
-from repro.pomdp.belief import GAMMA_EPSILON
 from repro.pomdp.model import POMDP
 
 
@@ -53,22 +52,10 @@ class HSVISolution:
         return 0.5 * (self.lower.value(belief) + self.upper.value(belief))
 
 
-def _best_upper_action(pomdp: POMDP, upper: SawtoothUpperBound, belief):
-    """Action maximising the one-step backup of the upper bound (IE-MAX)."""
-    best_action, best_value, best_children = 0, -np.inf, None
-    for action in range(pomdp.n_actions):
-        predicted = belief @ pomdp.transitions[action]
-        joint = predicted[:, None] * pomdp.observations[action]
-        gamma = joint.sum(axis=0)
-        reachable = np.flatnonzero(gamma > GAMMA_EPSILON)
-        posteriors = (joint[:, reachable] / gamma[reachable]).T
-        value = float(belief @ pomdp.rewards[action]) + pomdp.discount * float(
-            gamma[reachable] @ upper.value_batch(posteriors)
-        )
-        if value > best_value:
-            best_action, best_value = action, value
-            best_children = (gamma[reachable], posteriors)
-    return best_action, best_children
+def _best_upper_action(upper: SawtoothUpperBound, belief):
+    """Successors of the action maximising the upper backup (IE-MAX)."""
+    backups, successors = upper.action_backups(belief)
+    return successors[int(np.argmax(backups))]
 
 
 def solve_hsvi(
@@ -118,8 +105,7 @@ def solve_hsvi(
         belief = initial_belief
         for depth in range(1, max_depth + 1):
             target = epsilon / (pomdp.discount**depth)
-            action, children = _best_upper_action(pomdp, upper, belief)
-            gamma, posteriors = children
+            gamma, posteriors = _best_upper_action(upper, belief)
             excesses = np.array(
                 [
                     probability * (gap_at(child) - target)

@@ -71,8 +71,10 @@ class POMDP:
         state_labels / action_labels / observation_labels: display names.
         discount: ``beta``; recovery models use 1.0 (undiscounted).
 
-    The three tensors must share one backend: all dense ndarrays, or all
-    sparse containers.  The label-to-index maps are built on first lookup.
+    The three tensors share one backend: all dense ndarrays, or all sparse
+    containers.  Transitions and observations must be given that way;
+    rewards are converted losslessly to the transitions' backend.  The
+    label-to-index maps are built on first lookup.
     """
 
     transitions: np.ndarray | SparseTransitions

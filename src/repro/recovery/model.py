@@ -135,7 +135,7 @@ def _replace_rows_with_self_loops(matrix, row_states, null_mask):
 
 def _null_absorbing_sparse(
     transitions: SparseTransitions,
-    rewards,
+    rewards: StructuredRewards,
     null_states: np.ndarray,
 ):
     """Figure 2(a) on the sparse containers, without densifying."""
@@ -156,33 +156,29 @@ def _null_absorbing_sparse(
         n_actions=n_actions,
     )
     null_index = np.flatnonzero(mask)
-    if isinstance(rewards, StructuredRewards):
-        # Replacement overrides pin r(a, s) to exactly 0.0 on S_phi for
-        # every action; existing overrides at those positions are dropped
-        # first so the explicit zeros are authoritative.
-        coo = rewards.override.tocoo()
-        keep = ~mask[coo.col] if coo.nnz else np.zeros(0, bool)
-        zero_rows = np.repeat(np.arange(n_actions), null_index.size)
-        zero_cols = np.tile(null_index, n_actions)
-        new_override = sp.csr_matrix(
+    # Replacement overrides pin r(a, s) to exactly 0.0 on S_phi for every
+    # action; existing overrides at those positions are dropped first so the
+    # explicit zeros are authoritative.
+    coo = rewards.override.tocoo()
+    keep = ~mask[coo.col] if coo.nnz else np.zeros(0, bool)
+    zero_rows = np.repeat(np.arange(n_actions), null_index.size)
+    zero_cols = np.tile(null_index, n_actions)
+    new_override = sp.csr_matrix(
+        (
+            np.concatenate([coo.data[keep], np.zeros(zero_rows.size)]),
             (
-                np.concatenate([coo.data[keep], np.zeros(zero_rows.size)]),
-                (
-                    np.concatenate([coo.row[keep], zero_rows]),
-                    np.concatenate([coo.col[keep], zero_cols]),
-                ),
+                np.concatenate([coo.row[keep], zero_rows]),
+                np.concatenate([coo.col[keep], zero_cols]),
             ),
-            shape=rewards.override.shape,
-        )
-        new_rewards = StructuredRewards(
-            time_scale=rewards.time_scale,
-            rate=rewards.rate,
-            fixed=rewards.fixed,
-            override=new_override,
-        )
-    else:
-        new_rewards = np.asarray(rewards, dtype=float).copy()
-        new_rewards[:, null_index] = 0.0
+        ),
+        shape=rewards.override.shape,
+    )
+    new_rewards = StructuredRewards(
+        time_scale=rewards.time_scale,
+        rate=rewards.rate,
+        fixed=rewards.fixed,
+        override=new_override,
+    )
     return new_transitions, new_rewards
 
 
@@ -264,7 +260,7 @@ def _append_uniform_row(matrix, n_observations: int) -> sp.csr_matrix:
 def _termination_containers(
     transitions: SparseTransitions,
     observations: SparseObservations,
-    rewards,
+    rewards: StructuredRewards,
     null_states: np.ndarray,
     rate_rewards: np.ndarray,
     operator_response_time: float,
@@ -315,54 +311,48 @@ def _termination_containers(
     term_rewards = termination_rewards(
         rate_rewards, operator_response_time, null_states
     )
-    if isinstance(rewards, StructuredRewards):
-        new_time_scale = np.append(rewards.time_scale, operator_response_time)
-        new_fixed = np.append(rewards.fixed, 0.0)
-        new_rate = np.append(rewards.rate, 0.0)
-        override = rewards.override
-        # Original actions must be exactly free in s_T; the rank-one part
-        # gives -fixed[a] there (a negative zero when the fee is zero), so
-        # every original action gets an explicit 0.0 pin.  a_T must
-        # reproduce termination_rewards() bit-for-bit; pin every state where
-        # t_op * rate differs from it (null states, and any state whose
-        # structured rate is not the recovery rate).
-        base_row = np.ascontiguousarray(operator_response_time * rewards.rate)
-        mismatch = np.flatnonzero(
-            base_row.view(np.int64)
-            != np.ascontiguousarray(term_rewards).view(np.int64)
-        )
-        entry_actions = np.repeat(np.arange(n_actions), np.diff(override.indptr))
-        new_override = sp.csr_matrix(
+    new_time_scale = np.append(rewards.time_scale, operator_response_time)
+    new_fixed = np.append(rewards.fixed, 0.0)
+    new_rate = np.append(rewards.rate, 0.0)
+    override = rewards.override
+    # Original actions must be exactly free in s_T; the rank-one part
+    # gives -fixed[a] there (a negative zero when the fee is zero), so
+    # every original action gets an explicit 0.0 pin.  a_T must
+    # reproduce termination_rewards() bit-for-bit; pin every state where
+    # t_op * rate differs from it (null states, and any state whose
+    # structured rate is not the recovery rate).
+    base_row = np.ascontiguousarray(operator_response_time * rewards.rate)
+    mismatch = np.flatnonzero(
+        base_row.view(np.int64)
+        != np.ascontiguousarray(term_rewards).view(np.int64)
+    )
+    entry_actions = np.repeat(np.arange(n_actions), np.diff(override.indptr))
+    new_override = sp.csr_matrix(
+        (
+            np.concatenate(
+                [override.data, np.zeros(n_actions), term_rewards[mismatch]]
+            ),
             (
                 np.concatenate(
-                    [override.data, np.zeros(n_actions), term_rewards[mismatch]]
+                    [
+                        entry_actions,
+                        np.arange(n_actions),
+                        np.full(mismatch.size, a_t),
+                    ]
                 ),
-                (
-                    np.concatenate(
-                        [
-                            entry_actions,
-                            np.arange(n_actions),
-                            np.full(mismatch.size, a_t),
-                        ]
-                    ),
-                    np.concatenate(
-                        [override.indices, np.full(n_actions, s_t), mismatch]
-                    ),
+                np.concatenate(
+                    [override.indices, np.full(n_actions, s_t), mismatch]
                 ),
             ),
-            shape=(n_actions + 1, n_states + 1),
-        )
-        new_rewards = StructuredRewards(
-            time_scale=new_time_scale,
-            rate=new_rate,
-            fixed=new_fixed,
-            override=new_override,
-        )
-    else:
-        dense = np.asarray(rewards, dtype=float)
-        new_rewards = np.zeros((n_actions + 1, n_states + 1))
-        new_rewards[:n_actions, :n_states] = dense
-        new_rewards[a_t, :n_states] = term_rewards
+        ),
+        shape=(n_actions + 1, n_states + 1),
+    )
+    new_rewards = StructuredRewards(
+        time_scale=new_time_scale,
+        rate=new_rate,
+        fixed=new_fixed,
+        override=new_override,
+    )
     return new_transitions, new_observations, new_rewards
 
 

@@ -21,6 +21,7 @@ import sys
 
 from repro.serve.daemon import PolicyDaemon
 from repro.serve.service import PolicyService, ServiceConfig
+from repro.util.validation import non_negative_int, positive_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,11 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
         "shutdown still checkpoints)",
     )
     parser.add_argument(
-        "--depth", type=int, default=1, help="lookahead depth of the bounded policy"
+        "--depth",
+        type=positive_int,
+        default=1,
+        help="lookahead depth of the bounded policy",
     )
     parser.add_argument(
         "--bootstrap",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="cold-start bootstrap episodes before serving (ignored on warm start)",
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-vectors",
-        type=int,
+        type=positive_int,
         default=None,
         help="bound-vector storage limit for cold starts",
     )

@@ -25,9 +25,11 @@ locally; after all chunks complete, the new hyperplanes are folded back
 into the caller's engine in chunk order through
 :meth:`~repro.bounds.vector_set.BoundVectorSet.merge`, which rejects
 duplicates and pointwise-dominated vectors and prunes vectors that later
-arrivals dominate.  The caller's engine ends the campaign with the union
-of every worker's refinements, exactly as a long-lived controller process
-would accumulate them.
+arrivals dominate.  An engine with a point-set upper bound (branch and
+bound's sawtooth) gets its clones' new points back the same way, in chunk
+order, exact duplicates skipped.  The caller's engine ends the campaign
+with the union of every worker's refinements, exactly as a long-lived
+controller process would accumulate them.
 
 **Workers inherit the plan.**  The pool initializer receives the plan
 object itself.  Under ``fork`` (used wherever the platform has it) each
@@ -225,6 +227,27 @@ def _bound_vectors(engine: PolicyEngine) -> np.ndarray | None:
     return np.array(bound_set.vectors, copy=True)
 
 
+def _upper_points(engine: PolicyEngine) -> np.ndarray | None:
+    """The engine's upper-bound points as ``[belief, value]`` rows, if any."""
+    upper = engine.upper_bound_state()
+    if upper is None:
+        return None
+    return np.column_stack([upper.points, upper.point_values])
+
+
+def _new_rows(baseline: np.ndarray | None, refined: np.ndarray | None):
+    """Rows of ``refined`` absent from ``baseline``, in order; None if none.
+
+    Diffed by exact content rather than position: eviction may have shifted
+    rows, and baseline rows surviving eviction are not "new".
+    """
+    if baseline is None or refined is None:
+        return None
+    known = {row.tobytes() for row in baseline}
+    new_rows = [row for row in refined if row.tobytes() not in known]
+    return np.array(new_rows) if new_rows else None
+
+
 @dataclass(frozen=True)
 class ChunkResult:
     """What one isolation chunk hands back to the join step.
@@ -233,6 +256,8 @@ class ChunkResult:
         episodes: per-episode metrics, in injection order.
         new_vectors: hyperplanes the clone's bound set gained during the
             chunk (``None`` for engines without bound sets).
+        new_points: ``[belief, value]`` rows the clone's upper bound stored
+            during the chunk (``None`` for engines without one).
         telemetry: snapshot of the chunk's private telemetry registry, when
             the plan collects telemetry (``None`` otherwise).  Snapshots are
             picklable so they survive the process-pool hop, and they carry
@@ -241,6 +266,7 @@ class ChunkResult:
 
     episodes: list[EpisodeMetrics]
     new_vectors: np.ndarray | None
+    new_points: np.ndarray | None
     telemetry: TelemetrySnapshot | None = None
 
 
@@ -259,6 +285,7 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
     engine = _clone_engine(plan)
     session = engine.session()
     baseline = _bound_vectors(engine)
+    upper_baseline = _upper_points(engine)
     chunk_telemetry = (
         Telemetry(trace=plan.collect_trace) if plan.collect_telemetry else None
     )
@@ -293,18 +320,10 @@ def run_chunk(plan: CampaignPlan, start: int, stop: int) -> ChunkResult:
                     cost=metrics.cost,
                 )
             episodes.append(metrics)
-    new_vectors = None
-    if baseline is not None:
-        # Diff by exact content rather than position: eviction may have
-        # shifted rows, and baseline rows surviving eviction are not "new".
-        known = {row.tobytes() for row in baseline}
-        refined = _bound_vectors(engine)
-        new_rows = [row for row in refined if row.tobytes() not in known]
-        if new_rows:
-            new_vectors = np.array(new_rows)
     return ChunkResult(
         episodes=episodes,
-        new_vectors=new_vectors,
+        new_vectors=_new_rows(baseline, _bound_vectors(engine)),
+        new_points=_new_rows(upper_baseline, _upper_points(engine)),
         telemetry=(
             chunk_telemetry.snapshot() if chunk_telemetry is not None else None
         ),
@@ -357,7 +376,7 @@ def execute_plan(
     Returns:
         Episode metrics in injection order.  As a side effect the *caller's*
         engine (the plan's template) receives the merged refinement vectors,
-        deduplicated and dominance-pruned.
+        deduplicated and dominance-pruned, and its upper bound's new points.
     """
     chunks = plan.chunks()
     telemetry = telemetry_active()
@@ -376,6 +395,7 @@ def execute_plan(
 
     episodes: list[EpisodeMetrics] = []
     bound_set = plan.engine.refinement_state()
+    upper = plan.engine.upper_bound_state()
     for chunk_index, result in enumerate(results):
         episodes.extend(result.episodes)
         if on_chunk is not None:
@@ -390,4 +410,7 @@ def execute_plan(
             and result.new_vectors.size
         ):
             bound_set.merge(result.new_vectors, prune_after=True)
+        if upper is not None and result.new_points is not None:
+            for row in result.new_points:
+                upper.add_point(row[:-1], row[-1])
     return episodes

@@ -4,13 +4,15 @@ The model classes (:class:`repro.mdp.MDP`, :class:`repro.pomdp.POMDP`) call
 these at construction time, so every solver and controller downstream can
 assume well-formed inputs instead of re-checking them.
 :func:`int_setting` resolves the integer limits a caller or the
-environment may override (cache budget, span ring capacity), and
+environment may override (cache budget, span ring capacity),
 :func:`check_termination_probability` checks the threshold of the
-policies that stop on recovered probability.
+policies that stop on recovered probability, and :func:`positive_int` and
+:func:`non_negative_int` are the argparse types of the command-line counts.
 """
 
 from __future__ import annotations
 
+import argparse
 import operator
 import os
 
@@ -125,3 +127,21 @@ def int_setting(
     if setting < minimum:
         raise ValueError(f"{source} must be an integer >= {minimum}, got {raw!r}")
     return setting
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else is a usage error)."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (anything else is a usage error)."""
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text: str, minimum: int) -> int:
+    if not text.isdecimal() or int(text) < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {minimum}, got {text!r}"
+        )
+    return int(text)

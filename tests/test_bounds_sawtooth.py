@@ -1,13 +1,48 @@
 """Tests for the sawtooth upper bound."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bounds import sawtooth
 from repro.bounds.ra_bound import ra_bound_vector
-from repro.bounds.sawtooth import SawtoothUpperBound
+from repro.bounds.sawtooth import SUPPORT_EPSILON, SawtoothUpperBound
 from repro.exceptions import ModelError
 from repro.pomdp.exact import solve_exact
 from repro.systems.simple import build_simple_system
+
+
+def reference_value(bound, belief):
+    """The scalar interpolation loop the array kernel replaced, verbatim."""
+    belief = np.asarray(belief, dtype=float)
+    corner = float(belief @ bound.corner_values)
+    best = corner
+    for point, point_value in zip(bound.points, bound.point_values):
+        gap = point_value - float(point @ bound.corner_values)
+        if gap >= 0:
+            continue  # the point is no tighter than the corners
+        support = point > SUPPORT_EPSILON
+        if np.any(belief[~support] > SUPPORT_EPSILON):
+            # pi is not absolutely continuous w.r.t. b_i along the
+            # sawtooth: the interpolation coefficient is min over the
+            # support, which is 0 here -> no improvement from this point.
+            continue
+        ratio = float(np.min(belief[support] / point[support]))
+        best = min(best, corner + gap * ratio)
+    return best
+
+
+def _sparse_beliefs(rng, n_states, count):
+    """Beliefs on random supports, some entries below SUPPORT_EPSILON."""
+    weights = rng.dirichlet(np.ones(n_states), size=count)
+    weights[rng.random(weights.shape) < 0.4] = 0.0
+    weights[rng.random(weights.shape) < 0.1] = SUPPORT_EPSILON / 4
+    weights[np.arange(count), rng.integers(n_states, size=count)] += 0.5
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +151,61 @@ class TestRefinement:
             assert np.isclose(
                 bound.value(belief), bound.corner_values[state]
             )
+
+    def test_add_point_skips_duplicates_and_evicts_oldest(self, discounted):
+        system, _ = discounted
+        pomdp = system.model.pomdp
+        bound = SawtoothUpperBound(pomdp, max_points=2)
+        beliefs = np.eye(pomdp.n_states)[:3]
+        bound.add_point(beliefs[0], -1.0)
+        bound.add_point(beliefs[0].copy(), -1.0)
+        assert np.array_equal(bound.points, beliefs[:1])
+        bound.add_point(beliefs[1], -1.0)
+        bound.add_point(beliefs[2], -2.0)
+        assert np.array_equal(bound.points, beliefs[1:])
+        assert np.array_equal(bound.point_values, [-1.0, -2.0])
+        assert np.array_equal(
+            bound.gaps, bound.point_values - bound.points @ bound.corner_values
+        )
+
+    def test_max_points_must_be_positive(self, simple_system):
+        with pytest.raises(ValueError):
+            SawtoothUpperBound(simple_system.model.pomdp, max_points=0)
+
+
+@given(
+    n_states=st.integers(min_value=2, max_value=6),
+    n_points=st.integers(min_value=0, max_value=30),
+    points_per_chunk=st.sampled_from([1, 3, None]),
+    order=st.sampled_from(["C", "F"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_interpolation_matches_reference_loop(
+    n_states, n_points, points_per_chunk, order, seed
+):
+    """``value`` and ``value_batch`` are the scalar loop, bit for bit: with
+    no points, with points whose gap is >= 0, at beliefs with mass outside
+    a point's support and at corner beliefs, on C- and F-ordered stacks
+    (posteriors are transposes), and with chunks of 1 or 3 points."""
+    rng = np.random.default_rng(seed)
+    bound = SawtoothUpperBound(
+        SimpleNamespace(n_states=n_states),
+        corner_values=-rng.uniform(0.0, 10.0, n_states),
+    )
+    for point in _sparse_beliefs(rng, n_states, n_points):
+        gap = rng.uniform(-3.0, 1.0)
+        bound.add_point(point, float(point @ bound.corner_values) + gap)
+    beliefs = np.asarray(
+        np.concatenate(
+            [_sparse_beliefs(rng, n_states, 12), np.eye(n_states), bound.points[:4]]
+        ),
+        order=order,
+    )
+    expected = np.array([reference_value(bound, belief) for belief in beliefs])
+    budget = sawtooth.WORKING_SET_BYTES
+    if points_per_chunk is not None:
+        budget = points_per_chunk * beliefs.nbytes
+    with mock.patch.object(sawtooth, "WORKING_SET_BYTES", budget):
+        assert np.array_equal(bound.value_batch(beliefs), expected)
+        assert np.array_equal([bound.value(belief) for belief in beliefs], expected)

@@ -107,6 +107,7 @@ class TestBoundSetRoundTrip:
 
 # -- v2 format: sparse backends, atomic writes, path normalization ----------
 
+import dataclasses
 import hashlib
 
 from hypothesis import given, settings
@@ -121,7 +122,9 @@ from repro.linalg.backends import (
     sparsify_rewards,
     sparsify_transitions,
 )
+from repro.linalg.containers import StructuredRewards
 from repro.recovery.model import RecoveryModel, convert_backend
+from repro.systems.tiered import build_tiered_system
 from tests.conftest import random_pomdp
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -236,6 +239,24 @@ class TestSparseArchives:
             ra_bound_vector(loaded.pomdp),
             ra_bound_vector(emn_system.model.pomdp),
         )
+
+    def test_reward_ndarray_beside_sparse_transitions_round_trips(self, tmp_path):
+        """A sparse POMDP given its rewards as an ndarray holds them in the
+        structured layout, so both archive writers accept it."""
+        model = build_tiered_system((2, 2), backend="sparse").model
+        rewards = densify_rewards(model.pomdp.rewards)
+        pomdp = dataclasses.replace(model.pomdp, rewards=rewards)
+        assert isinstance(pomdp.rewards, StructuredRewards)
+        save_pomdp(tmp_path / "pomdp.npz", pomdp)
+        save_recovery_model(
+            tmp_path / "model.npz", dataclasses.replace(model, pomdp=pomdp)
+        )
+        for loaded in (
+            load_pomdp(tmp_path / "pomdp.npz"),
+            load_recovery_model(tmp_path / "model.npz").pomdp,
+        ):
+            assert _pomdp_digest(loaded) == _pomdp_digest(pomdp)
+            assert np.array_equal(loaded.rewards.full(), rewards)
 
     def test_observation_overrides_survive(self, tmp_path, emn_system):
         sparse_model = convert_backend(emn_system.model, "sparse")

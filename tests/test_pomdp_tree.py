@@ -589,7 +589,7 @@ def _make_leaf(kind, pomdp, rng):
         return HeuristicLeaf(model)
     leaf = SawtoothUpperBound(pomdp, corner_values=-rng.uniform(0.0, 1.0, n_states))
     for point in rng.dirichlet(np.ones(n_states), size=3):
-        leaf.points.append((point, float(point @ leaf.corner_values) - 0.5))
+        leaf.add_point(point, float(point @ leaf.corner_values) - 0.5)
     return leaf
 
 

@@ -165,6 +165,28 @@ class TestPolicyService:
         assert forests[a][0]["args"]["session"] == a
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--depth", "0"),
+            ("--depth", "-2"),
+            ("--max-vectors", "0"),
+            ("--bootstrap", "-1"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, flag, value):
+        """A bad count exits 2 with a usage message before any model loads."""
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as stopped:
+            main(["--model", str(tmp_path / "missing.npz"), flag, value])
+        assert stopped.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage: python -m repro.serve")
+        assert f"argument {flag}: must be an integer >=" in error
+
+
 class TestProtocol:
     def test_decode_rejects_garbage(self):
         with pytest.raises(ServeError):

@@ -201,19 +201,32 @@ class TestRefinementMerge:
 
     def test_counters_merge_back(self, simple_system):
         """Diagnostic counters incremented on clones reach the caller's
-        telemetry registry, identically for any worker count."""
-        registries = {}
-        for parallel in (None, 2):
-            registries[parallel] = Telemetry()
-            with activated(registries[parallel]):
-                _run(simple_system, "branch_and_bound", parallel=parallel)
+        telemetry registry, and the clones' upper-bound points reach the
+        caller's sawtooth bound, identically for any worker count: in one
+        chunk and, with ``chunk_size=8``, in three."""
         names = [
             f"controller.{name}"
             for name in ("expanded_actions", "pruned_actions", "withheld_terminations")
         ]
-        serial, sharded = registries[None].counters, registries[2].counters
-        assert [sharded[name] for name in names] == [serial[name] for name in names]
-        assert serial["controller.pruned_actions"] > 0
+        for chunk_size in (None, 8):
+            registries, points = {}, {}
+            for parallel in (None, 2):
+                registries[parallel] = Telemetry()
+                with activated(registries[parallel]):
+                    engine, _ = _run(
+                        simple_system,
+                        "branch_and_bound",
+                        parallel=parallel,
+                        chunk_size=chunk_size,
+                    )
+                points[parallel] = np.column_stack(
+                    [engine.upper.points, engine.upper.point_values]
+                )
+            serial, sharded = registries[None].counters, registries[2].counters
+            assert [sharded[name] for name in names] == [serial[name] for name in names]
+            assert serial["controller.pruned_actions"] > 0
+            assert len(points[None]) > 0
+            assert np.array_equal(points[2], points[None])
 
     def test_template_controller_not_consumed(self, simple_system):
         """The engine runs episodes on clones; the template is never mid-
